@@ -150,7 +150,7 @@ def _hg_realize(args, out: io.StringIO) -> int:
         out.write(hrep(h).to_text())
         return 0
     if args.vertices:
-        _dump_json(out, vertices_to_json_dict(h))
+        _dump_json(out, vertices_to_json_dict(h, max_carrier=args.max_carrier))
         return 0
     report = verify_isomorphism(h, max_carrier=args.max_carrier)
     out.write(report.summary() + "\n")

@@ -9,8 +9,7 @@ deliberately separate so their agreement can be tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
 from itertools import product
 
 from .hypergraph import GuardExceeded, Hypergraph, HypergraphError, is_connected
@@ -20,24 +19,45 @@ class ConstructError(ValueError):
     """A raw tree is not a construct of the given hypergraph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Construct:
+    """A tree node; equality and the hash cover only `decoration` and
+    `children`. The hash and the span are computed on first use and kept,
+    since faces are compared and looked up far more often than built."""
+
     decoration: frozenset[str]
     children: tuple["Construct | Omega", ...] = ()
+    node_count: int = field(init=False, repr=False, compare=False)
+    _span: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "node_count", 1 + sum(c.node_count for c in self.children)
+        )
+
+    def __hash__(self) -> int:
+        got = self._hash
+        if got is None:
+            got = hash((self.decoration, self.children))
+            object.__setattr__(self, "_hash", got)
+        return got
+
+    def __reduce__(self):
+        # rebuild through __init__: a hash of str sets is only valid in the
+        # process that computed it
+        return Construct, (self.decoration, self.children)
+
+    @property
     def span(self) -> frozenset[str]:
-        # union of the non-Omega decorations in the subtree
-        out = set(self.decoration)
-        for c in self.children:
-            out |= c.span
-        return frozenset(out)
+        """Union of the non-Omega decorations in the subtree."""
+        got = self._span
+        if got is None:
+            got = self.decoration.union(*(c.span for c in self.children))
+            object.__setattr__(self, "_span", got)
+        return got
 
-    @cached_property
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count for c in self.children)
-
-    @cached_property
+    @property
     def is_construction(self) -> bool:
         return len(self.decoration) == 1 and all(
             isinstance(c, Construct) and c.is_construction for c in self.children
@@ -303,9 +323,12 @@ def covers(h: Hypergraph, s: Construct) -> list[Construct]:
     return sorted(out, key=_sort_key(h))
 
 
-@lru_cache(maxsize=1 << 16)
-def _covers_cached(h: Hypergraph, s: Construct) -> tuple[Construct, ...]:
-    return tuple(covers(h, s))
+def covers_memo(h: Hypergraph, s: Construct) -> tuple[Construct, ...]:
+    """covers(h, s), memoised on h itself, so the memo is freed with h."""
+    got = h._covers_cache.get(s)
+    if got is None:
+        got = h._covers_cache[s] = tuple(covers(h, s))
+    return got
 
 
 def _leq_rules(h: Hypergraph, s: Construct, t: Construct) -> bool:
@@ -320,7 +343,7 @@ def _leq_rules(h: Hypergraph, s: Construct, t: Construct) -> bool:
         for u in frontier:
             if u.node_count <= target_nodes:
                 continue
-            for v in _covers_cached(h, u):
+            for v in covers_memo(h, u):
                 if v == t:
                     return True
                 if v not in seen:
@@ -461,20 +484,47 @@ def rewrite_step(h: Hypergraph, p: Construct | Omega, x: str, target) -> Constru
     return out
 
 
+def _spanning(h: Hypergraph, ambient: int, xmask: int, spanned: int, fill) -> list[Construct]:
+    """Every tree over the region `ambient` whose nodes are the atoms of
+    xmask, one per node, each node splitting its region into the
+    components it leaves. A component holding no atom of xmask is a leaf,
+    chosen from fill(component). `spanned` is the set of atoms the trees
+    span: children come in make_node's order, by least spanned atom (an
+    Omega leaf by least carried atom)."""
+    memo: dict[int, list[Construct]] = {}
+
+    def order(c: int) -> int:
+        k = c & spanned or c
+        return k & -k
+
+    def rec(region: int) -> list[Construct]:
+        got = memo.get(region)
+        if got is not None:
+            return got
+        got = []
+        m = region & xmask
+        while m:
+            bit = m & -m
+            parts = [
+                rec(c) if c & xmask else fill(c)
+                for c in sorted(h.components_mask(region & ~bit), key=order)
+            ]
+            dec = h.labels(bit)
+            got.extend(Construct(dec, combo) for combo in product(*parts))
+            m &= m - 1
+        memo[region] = got
+        return got
+
+    return rec(ambient)
+
+
 def spanning_partial_constructions(h: Hypergraph, x) -> list[Construct]:
     """All rewriting normal forms from the bare Omega over the carrier:
     the partial constructions spanning exactly x."""
     xmask = h.mask(x)
     if xmask == 0:
         raise HypergraphError("x must be non-empty")
-    states: set[Construct | Omega] = {Omega(h.labels(h.full_mask))}
-    todo = h.labels(xmask)
-    for _ in range(len(todo)):
-        nxt: set[Construct] = set()
-        for p in states:
-            for a in todo - p.span:
-                nxt.add(rewrite_step(h, p, a, todo))
-        states = nxt
+    states = _spanning(h, h.full_mask, xmask, xmask, lambda c: (Omega(h.labels(c)),))
     return sorted(states, key=_sort_key(h))
 
 
@@ -482,45 +532,13 @@ def vertices_below(h: Hypergraph, t: Construct) -> list[Construct]:
     """All constructions V with V <= t, built by replacing every node of t
     with a spanning partial construction and grafting recursively."""
 
-    def graft(p: Construct, pick: dict[frozenset[str], Construct]) -> Construct:
-        kids = [
-            pick[c.carried] if isinstance(c, Omega) else graft(c, pick)
-            for c in p.children
-        ]
-        return make_node(h, p.decoration, kids)
+    def rec(node: Construct) -> tuple[int, list[Construct]]:
+        # the span of node as a mask, and the constructions below node
+        below = dict(rec(c) for c in node.children)
+        dec = h.mask(node.decoration)
+        ambient = dec
+        for m in below:
+            ambient |= m
+        return ambient, _spanning(h, ambient, dec, ambient, below.__getitem__)
 
-    def rec(node: Construct, ambient: int) -> list[Construct]:
-        sub_h = h if ambient == h.full_mask else _restriction(h, ambient)
-        skeletons = spanning_partial_constructions(sub_h, node.decoration)
-        child_sets = {
-            c.span: rec(c, h.mask(c.span)) for c in node.children
-        }
-        out = []
-        for skel in skeletons:
-            lifted = _lift(h, skel)
-            keys = sorted(child_sets, key=lambda k: min(map(h._index.__getitem__, k)))
-            for combo in product(*(child_sets[k] for k in keys)):
-                out.append(graft(lifted, dict(zip(keys, combo))))
-        return out
-
-    seen: set[Construct] = set()
-    result = []
-    for v in rec(t, h.mask(t.span)):
-        if v not in seen:
-            seen.add(v)
-            result.append(v)
-    return sorted(result, key=_sort_key(h))
-
-
-def _restriction(h: Hypergraph, mask: int) -> Hypergraph:
-    from .hypergraph import restrict
-
-    return restrict(h, h.sorted_labels(mask))
-
-
-def _lift(h: Hypergraph, p: Construct | Omega) -> Construct | Omega:
-    # rebuild a partial construction of a restriction as a tree over h's
-    # canonical child order (atom sets are unchanged)
-    if isinstance(p, Omega):
-        return p
-    return make_node(h, p.decoration, [_lift(h, c) for c in p.children])
+    return sorted(rec(t)[1], key=_sort_key(h))

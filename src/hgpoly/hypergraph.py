@@ -41,7 +41,7 @@ class Hypergraph:
       - no duplicate hyperedges
     """
 
-    __slots__ = ("carrier", "_index", "_edge_masks", "_full", "_comp_cache")
+    __slots__ = ("carrier", "_index", "_edge_masks", "_full", "_comp_cache", "_covers_cache")
 
     def __init__(
         self,
@@ -81,6 +81,8 @@ class Hypergraph:
         object.__setattr__(self, "_edge_masks", tuple(sorted(masks, key=self._edge_key)))
         object.__setattr__(self, "_full", full)
         object.__setattr__(self, "_comp_cache", {})
+        # construct -> its covers, filled by constructs.covers_memo
+        object.__setattr__(self, "_covers_cache", {})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Hypergraph is immutable")
@@ -168,7 +170,12 @@ class Hypergraph:
             raise HypergraphError("hypergraph JSON must be an object")
         if "carrier" not in data or "hyperedges" not in data:
             raise HypergraphError("hypergraph JSON needs 'carrier' and 'hyperedges'")
-        return cls(data["carrier"], data["hyperedges"], atomize=atomize)
+        carrier, edges = data["carrier"], data["hyperedges"]
+        if not _is_label_list(carrier):
+            raise HypergraphError("'carrier' must be a list of atom labels")
+        if not isinstance(edges, list) or not all(map(_is_label_list, edges)):
+            raise HypergraphError("'hyperedges' must be a list of lists of atom labels")
+        return cls(carrier, edges, atomize=atomize)
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,6 +183,10 @@ class Hypergraph:
             "carrier": list(self.carrier),
             "hyperedges": [list(self.sorted_labels(m)) for m in self._edge_masks],
         }
+
+
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(a, str) for a in value)
 
 
 def restrict(h: Hypergraph, x: Iterable[str]) -> Hypergraph:

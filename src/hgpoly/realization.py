@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from .constructs import (
     Construct,
+    covers_memo,
+    enumerate_constructions,
     enumerate_constructs,
-    leq,
     print_construct,
     vertices_below,
 )
@@ -188,9 +189,22 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _bit_indices(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> VerificationReport:
     """Check the construct order against actual geometry: order
-    isomorphism, injectivity, simplicity, affine dimension, facet census."""
+    isomorphism, injectivity, simplicity, affine dimension, facet census.
+
+    The order compared is the closure of single-edge contractions (the
+    `rules` order, built from `covers`): s <= t must hold exactly when
+    every vertex of s, from vertices_below, is a vertex of t. Vertex sets
+    and up-sets are int bitsets over indexed points and faces."""
     report = VerificationReport(h)
     faces = enumerate_constructs(h, max_carrier=max_carrier)
     constructions = [c for c in faces if c.is_construction]
@@ -226,45 +240,64 @@ def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> Verific
                 f"{print_construct(h, v)} lies on {len(on)} facets, named {len(named)}",
             )
 
-    below: dict[Construct, frozenset[RationalPoint]] = {}
-    for t in faces:
-        below[t] = frozenset(points[v] for v in vertices_below(h, t))
+    # below[i]: the vertex bitset of face i, over the distinct points;
+    # holding[j]: the faces whose vertex set holds point j
+    point_index = {p: j for j, p in enumerate(seen_points)}
+    below = [0] * len(faces)
+    holding = [0] * len(point_index)
+    for i, t in enumerate(faces):
+        for v in vertices_below(h, t):
+            below[i] |= 1 << point_index[points[v]]
+        for j in _bit_indices(below[i]):
+            holding[j] |= 1 << i
 
-    face_list = list(faces)
-    for s in face_list:
-        for t in face_list:
-            if leq(s, t, h, "v2") != (below[s] <= below[t]):
-                report.add(
-                    "order-isomorphism",
-                    f"{print_construct(h, s)} vs {print_construct(h, t)}",
-                )
+    # up[i]: the faces reached from face i by contracting tree edges; a
+    # cover has one node fewer, so the fewest nodes go first
+    index = {t: i for i, t in enumerate(faces)}
+    up = [0] * len(faces)
+    for i in sorted(range(len(faces)), key=lambda i: faces[i].node_count):
+        bits = 1 << i
+        for u in covers_memo(h, faces[i]):
+            bits |= up[index[u]]
+        up[i] = bits
 
-    seen_sets: dict[frozenset[RationalPoint], Construct] = {}
-    for t in face_list:
-        other = seen_sets.get(below[t])
+    everything = (1 << len(faces)) - 1
+    for i, s in enumerate(faces):
+        geometric = everything
+        for j in _bit_indices(below[i]):
+            geometric &= holding[j]
+        for k in _bit_indices(up[i] ^ geometric):
+            report.add(
+                "order-isomorphism",
+                f"{print_construct(h, s)} vs {print_construct(h, faces[k])}",
+            )
+
+    seen_sets: dict[int, Construct] = {}
+    for i, t in enumerate(faces):
+        other = seen_sets.get(below[i])
         if other is not None:
             report.add(
                 "injectivity",
                 f"{print_construct(h, t)} and {print_construct(h, other)} share vertices",
             )
-        seen_sets[below[t]] = t
+        seen_sets[below[i]] = t
 
     dim = affine_dimension(points.values())
     if dim != n - 1:
         report.add("dimension", f"affine hull has dimension {dim}, expected {n - 1}")
 
-    facets = [t for t in face_list if t.node_count == 2]
+    facets = [i for i, t in enumerate(faces) if t.node_count == 2]
     if len(facets) != len(facet_sets):
         report.add(
             "facet-census",
             f"{len(facets)} two-node constructs vs {len(facet_sets)} connected subsets",
         )
-    for i, a in enumerate(facets):
-        for b in facets[i + 1 :]:
-            if below[a] <= below[b] or below[b] <= below[a]:
+    for k, a in enumerate(facets):
+        for b in facets[k + 1 :]:
+            if not below[a] & ~below[b] or not below[b] & ~below[a]:
                 report.add(
                     "facet-census",
-                    f"facet {print_construct(h, a)} nested in {print_construct(h, b)}",
+                    f"facet {print_construct(h, faces[a])} nested in {print_construct(h, faces[b])}",
                 )
 
     report.stats.update(
@@ -278,11 +311,11 @@ def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> Verific
     return report
 
 
-def vertices_to_json_dict(h: Hypergraph) -> dict:
+def vertices_to_json_dict(h: Hypergraph, *, max_carrier: int | None = 8) -> dict:
     """JSON export: construction text -> exact coordinates as strings."""
     out = {}
     for v in sorted(
-        (c for c in enumerate_constructs(h) if c.is_construction),
+        enumerate_constructions(h, max_carrier=max_carrier),
         key=lambda c: print_construct(h, c),
     ):
         out[print_construct(h, v)] = vertex_of_construction(h, v).as_strings()

@@ -223,3 +223,31 @@ def test_atomize_flag(capsys, tmp_path):
     assert status == 2 and "singleton" in err
     status, out, _ = run(capsys, "hg", "fvector", str(sparse), "--atomize")
     assert status == 0 and out == "5 5 1\n"
+
+
+def test_vertices_honour_max_carrier(capsys, tmp_path):
+    atoms = [f"a{i}" for i in range(9)]
+    simplex = tmp_path / "simplex9.json"
+    simplex.write_text(json.dumps({
+        "format": 1, "carrier": atoms, "hyperedges": [[a] for a in atoms] + [atoms],
+    }))
+    status, out, _ = run(capsys, "hg", "realize", "--vertices", str(simplex),
+                         "--max-carrier", "12")
+    assert status == 0 and len(json.loads(out)["vertices"]) == 9
+    status, _, err = run(capsys, "hg", "realize", "--vertices", str(simplex))
+    assert status == 2 and "guard exceeded" in err
+
+
+@pytest.mark.parametrize("data", [
+    {"carrier": ["x"], "hyperedges": [1]},
+    {"carrier": ["x"], "hyperedges": ["x"]},
+    {"carrier": ["x"], "hyperedges": 1},
+    {"carrier": 5, "hyperedges": [["x"]]},
+    {"carrier": [["x"]], "hyperedges": [["x"]]},
+])
+def test_malformed_hypergraph_json_exits_2(capsys, tmp_path, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    status, out, err = run(capsys, "hg", "fvector", str(path))
+    assert status == 2 and out == ""
+    assert "must be a list" in err

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from hgpoly import (
     validate_construct,
     vertices_below,
 )
-from hgpoly.constructs import Omega
+from hgpoly.constructs import Construct, Omega, covers_memo
 from hgpoly import corpus
 
 from _helpers import face_counts_by_dimension, parse_all, prints
@@ -226,3 +228,40 @@ def test_leq_is_a_partial_order(data):
         assert s == t
     if leq(s, t, h, "v2") and leq(t, u, h, "v2"):
         assert leq(s, u, h, "v2")
+
+
+def test_spanning_partial_children_sort_by_spanned_atoms():
+    # y leaves {x,u} and {z}: the child u(?x) spans only u, so ?z precedes it
+    h = Hypergraph("xyzu", [["x"], ["y"], ["z"], ["u"], ["x", "y"], ["y", "z"], ["x", "u"]])
+    got = [print_construct(h, p) for p in spanning_partial_constructions(h, ["y", "u"])]
+    assert got == ["u(y(?x,?z))", "y(?z,u(?x))"]
+
+
+def test_construct_equality_hash_and_cached_fields(named):
+    def rebuild(t):
+        return Construct(t.decoration, tuple(rebuild(c) for c in t.children))
+
+    h = named["hemiassociahedron"]
+    faces = enumerate_constructs(h)
+    assert len(set(faces)) == len(faces)
+    for t in faces:
+        twin = rebuild(t)
+        assert twin is not t and twin == t and hash(twin) == hash(t)
+        nodes = list(twin.nodes())
+        assert twin.span == frozenset().union(*(n.decoration for n in nodes))
+        assert twin == t and hash(twin) == hash(t)
+        assert twin.node_count == len(nodes)
+        assert twin.is_construction == all(len(n.decoration) == 1 for n in nodes)
+        assert not hasattr(twin, "__dict__")
+        copy = pickle.loads(pickle.dumps(twin))
+        assert copy == t and hash(copy) == hash(t) and copy.span == t.span
+
+
+def test_covers_memo_is_owned_by_its_hypergraph():
+    h, twin = corpus.hemiassociahedron(), corpus.hemiassociahedron()
+    assert h == twin and h is not twin
+    faces = enumerate_constructs(h)
+    assert leq(faces[-1], faces[0], h, "rules")
+    assert h._covers_cache and not twin._covers_cache
+    for s in faces:
+        assert covers_memo(h, s) == tuple(covers(h, s))

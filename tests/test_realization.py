@@ -11,7 +11,8 @@ from hgpoly import (
     verify_isomorphism,
     vertex_of_construction,
 )
-from hgpoly import corpus
+from hgpoly import constructs, corpus, realization
+from hgpoly.constructs import enumerate_constructs
 from hgpoly.realization import affine_dimension, vertices_to_json_dict
 
 PENTAGON_HREP = """\
@@ -131,3 +132,33 @@ def test_vertex_json_strings(named):
     blob = vertices_to_json_dict(named["pentagon"])
     assert blob["format"] == 1
     assert blob["vertices"]["x(y(z))"] == ["18", "6", "3"]
+
+
+def test_verify_isomorphism_catches_a_missing_vertex(monkeypatch):
+    h = corpus.hemiassociahedron()
+    top = min(enumerate_constructs(h), key=lambda t: t.node_count)
+    real = realization.vertices_below
+
+    def lossy(h_, t):
+        got = real(h_, t)
+        return got[1:] if t == top else got
+
+    monkeypatch.setattr(realization, "vertices_below", lossy)
+    report = verify_isomorphism(h)
+    assert not report.ok
+    assert {"order-isomorphism", "injectivity"} & set(report.failures)
+
+
+def test_verify_isomorphism_catches_a_missing_cover(monkeypatch):
+    h = corpus.hemiassociahedron()
+    vertex = next(t for t in enumerate_constructs(h) if t.is_construction)
+    real = constructs.covers
+
+    def lossy(h_, s):
+        got = real(h_, s)
+        return got[1:] if s == vertex else got
+
+    monkeypatch.setattr(constructs, "covers", lossy)
+    report = verify_isomorphism(h)
+    assert not report.ok
+    assert "order-isomorphism" in report.failures
