@@ -3,8 +3,11 @@
 A construct of a connected hypergraph picks a non-empty root decoration Y,
 splits the rest of the carrier into the connected components it leaves, and
 recurses into each. Constructions (all decorations singletons) name the
-vertices. Three independent implementations of the face order are kept
-deliberately separate so their agreement can be tested.
+vertices. One memoised mask recursion, `_trees`, builds every family:
+constructs draw Y from every non-empty subset of the region, while
+constructions, spanning partial constructions and the vertices below a
+face draw single atoms. Three independent implementations of the face
+order are kept deliberately separate so their agreement can be tested.
 """
 
 from __future__ import annotations
@@ -236,65 +239,87 @@ def validate_construct(h: Hypergraph, t: Construct) -> Construct:
     return rec(t, h.full_mask)
 
 
-def _check_guard(h: Hypergraph, max_carrier: int | None) -> None:
+def _check_guard(h: Hypergraph, max_carrier: int | None, family: str) -> None:
     if max_carrier is not None and len(h.carrier) > max_carrier:
         raise GuardExceeded(
             f"carrier has {len(h.carrier)} atoms, guard is {max_carrier}; "
             "raise the guard explicitly to enumerate"
         )
+    if not is_connected(h):
+        raise HypergraphError(f"{family} require a connected hypergraph")
 
 
 def _sort_key(h: Hypergraph):
     return lambda t: (t.node_count, print_construct(h, t))
 
 
-def enumerate_constructs(h: Hypergraph, *, max_carrier: int | None = 8) -> list[Construct]:
-    """All constructs of h, each once, in deterministic order."""
-    _check_guard(h, max_carrier)
-    if not is_connected(h):
-        raise HypergraphError("constructs require a connected hypergraph")
+def _submasks(m: int):
+    """Every non-empty submask of m, largest first."""
+    y = m
+    while y:
+        yield y
+        y = (y - 1) & m
+
+
+def _bits(m: int):
+    """The single bits of m, lowest first."""
+    while m:
+        bit = m & -m
+        yield bit
+        m ^= bit
+
+
+def _trees(
+    h: Hypergraph, ambient: int, decorations, xmask: int, spanned: int, fill
+) -> list[Construct]:
+    """The one tree recursion behind every construct family. A tree over a
+    region takes a root decoration from decorations(region & xmask) and a
+    subtree over each component it leaves; a component holding no atom of
+    xmask is a leaf chosen from fill(component). Children come in
+    canonical order, by least atom of `spanned` (the atoms the trees span;
+    an Omega leaf by least carried atom). The list is unsorted."""
     memo: dict[int, list[Construct]] = {}
 
-    def rec(mask: int) -> list[Construct]:
-        got = memo.get(mask)
+    def order(c: int) -> int:
+        k = c & spanned or c
+        return k & -k
+
+    def rec(region: int) -> list[Construct]:
+        got = memo.get(region)
         if got is not None:
             return got
-        out: list[Construct] = []
-        y = mask
-        while y:
-            comps = h.components_mask(mask & ~y)
-            for combo in product(*(rec(c) for c in comps)):
-                out.append(make_node(h, h.labels(y), combo))
-            y = (y - 1) & mask
-        memo[mask] = out
-        return out
+        got = []
+        for y in decorations(region & xmask):
+            parts = [
+                rec(c) if c & xmask else fill(c)
+                for c in sorted(h.components_mask(region & ~y), key=order)
+            ]
+            dec = h.labels(y)
+            got.extend(Construct(dec, combo) for combo in product(*parts))
+        memo[region] = got
+        return got
 
-    return sorted(rec(h.full_mask), key=_sort_key(h))
+    return rec(ambient)
+
+
+def _constructs(h: Hypergraph, max_carrier: int | None) -> list[Construct]:
+    """enumerate_constructs without the sort, for callers that only count
+    or index the faces."""
+    _check_guard(h, max_carrier, "constructs")
+    full = h.full_mask
+    return _trees(h, full, _submasks, full, full, None)
+
+
+def enumerate_constructs(h: Hypergraph, *, max_carrier: int | None = 8) -> list[Construct]:
+    """All constructs of h, each once, by node count and then text."""
+    return sorted(_constructs(h, max_carrier), key=_sort_key(h))
 
 
 def enumerate_constructions(h: Hypergraph, *, max_carrier: int | None = 8) -> list[Construct]:
-    """All constructions (every decoration a singleton)."""
-    _check_guard(h, max_carrier)
-    if not is_connected(h):
-        raise HypergraphError("constructions require a connected hypergraph")
-    memo: dict[int, list[Construct]] = {}
-
-    def rec(mask: int) -> list[Construct]:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        out: list[Construct] = []
-        m = mask
-        while m:
-            bit = m & -m
-            comps = h.components_mask(mask & ~bit)
-            for combo in product(*(rec(c) for c in comps)):
-                out.append(make_node(h, h.labels(bit), combo))
-            m &= m - 1
-        memo[mask] = out
-        return out
-
-    return sorted(rec(h.full_mask), key=_sort_key(h))
+    """All constructions (every decoration a singleton), in text order."""
+    _check_guard(h, max_carrier, "constructions")
+    full = h.full_mask
+    return sorted(_trees(h, full, _bits, full, full, None), key=_sort_key(h))
 
 
 # -- the face order, three ways ----------------------------------------
@@ -440,11 +465,6 @@ def leq(s: Construct, t: Construct, h: Hypergraph, variant: str = "v2") -> bool:
 # -- partial constructs and vertices -----------------------------------
 
 
-def span(p: Construct | Omega) -> frozenset[str]:
-    """Union of the non-Omega decorations."""
-    return p.span
-
-
 def rewrite_step(h: Hypergraph, p: Construct | Omega, x: str, target) -> Construct:
     """Grow the spanned set by one atom of target: the Omega leaf holding x
     is replaced by x with fresh Omega leaves for the parts it separates."""
@@ -484,47 +504,13 @@ def rewrite_step(h: Hypergraph, p: Construct | Omega, x: str, target) -> Constru
     return out
 
 
-def _spanning(h: Hypergraph, ambient: int, xmask: int, spanned: int, fill) -> list[Construct]:
-    """Every tree over the region `ambient` whose nodes are the atoms of
-    xmask, one per node, each node splitting its region into the
-    components it leaves. A component holding no atom of xmask is a leaf,
-    chosen from fill(component). `spanned` is the set of atoms the trees
-    span: children come in make_node's order, by least spanned atom (an
-    Omega leaf by least carried atom)."""
-    memo: dict[int, list[Construct]] = {}
-
-    def order(c: int) -> int:
-        k = c & spanned or c
-        return k & -k
-
-    def rec(region: int) -> list[Construct]:
-        got = memo.get(region)
-        if got is not None:
-            return got
-        got = []
-        m = region & xmask
-        while m:
-            bit = m & -m
-            parts = [
-                rec(c) if c & xmask else fill(c)
-                for c in sorted(h.components_mask(region & ~bit), key=order)
-            ]
-            dec = h.labels(bit)
-            got.extend(Construct(dec, combo) for combo in product(*parts))
-            m &= m - 1
-        memo[region] = got
-        return got
-
-    return rec(ambient)
-
-
 def spanning_partial_constructions(h: Hypergraph, x) -> list[Construct]:
     """All rewriting normal forms from the bare Omega over the carrier:
     the partial constructions spanning exactly x."""
     xmask = h.mask(x)
     if xmask == 0:
         raise HypergraphError("x must be non-empty")
-    states = _spanning(h, h.full_mask, xmask, xmask, lambda c: (Omega(h.labels(c)),))
+    states = _trees(h, h.full_mask, _bits, xmask, xmask, lambda c: (Omega(h.labels(c)),))
     return sorted(states, key=_sort_key(h))
 
 
@@ -539,6 +525,6 @@ def vertices_below(h: Hypergraph, t: Construct) -> list[Construct]:
         ambient = dec
         for m in below:
             ambient |= m
-        return ambient, _spanning(h, ambient, dec, ambient, below.__getitem__)
+        return ambient, _trees(h, ambient, _bits, dec, ambient, below.__getitem__)
 
     return sorted(rec(t)[1], key=_sort_key(h))

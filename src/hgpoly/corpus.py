@@ -11,35 +11,42 @@ import string
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, HypergraphError, is_connected
 from .operadic import OperadicTree
 
 ATOMS = ("x", "y", "z", "u", "v", "w")
 
 
+def _atoms(n_atoms: int) -> tuple[str, ...]:
+    """The first n_atoms labels of ATOMS; no other size has labels here."""
+    if not 1 <= n_atoms <= len(ATOMS):
+        raise HypergraphError(f"n_atoms must be between 1 and {len(ATOMS)}, got {n_atoms}")
+    return ATOMS[:n_atoms]
+
+
 def simplex(n_atoms: int) -> Hypergraph:
     """Singletons plus the full carrier: the (n-1)-dimensional simplex."""
-    atoms = ATOMS[:n_atoms]
+    atoms = _atoms(n_atoms)
     return Hypergraph(atoms, [[a] for a in atoms] + [list(atoms)])
 
 
 def complete_graph(n_atoms: int) -> Hypergraph:
     """Singletons plus all pairs: the (n-1)-dimensional permutohedron."""
-    atoms = ATOMS[:n_atoms]
+    atoms = _atoms(n_atoms)
     edges = [[a] for a in atoms] + [list(p) for p in combinations(atoms, 2)]
     return Hypergraph(atoms, edges)
 
 
 def path_graph(n_atoms: int) -> Hypergraph:
     """Singletons plus consecutive pairs: the (n-1)-dimensional associahedron."""
-    atoms = ATOMS[:n_atoms]
+    atoms = _atoms(n_atoms)
     edges = [[a] for a in atoms] + [[atoms[i], atoms[i + 1]] for i in range(n_atoms - 1)]
     return Hypergraph(atoms, edges)
 
 
 def cycle_graph(n_atoms: int) -> Hypergraph:
     """Singletons plus a cycle of pairs: the (n-1)-dimensional cyclohedron-like polytope."""
-    atoms = ATOMS[:n_atoms]
+    atoms = _atoms(n_atoms)
     edges = [[a] for a in atoms] + [
         [atoms[i], atoms[(i + 1) % n_atoms]] for i in range(n_atoms)
     ]
@@ -96,10 +103,11 @@ def _register() -> None:
 _register()
 
 
-def all_connected_atomic(n_atoms: int) -> list[Hypergraph]:
+@lru_cache(maxsize=None)
+def all_connected_atomic(n_atoms: int) -> tuple[Hypergraph, ...]:
     """One representative per isomorphism class of connected atomic
-    hypergraphs on n_atoms atoms."""
-    atoms = ATOMS[:n_atoms]
+    hypergraphs on n_atoms atoms, built once per size."""
+    atoms = _atoms(n_atoms)
     idx = {a: i for i, a in enumerate(atoms)}
     candidates = [
         frozenset(s)
@@ -131,8 +139,6 @@ def all_connected_atomic(n_atoms: int) -> list[Hypergraph]:
         )
         edges = [[a] for a in atoms] + [sorted(s, key=idx.__getitem__) for s in family]
         h = Hypergraph(atoms, edges)
-        from .hypergraph import is_connected
-
         if not is_connected(h):
             continue
         key = canon(family)
@@ -140,15 +146,13 @@ def all_connected_atomic(n_atoms: int) -> list[Hypergraph]:
             continue
         seen.add(key)
         out.append(h)
-    return out
+    return tuple(out)
 
 
-def small_corpus() -> list[Hypergraph]:
+@lru_cache(maxsize=None)
+def small_corpus() -> tuple[Hypergraph, ...]:
     """Isomorph-free connected atomic hypergraphs with at most 4 atoms."""
-    out: list[Hypergraph] = []
-    for n in range(1, 5):
-        out.extend(all_connected_atomic(n))
-    return out
+    return tuple(h for n in range(1, 5) for h in all_connected_atomic(n))
 
 
 def named_corpus() -> dict[str, Hypergraph]:

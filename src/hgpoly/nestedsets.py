@@ -42,8 +42,9 @@ def psi(t: Construct) -> frozenset[frozenset[str]]:
     return frozenset(out)
 
 
-def _first_connected_antichain(h: Hypergraph, members) -> tuple[frozenset[str], ...] | None:
-    """Smallest proper antichain whose union is connected, or None.
+def condition_c(h: Hypergraph, members) -> tuple[frozenset[str], ...] | None:
+    """None when every proper antichain has a disconnected union; otherwise
+    a minimal witness antichain.
 
     Antichains are cliques of the incomparability relation, generated in
     ascending cardinality so the witness is minimal."""
@@ -63,12 +64,6 @@ def _first_connected_antichain(h: Hypergraph, members) -> tuple[frozenset[str], 
         if not found_any:
             return None
     return None
-
-
-def condition_c(h: Hypergraph, members) -> tuple[frozenset[str], ...] | None:
-    """None when every proper antichain has a disconnected union; otherwise
-    a minimal witness antichain."""
-    return _first_connected_antichain(h, members)
 
 
 def condition_c_graph(h: Hypergraph, members) -> bool:

@@ -357,8 +357,7 @@ def classify_edge(g: EdgeGraph, e: Construct) -> EdgeClassification:
     ends = vertices_below(h, e)
     if len(ends) != 2:
         raise RuntimeError("polytope edge does not have exactly two endpoints")
-    key = _construction_sort_key(h)
-    first, second = sorted(ends, key=key)
+    first, second = sorted(ends, key=lambda c: print_construct(h, c))
     if path.path_type == "II":
         return EdgeClassification("theta", (first, second), path)
     lo, hi = (u, v) if g.level[u] < g.level[v] else (v, u)
@@ -369,10 +368,6 @@ def classify_edge(g: EdgeGraph, e: Construct) -> EdgeClassification:
     if not _is_strictly_below(target, lo, hi) or _is_strictly_below(source, lo, hi):
         raise RuntimeError("endpoints do not split the merged pair as expected")
     return EdgeClassification("beta", (first, second), path, source, target)
-
-
-def _construction_sort_key(h: Hypergraph):
-    return lambda c: print_construct(h, c)
 
 
 def subtree_component_correspondence(g: EdgeGraph, k) -> OperadicTree:

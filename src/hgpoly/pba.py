@@ -7,8 +7,7 @@ words that mix determined letters with numbered holes, each hole
 standing for an unordered bag of letters.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterable, Sequence
@@ -366,6 +365,8 @@ class PbaSetup:
     letters: tuple[str, ...]
     round1: RoundState
     state: RoundState
+    # word -> (its construct, the construct's nested set), filled by word_leq
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def hypergraph(self) -> Hypergraph:
@@ -588,10 +589,6 @@ def decode(setup: PbaSetup, w: HoleWord) -> Construct:
         raise HoleWordError(f"word does not name a construct: {exc}") from exc
 
 
-def parse_face(setup: PbaSetup, text: str) -> Construct:
-    return decode(setup, parse_word(text))
-
-
 # -- faces and order ------------------------------------------------------
 
 
@@ -639,23 +636,23 @@ def face_words(setup: PbaSetup) -> list[HoleWord]:
     return [encode(setup, t) for t in face_constructs(setup)]
 
 
-@lru_cache(maxsize=None)
-def _decoded(setup: PbaSetup, w: HoleWord) -> Construct:
-    return decode(setup, w)
-
-
-@lru_cache(maxsize=None)
-def _nested(t: Construct) -> frozenset:
-    return psi(t)
+def _decoded(setup: PbaSetup, w: HoleWord) -> tuple[Construct, frozenset]:
+    """decode(setup, w) and its nested set, memoised on the setup itself,
+    so the memo is freed with the setup."""
+    got = setup._memo.get(w)
+    if got is None:
+        t = decode(setup, w)
+        got = setup._memo[w] = (t, psi(t))
+    return got
 
 
 def word_leq(setup: PbaSetup, a: HoleWord, b: HoleWord, *, variant: str = "psi") -> bool:
     """Face order on words, decided through decoding.  The default
     compares nested sets (the order's characterization); other variants
     are passed through to the construct order directly."""
-    s, t = _decoded(setup, a), _decoded(setup, b)
+    (s, s_nested), (t, t_nested) = _decoded(setup, a), _decoded(setup, b)
     if variant == "psi":
-        return _nested(t) <= _nested(s)
+        return t_nested <= s_nested
     return leq(s, t, setup.hypergraph, variant=variant)
 
 

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .constructs import (
     Construct,
+    _constructs,
     covers_memo,
     enumerate_constructions,
-    enumerate_constructs,
     print_construct,
     vertices_below,
 )
@@ -129,7 +129,7 @@ def f_vector(h: Hypergraph, *, max_carrier: int | None = 8) -> tuple[int, ...]:
     """Face counts by dimension, vertices first, top last."""
     n = len(h.carrier)
     counts = [0] * n
-    for c in enumerate_constructs(h, max_carrier=max_carrier):
+    for c in _constructs(h, max_carrier):
         counts[n - c.node_count] += 1
     return tuple(counts)
 
@@ -206,7 +206,7 @@ def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> Verific
     every vertex of s, from vertices_below, is a vertex of t. Vertex sets
     and up-sets are int bitsets over indexed points and faces."""
     report = VerificationReport(h)
-    faces = enumerate_constructs(h, max_carrier=max_carrier)
+    faces = _constructs(h, max_carrier)
     constructions = [c for c in faces if c.is_construction]
 
     points: dict[Construct, RationalPoint] = {}
@@ -314,9 +314,6 @@ def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> Verific
 def vertices_to_json_dict(h: Hypergraph, *, max_carrier: int | None = 8) -> dict:
     """JSON export: construction text -> exact coordinates as strings."""
     out = {}
-    for v in sorted(
-        enumerate_constructions(h, max_carrier=max_carrier),
-        key=lambda c: print_construct(h, c),
-    ):
+    for v in enumerate_constructions(h, max_carrier=max_carrier):
         out[print_construct(h, v)] = vertex_of_construction(h, v).as_strings()
     return {"format": 1, "carrier": list(h.carrier), "vertices": out}

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import pytest
@@ -265,3 +266,26 @@ def test_covers_memo_is_owned_by_its_hypergraph():
     assert h._covers_cache and not twin._covers_cache
     for s in faces:
         assert covers_memo(h, s) == tuple(covers(h, s))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_counts(n):
+    # permutohedron: n! vertices; associahedron: the Catalan number C(n);
+    # simplex: n vertices and 2^n - 1 faces
+    assert len(enumerate_constructions(corpus.complete_graph(n))) == math.factorial(n)
+    assert len(enumerate_constructions(corpus.path_graph(n))) == math.comb(2 * n, n) // (n + 1)
+    simplex = corpus.simplex(n)
+    assert len(enumerate_constructions(simplex)) == n
+    assert len(enumerate_constructs(simplex)) == 2 ** n - 1
+
+
+def test_constructions_are_the_single_atom_constructs(small_corpus, named):
+    for h in list(small_corpus) + list(named.values()):
+        faces = enumerate_constructs(h)
+        assert enumerate_constructions(h) == [c for c in faces if c.is_construction]
+
+
+def test_constructs_come_by_node_count_then_text(small_corpus, named):
+    for h in list(small_corpus) + list(named.values()):
+        keys = [(t.node_count, print_construct(h, t)) for t in enumerate_constructs(h)]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)

@@ -1,7 +1,9 @@
 """Words with holes: setup facts, standardization, the encode/decode
 bijection, the word order, and the frozen three-dimensional census."""
 
+import gc
 import random
+import weakref
 from itertools import permutations
 
 import pytest
@@ -393,3 +395,13 @@ def test_fully_determined_words_are_permuted_letters(pba3):
     ]
     assert len(words) == 24
     assert {w.tokens for w in words} == set(permutations(pba3.letters))
+
+
+def test_word_order_memo_is_freed_with_its_setup():
+    setup = pba_setup(2)
+    words = face_words(setup)
+    assert word_leq(setup, words[0], words[0])
+    ref = weakref.ref(setup)
+    del setup
+    gc.collect()
+    assert ref() is None
