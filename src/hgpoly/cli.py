@@ -4,7 +4,8 @@ Groups: `hg` works on hypergraph JSON files, `op` on operadic tree JSON
 files, `trunc` on truncation round states, `pba` on the words-with-holes
 polytopes, and `corpus verify` runs the acceptance checklist.  Exit
 status 0 on success, 1 when a verification fails (the report is still
-printed), 2 on any input error.  Output is buffered and flushed once,
+printed) or an invariant breaks (one `error:` line on stderr, nothing on
+stdout), 2 on any input error.  Output is buffered and flushed once,
 and identical inputs produce byte-identical output.
 """
 
@@ -22,7 +23,7 @@ from .constructs import (
     parse_construct,
     print_construct,
 )
-from .hypergraph import GuardExceeded, Hypergraph
+from .hypergraph import GuardExceeded, Hypergraph, InvariantError
 from .operadic import (
     EdgeGraph,
     build_edge_graph,
@@ -119,11 +120,8 @@ def _hg_fvector(args, out: io.StringIO) -> int:
 
 def _hg_constructions(args, out: io.StringIO) -> int:
     h = _load_hypergraph(args)
-    for text in sorted(
-        print_construct(h, c)
-        for c in enumerate_constructions(h, max_carrier=args.max_carrier)
-    ):
-        out.write(text + "\n")
+    for c in enumerate_constructions(h, max_carrier=args.max_carrier):
+        out.write(print_construct(h, c) + "\n")
     return 0
 
 
@@ -131,13 +129,11 @@ def _hg_hasse(args, out: io.StringIO) -> int:
     h = _load_hypergraph(args)
     n = len(h.carrier)
     faces = enumerate_constructs(h, max_carrier=args.max_carrier)
+    text = {c: print_construct(h, c) for c in faces}
     out.write("digraph hasse {\n")
-    for _, text in sorted((n - c.node_count, print_construct(h, c)) for c in faces):
-        out.write(f'  "{text}";\n')
-    rows = set()
-    for s in faces:
-        for t in covers(h, s):
-            rows.add(f'  "{print_construct(h, s)}" -> "{print_construct(h, t)}";\n')
+    for _, node in sorted((n - c.node_count, node) for c, node in text.items()):
+        out.write(f'  "{node}";\n')
+    rows = {f'  "{text[s]}" -> "{text[t]}";\n' for s in text for t in covers(h, s)}
     for row in sorted(rows):
         out.write(row)
     out.write("}\n")
@@ -406,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: invariant broken: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(out.getvalue())
     sys.stdout.flush()
     return status

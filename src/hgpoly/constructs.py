@@ -121,12 +121,18 @@ def print_atom_set(h: Hypergraph, atoms) -> str:
 
 
 def print_construct(h: Hypergraph, t: Construct | Omega) -> str:
-    if isinstance(t, Omega):
-        return "?" + print_atom_set(h, t.carried)
-    s = print_atom_set(h, t.decoration)
-    if t.children:
-        s += "(" + ",".join(print_construct(h, c) for c in t.children) + ")"
-    return s
+    """The text of t under h's carrier order, memoised on h: subtrees are
+    shared across faces, so each distinct node is printed once."""
+    got = h._text_cache.get(t)
+    if got is None:
+        if isinstance(t, Omega):
+            got = "?" + print_atom_set(h, t.carried)
+        else:
+            got = print_atom_set(h, t.decoration)
+            if t.children:
+                got += "(" + ",".join(print_construct(h, c) for c in t.children) + ")"
+        h._text_cache[t] = got
+    return got
 
 
 def _tokenize(text: str) -> list[str]:

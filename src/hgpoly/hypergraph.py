@@ -18,6 +18,11 @@ class GuardExceeded(RuntimeError):
     """An enumeration would exceed the configured size guard."""
 
 
+class InvariantError(RuntimeError):
+    """A computed structure broke an invariant of the theory: a defect in
+    the program, never bad input."""
+
+
 def _ordered_carrier(carrier: Iterable[str]) -> tuple[str, ...]:
     if isinstance(carrier, (set, frozenset)):
         items = tuple(sorted(carrier))
@@ -41,7 +46,10 @@ class Hypergraph:
       - no duplicate hyperedges
     """
 
-    __slots__ = ("carrier", "_index", "_edge_masks", "_full", "_comp_cache", "_covers_cache")
+    __slots__ = (
+        "carrier", "_index", "_edge_masks", "_full", "_comp_cache", "_covers_cache",
+        "_text_cache", "_connected_subsets",
+    )
 
     def __init__(
         self,
@@ -83,6 +91,10 @@ class Hypergraph:
         object.__setattr__(self, "_comp_cache", {})
         # construct -> its covers, filled by constructs.covers_memo
         object.__setattr__(self, "_covers_cache", {})
+        # construct -> its text, filled by constructs.print_construct
+        object.__setattr__(self, "_text_cache", {})
+        # set by connected_subset_masks on first use
+        object.__setattr__(self, "_connected_subsets", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Hypergraph is immutable")
@@ -219,9 +231,14 @@ def saturate(h: Hypergraph) -> Hypergraph:
 
 
 def connected_subset_masks(h: Hypergraph) -> tuple[int, ...]:
-    """All non-empty connected subsets of the carrier, as masks."""
-    out = [sub for sub in range(1, h.full_mask + 1) if h.connected_mask(sub)]
-    return tuple(sorted(out, key=h._edge_key))
+    """All non-empty connected subsets of the carrier, as masks, by size and
+    then position; computed once per hypergraph."""
+    got = h._connected_subsets
+    if got is None:
+        out = [sub for sub in range(1, h.full_mask + 1) if h.connected_mask(sub)]
+        got = tuple(sorted(out, key=h._edge_key))
+        object.__setattr__(h, "_connected_subsets", got)
+    return got
 
 
 def quasi_partition_refine(

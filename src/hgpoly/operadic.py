@@ -28,7 +28,7 @@ from .constructs import (
     validate_construct,
     vertices_below,
 )
-from .hypergraph import Hypergraph, components
+from .hypergraph import Hypergraph, InvariantError, components
 
 
 class OperadicTreeError(ValueError):
@@ -284,14 +284,14 @@ def normalize_path(g: EdgeGraph, p) -> MinPath:
             pair = (steps[i], steps[i + 1])
             if pair in {("d", "d"), ("down", "up"), ("d", "down"), ("up", "d")}:
                 if g.kind_of(seq[i], seq[i + 2]) is None:
-                    raise RuntimeError("rewrite produced a non-edge; graph is not tree-derived")
+                    raise InvariantError("rewrite produced a non-edge; graph is not tree-derived")
                 del seq[i + 1]
                 break
         else:
             break
     kind = _normal_type(_step_kinds(g, tuple(seq)))
     if kind is None:
-        raise RuntimeError("normal form is neither type I nor type II")
+        raise InvariantError("normal form is neither type I nor type II")
     return MinPath(tuple(seq), kind)
 
 
@@ -318,7 +318,7 @@ def min_path(g: EdgeGraph, u: str, v: str) -> MinPath:
     seq.reverse()
     normal = normalize_path(g, seq)
     if normal.vertices != tuple(seq):
-        raise RuntimeError("shortest path is not in normal form")
+        raise InvariantError("shortest path is not in normal form")
     return normal
 
 
@@ -356,7 +356,7 @@ def classify_edge(g: EdgeGraph, e: Construct) -> EdgeClassification:
     path = min_path(g, u, v)
     ends = vertices_below(h, e)
     if len(ends) != 2:
-        raise RuntimeError("polytope edge does not have exactly two endpoints")
+        raise InvariantError("polytope edge does not have exactly two endpoints")
     first, second = sorted(ends, key=lambda c: print_construct(h, c))
     if path.path_type == "II":
         return EdgeClassification("theta", (first, second), path)
@@ -366,7 +366,7 @@ def classify_edge(g: EdgeGraph, e: Construct) -> EdgeClassification:
     else:
         source, target = first, second
     if not _is_strictly_below(target, lo, hi) or _is_strictly_below(source, lo, hi):
-        raise RuntimeError("endpoints do not split the merged pair as expected")
+        raise InvariantError("endpoints do not split the merged pair as expected")
     return EdgeClassification("beta", (first, second), path, source, target)
 
 
@@ -436,7 +436,7 @@ def edge_removal_census(g: EdgeGraph, removed) -> EdgeRemovalCensus:
 
     found = {frozenset(comp) for comp in components(g.hypergraph, removed_atoms)}
     if found != {vs for _, vs in pairs}:
-        raise RuntimeError("graph components do not match the non-Empty subtrees")
+        raise InvariantError("graph components do not match the non-Empty subtrees")
 
     def part_key(s: frozenset[str]) -> tuple[str, ...]:
         return tuple(sorted(s))
@@ -548,7 +548,7 @@ def construction_to_word(g: EdgeGraph, v: Construct) -> str:
             elif p in labels:
                 left = (word, labels)
             else:
-                raise RuntimeError("child block touches neither endpoint")
+                raise InvariantError("child block touches neither endpoint")
         lw, ls = left if left else (p, frozenset((p,)))
         rw, rs = right if right else (c, frozenset((c,)))
         return f"({lw}{rw})", ls | rs

@@ -20,11 +20,11 @@ from .constructs import (
     print_construct,
     vertices_below,
 )
-from .hypergraph import Hypergraph, connected_subset_masks
+from .hypergraph import Hypergraph, InvariantError, connected_subset_masks
 from .nestedsets import psi
 
 
-class RealizationError(RuntimeError):
+class RealizationError(InvariantError):
     """A geometric invariant failed on actual coordinates."""
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hgpoly import cli, corpus
+from hgpoly import InvariantError, RealizationError, cli, corpus
 from hgpoly.operadic import parse_tree
 
 PENTAGON_HREP = """\
@@ -174,6 +174,26 @@ def test_verify_wiring(capsys, monkeypatch):
         "FAIL broken: frozen value drifted",
         "1 of 2 checks failed",
     ]
+
+
+@pytest.mark.parametrize("error", [InvariantError, RealizationError])
+def test_invariant_break_exits_1_with_one_line(capsys, monkeypatch, pentagon_file, error):
+    def broken(h, **_):
+        raise error("normal form is neither type I nor type II")
+
+    monkeypatch.setattr(cli, "f_vector", broken)
+    status, out, err = run(capsys, "hg", "fvector", pentagon_file)
+    assert (status, out) == (1, "")
+    assert err == "error: invariant broken: normal form is neither type I nor type II\n"
+
+
+def test_other_runtime_errors_are_not_swallowed(capsys, monkeypatch, pentagon_file):
+    def deep(h, **_):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "f_vector", deep)
+    with pytest.raises(RecursionError):
+        cli.main(["hg", "fvector", pentagon_file])
 
 
 def test_exit_2_messages(capsys, tmp_path):

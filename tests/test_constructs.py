@@ -1,5 +1,7 @@
+import gc
 import math
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,6 +268,31 @@ def test_covers_memo_is_owned_by_its_hypergraph():
     assert h._covers_cache and not twin._covers_cache
     for s in faces:
         assert covers_memo(h, s) == tuple(covers(h, s))
+
+
+def test_text_memo_is_owned_by_its_hypergraph():
+    h, twin = corpus.hemiassociahedron(), corpus.hemiassociahedron()
+    faces = enumerate_constructs(h)
+    assert h._text_cache and not twin._text_cache
+    assert [print_construct(twin, t) for t in faces] == [print_construct(h, t) for t in faces]
+    leaf = Omega(frozenset({"x", "z"}))
+    assert print_construct(h, leaf) == "?{x,z}"
+    ref = weakref.ref(leaf)
+    del leaf, twin
+    gc.collect()
+    assert ref() is not None  # held by h's memo
+    del h, faces
+    gc.collect()
+    assert ref() is None
+
+
+def test_text_follows_the_carrier_order_of_each_hypergraph():
+    xy = Hypergraph(["x", "y"], [["x"], ["y"], ["x", "y"]])
+    yx = Hypergraph(["y", "x"], [["x"], ["y"], ["x", "y"]])
+    top = Construct(frozenset({"x", "y"}))
+    assert print_construct(xy, top) == "{x,y}"
+    assert print_construct(yx, top) == "{y,x}"
+    assert print_construct(xy, top) == "{x,y}"
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -12,6 +12,7 @@ from hgpoly import (
     restrict,
     saturate,
 )
+from hgpoly.hypergraph import connected_subset_masks
 
 XYZ = [["x"], ["y"], ["z"], ["x", "y", "z"]]
 
@@ -110,3 +111,11 @@ def test_each_fine_component_sits_in_one_coarse_component(h, data):
     for home, parts in fibers.items():
         for part in parts:
             assert part <= home
+
+
+def test_connected_subsets_are_computed_once_per_hypergraph():
+    h, twin = Hypergraph("xyz", XYZ), Hypergraph("xyz", XYZ)
+    masks = connected_subset_masks(h)
+    assert masks == (0b001, 0b010, 0b100, 0b111)
+    assert connected_subset_masks(h) is masks
+    assert twin._connected_subsets is None
