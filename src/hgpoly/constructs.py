@@ -245,12 +245,16 @@ def validate_construct(h: Hypergraph, t: Construct) -> Construct:
     return rec(t, h.full_mask)
 
 
-def _check_guard(h: Hypergraph, max_carrier: int | None, family: str) -> None:
-    if max_carrier is not None and len(h.carrier) > max_carrier:
+def _check_size(atoms: int, max_carrier: int | None) -> None:
+    if max_carrier is not None and atoms > max_carrier:
         raise GuardExceeded(
-            f"carrier has {len(h.carrier)} atoms, guard is {max_carrier}; "
+            f"carrier has {atoms} atoms, guard is {max_carrier}; "
             "raise the guard explicitly to enumerate"
         )
+
+
+def _check_guard(h: Hypergraph, max_carrier: int | None, family: str) -> None:
+    _check_size(len(h.carrier), max_carrier)
     if not is_connected(h):
         raise HypergraphError(f"{family} require a connected hypergraph")
 
@@ -308,6 +312,28 @@ def _trees(
     return rec(ambient)
 
 
+def _rooted(h: Hypergraph, roots, decorations) -> list[Construct]:
+    """The constructs of h whose root decoration is one of the masks in
+    roots, root by root in that order. Below the root, each component of
+    the rest takes the trees `_trees` draws with `decorations`, by node
+    count and then text; a component over 8 atoms (the default guard of
+    enumerate_constructs) raises GuardExceeded."""
+    key = _sort_key(h)
+    below: dict[int, list[Construct]] = {}
+    out: list[Construct] = []
+    for root in roots:
+        parts = []
+        for c in h.components_mask(h.full_mask & ~root):
+            got = below.get(c)
+            if got is None:
+                _check_size(c.bit_count(), 8)
+                got = below[c] = sorted(_trees(h, c, decorations, c, c, None), key=key)
+            parts.append(got)
+        dec = h.labels(root)
+        out.extend(Construct(dec, combo) for combo in product(*parts))
+    return out
+
+
 def _constructs(h: Hypergraph, max_carrier: int | None) -> list[Construct]:
     """enumerate_constructs without the sort, for callers that only count
     or index the faces."""
@@ -333,25 +359,22 @@ def enumerate_constructions(h: Hypergraph, *, max_carrier: int | None = 8) -> li
 
 def covers(h: Hypergraph, s: Construct) -> list[Construct]:
     """All constructs obtained by contracting exactly one tree edge of s
-    (merge a child's decoration into its parent's)."""
-    out: list[Construct] = []
+    (merge a child's decoration into its parent's). Distinct edges drop
+    distinct spans from psi(s), so no cover repeats."""
 
     def rec(node: Construct) -> list[Construct]:
+        kids = node.children
         results = []
-        for i, child in enumerate(node.children):
-            rest = node.children[:i] + node.children[i + 1 :]
-            merged = make_node(h, node.decoration | child.decoration, rest + child.children)
-            results.append(merged)
+        for i, child in enumerate(kids):
+            rest = kids[:i] + kids[i + 1 :]
+            results.append(make_node(h, node.decoration | child.decoration, rest + child.children))
+            # a contraction inside a child keeps the child's span, hence its
+            # place among the children
             for sub in rec(child):
-                results.append(make_node(h, node.decoration, rest + (sub,)))
+                results.append(Construct(node.decoration, kids[:i] + (sub,) + kids[i + 1 :]))
         return results
 
-    seen = set()
-    for t in rec(s):
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return sorted(out, key=_sort_key(h))
+    return sorted(rec(s), key=_sort_key(h))
 
 
 def covers_memo(h: Hypergraph, s: Construct) -> tuple[Construct, ...]:

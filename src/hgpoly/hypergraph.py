@@ -7,7 +7,7 @@ surface speaks labels and frozensets. All values are immutable.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 
 class HypergraphError(ValueError):

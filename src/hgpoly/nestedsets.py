@@ -171,12 +171,3 @@ def check_tubing_conditions(h: Hypergraph, family) -> bool:
         raise AssertionError("2-antichain form and tubing pair disagree")
     return cg
 
-
-def nested_set_to_json(h: Hypergraph, family) -> list[list[str]]:
-    return sorted(
-        [list(h.sorted_labels(s)) for s in family], key=lambda s: (len(s), s)
-    )
-
-
-def nested_set_from_json(data) -> frozenset[frozenset[str]]:
-    return frozenset(frozenset(s) for s in data)

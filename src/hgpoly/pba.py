@@ -8,14 +8,15 @@ standing for an unordered bag of letters.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import factorial
 from typing import Iterable, Sequence
 
 from .constructs import (
     Construct,
     ConstructError,
-    enumerate_constructs,
+    _rooted,
+    _submasks,
     leq,
     make_node,
     validate_construct,
@@ -613,23 +614,14 @@ def _proper_chains(setup: PbaSetup) -> list[tuple[frozenset[str], ...]]:
 
 
 def face_constructs(setup: PbaSetup) -> list[Construct]:
-    """Every tamed construct, one per face, enumerated by chains."""
+    """Every tamed construct, one per face: a root holding the complement
+    of a proper chain, over the constructs of the chain's runs (the
+    components the root leaves)."""
     ht = setup.hypergraph
-    carrier = frozenset(ht.carrier)
-    out = []
-    for chain in _proper_chains(setup):
-        names = [setup.name_of(s) for s in chain]
-        root = carrier - set(names)
-        runs: list[list[str]] = []
-        for i, s in enumerate(chain):
-            if i and len(s - chain[i - 1]) == 1:
-                runs[-1].append(names[i])
-            else:
-                runs.append([names[i]])
-        choices = [enumerate_constructs(restrict(ht, run)) for run in runs]
-        for kids in product(*choices):
-            out.append(make_node(ht, root, list(kids)))
-    return out
+    roots = [
+        ht.full_mask & ~ht.mask(map(setup.name_of, chain)) for chain in _proper_chains(setup)
+    ]
+    return _rooted(ht, roots, _submasks)
 
 
 def face_words(setup: PbaSetup) -> list[HoleWord]:

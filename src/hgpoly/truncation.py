@@ -8,24 +8,18 @@ and reads the next vertex hypergraph off the tamed constructions.
 """
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
 from .constructs import (
     Construct,
-    enumerate_constructions,
+    _bits,
+    _rooted,
+    _submasks,
     enumerate_constructs,
-    make_node,
     print_construct,
     validate_construct,
 )
-from .hypergraph import (
-    Hypergraph,
-    HypergraphError,
-    components,
-    connected_subset_masks,
-    restrict,
-)
+from .hypergraph import Hypergraph, HypergraphError
 from .nestedsets import psi
 
 
@@ -233,16 +227,8 @@ def tamed_constructions(s: RoundState) -> list[Construct]:
     """Tamed constructs whose root is exactly a complement and whose
     other nodes are singletons."""
     ht = s.truncations
-    out = []
-    for c in complements(s):
-        if not c:
-            continue
-        kid_choices = [
-            enumerate_constructions(restrict(ht, comp)) for comp in components(ht, c)
-        ]
-        for kids in product(*kid_choices):
-            out.append(validate_construct(ht, make_node(ht, c, list(kids))))
-    return out
+    roots = [ht.mask(c) for c in complements(s) if c]
+    return [validate_construct(ht, t) for t in _rooted(ht, roots, _bits)]
 
 
 def constrs(s: RoundState) -> list[Construct]:
@@ -250,15 +236,17 @@ def constrs(s: RoundState) -> list[Construct]:
     proper connected subset Y of the truncation hypergraph that fits
     inside a vertex decoration, shaped (H minus Y)(Y)."""
     ht = s.truncations
-    full = frozenset(s.facet_names)
-    out = []
-    for m in connected_subset_masks(ht):
-        if m == ht.full_mask:
-            continue
-        y = ht.labels(m)
-        if any(y <= fam for fam in s.vertex_sets):
-            out.append(make_node(ht, full - y, [Construct(y, ())]))
-    return out
+    full = ht.full_mask
+    ys = {
+        y
+        for fam in s.vertex_sets
+        for y in _submasks(ht.mask(fam))
+        if y != full and ht.connected_mask(y)
+    }
+    return [
+        Construct(ht.labels(full & ~y), (Construct(ht.labels(y)),))
+        for y in sorted(ys, key=ht._edge_key)
+    ]
 
 
 def vertex_family(s: RoundState, construction: Construct) -> frozenset[str]:

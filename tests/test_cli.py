@@ -135,6 +135,16 @@ def test_trunc_rounds(capsys, tmp_path):
     assert blob["tamed"] == {"constructs": 27, "constructions": 8, "constrs": 6}
 
 
+def test_trunc_round_takes_the_state_of_pba_setup(capsys, tmp_path):
+    status, out, _ = run(capsys, "pba", "setup", "4")
+    assert status == 0
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(json.loads(out)["state"]))
+    status, out, _ = run(capsys, "trunc", "round", "--state", str(state))
+    assert status == 0
+    assert json.loads(out)["round"] == 3
+
+
 def test_pba_round_trip(capsys):
     face = "{x2,x3,x4,x2+x3,x2+x4,x3+x4,x1+x2,x1+x3,x1+x4," \
            "x1+x2+x3,x1+x2+x4,x1+x3+x4,x2+x3+x4}(x1)"

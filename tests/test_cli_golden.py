@@ -1,6 +1,7 @@
 """Golden CLI output: the sha256 of stdout and the exit status of every
-`hg` command on each named hypergraph. The digests pin the byte-identical
-output contract, so any change to face order, text or numbers fails here."""
+`hg` command on each named hypergraph, and of the `pba`, `trunc` and `op`
+commands on fixed inputs. The digests pin the byte-identical output
+contract, so any change to face order, text or numbers fails here."""
 
 import hashlib
 import json
@@ -8,6 +9,7 @@ import json
 import pytest
 
 from hgpoly import cli, corpus
+from hgpoly.operadic import parse_tree
 
 COMMANDS = {
     "faces": ["hg", "faces"],
@@ -120,3 +122,104 @@ def test_stdout_matches_golden(capsys, tmp_path, name, command):
     status = cli.main(COMMANDS[command] + [str(path)])
     out = capsys.readouterr().out
     assert (status, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[name, command]
+
+
+# The square example of the truncation-rounds acceptance check: round 1
+# truncates the 3-simplex along {x,y}, round 2 along {x,x+y}.
+SQUARE_HT1 = {
+    "format": 1,
+    "carrier": ["x", "y", "z", "u"],
+    "hyperedges": [["x"], ["y"], ["z"], ["u"], ["x", "y"], ["x", "y", "z", "u"]],
+}
+SQUARE_HT2 = {
+    "format": 1,
+    "carrier": ["x", "y", "z", "u", "x+y"],
+    "hyperedges": [["u"], ["x"], ["y"], ["z"], ["x+y"], ["x", "x+y"],
+                   ["u", "x", "y", "z", "x+y"]],
+}
+TREES = {"star": "a(b,c,d)", "chain": "a(b(c(d)))", "figure": "a(b(c,d),e)"}
+PBA_FACE = "{x2,x3,x4,x1+x3,x1+x4,x2+x3,x2+x4,x3+x4,x1+x2+x4,x1+x3+x4,x2+x3+x4}({x1,x1+x2+x3}(x1+x2))"
+
+# an argument naming one of the files written by `inputs` below stands
+# for that file's path
+SYNTAX_COMMANDS = {
+    **{f"pba setup {n}": ["pba", "setup", str(n)] for n in range(1, 5)},
+    **{f"pba census {n}": ["pba", "census", str(n)] for n in range(1, 5)},
+    "pba encode": ["pba", "encode", "3", PBA_FACE],
+    "pba encode --ascii": ["pba", "encode", "3", PBA_FACE, "--ascii"],
+    "pba decode letters": ["pba", "decode", "3", "x1(x2x3)x4"],
+    "pba decode holes": ["pba", "decode", "3", "(x1.1).1.1; .1={x2,x3,x4}"],
+    "trunc init": ["trunc", "init", "--truncations", "ht1.json"],
+    "trunc round preview 1": ["trunc", "round", "--state", "s1.json"],
+    "trunc round advance": ["trunc", "round", "--state", "s1.json", "--truncations", "ht2.json"],
+    "trunc round preview 2": ["trunc", "round", "--state", "s2.json"],
+    **{
+        f"op {command} {tree}": ["op", command, "--tree", f"{tree}.json"]
+        for command in ("graph", "classify", "words")
+        for tree in TREES
+    },
+}
+
+SYNTAX_GOLDEN = {
+    "op classify chain": (0, "40f4a79eafdaf4d12aec93efb72e115bc34e315210a1e6737debf3c765a3f0ad"),
+    "op classify figure": (0, "fbd768bae2f00fb0b028975cd818d82136b8ce765a167cc7026b811a2ee4b6b8"),
+    "op classify star": (0, "0aa3fd35bbde86bb2efd6b6e233c0cf067cdb46865fdd281709b97fcd06076e8"),
+    "op graph chain": (0, "1355349b9fa8fb077eda61d81ad62adaecfc57c0cb8421f512baec7de67f58ba"),
+    "op graph figure": (0, "ba3220170d8720786b527eb37753f3631be55a58a6f592e99bf5d6b1da2984ec"),
+    "op graph star": (0, "920e44cffcc9ed1e8e38e8fc81f0d2766f637b4769d267f73efcf471fb270bdf"),
+    "op words chain": (0, "ce5d20e04d73b332ab3ab8d7f86a5a664b5536f41c93491e6aea3453f7f01897"),
+    "op words figure": (0, "5716bbcf67751afa6706301ac0856512b612e1cd816d08c3575e9fcca895aff0"),
+    "op words star": (0, "b924e9eec42525216089366cded0d52c2e936240e781eadecbb42ea2fb6cfa07"),
+    "pba census 1": (0, "e11c950d6c124a852fc6f3ce38ac2fa02b84a157197190c814bd645681c55f18"),
+    "pba census 2": (0, "01b664891c6da0a50e09f882df6007e60138809f79bf9f1096226c67308fce37"),
+    "pba census 3": (0, "0a6a8ea77be845b8c15e51c7f0edf61086ab9970be2d544b9e157dae09d47637"),
+    "pba census 4": (0, "da5e40f733e36cef727851d4366a81ec96fce23d7fd053a0daac2eb206e40359"),
+    "pba decode holes": (0, "a02ad15aa208635394cf446955dca70796b757c466132b9d2f39e50c1db1a7d5"),
+    "pba decode letters": (0, "6e12a5f09c0f39ee15bc40f3291025b9589d97815a556d7ae94b60a41250bd59"),
+    "pba encode": (0, "aff765ee5e7aef35d8266deed408e3e99de179f0a71fc6bd530019d247de6a8b"),
+    "pba encode --ascii": (0, "683fa4b44c20a1f84246a81195c3a786de8e01ae42659e0f2cae57eed0904024"),
+    "pba setup 1": (0, "1542c8b80c09bb5cbaf4a2868d044334c44b84f2fc2ec727b0913c6d11a224be"),
+    "pba setup 2": (0, "4749d82f6f064664ad02eb13cb80252009c84e9d995c058bf9c7c9e415a00ae2"),
+    "pba setup 3": (0, "52d92003d125250e10af12e3e7c0cd8ee31694bf0dae45cbbe21447e31a66fc0"),
+    "pba setup 4": (0, "2d23868925c9bd01e596e7cff6e48c83c388a29aca099bd95ff103a9ea88660f"),
+    "trunc init": (0, "1970e8030e60c8570ac289a0597729e19327a6098cb2c63f9207607bd8f48a96"),
+    "trunc round advance": (0, "0e76b70d829f69c9e0dd9aea560030317a6ab41a276bdfe5481f6f065f3bdb48"),
+    "trunc round preview 1": (0, "284bedb95a82b8552971e6649dc9d093ed6d649007197c50ca3fe73e74f4474a"),
+    "trunc round preview 2": (0, "c2fbd5501bb33a99cbf529f0bbb21f4015153b3a96f24b47a15919ae0c34daab"),
+}
+
+
+def _argv(template, inputs):
+    return [str(inputs.get(a, a)) for a in template]
+
+
+@pytest.fixture()
+def inputs(tmp_path, capsys):
+    files = {"ht1.json": SQUARE_HT1, "ht2.json": SQUARE_HT2}
+    files.update((f"{name}.json", parse_tree(text).to_json_dict()) for name, text in TREES.items())
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(json.dumps(data))
+    # s1 is the output of `trunc init`, s2 the state field of the output
+    # of `trunc round --truncations`
+    for name, template, unwrap in (
+        ("s1.json", SYNTAX_COMMANDS["trunc init"], False),
+        ("s2.json", SYNTAX_COMMANDS["trunc round advance"], True),
+    ):
+        assert cli.main(_argv(template, paths)) == 0
+        data = json.loads(capsys.readouterr().out)
+        paths[name] = tmp_path / name
+        paths[name].write_text(json.dumps(data["state"] if unwrap else data))
+    return paths
+
+
+def test_syntax_golden_table_covers_every_command():
+    assert set(SYNTAX_GOLDEN) == set(SYNTAX_COMMANDS)
+
+
+@pytest.mark.parametrize("case", sorted(SYNTAX_GOLDEN))
+def test_syntax_stdout_matches_golden(capsys, inputs, case):
+    status = cli.main(_argv(SYNTAX_COMMANDS[case], inputs))
+    out = capsys.readouterr().out
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == SYNTAX_GOLDEN[case]

@@ -23,6 +23,7 @@ from hgpoly import (
 )
 from hgpoly.constructs import Construct, Omega, covers_memo
 from hgpoly import corpus
+from hgpoly.nestedsets import psi
 
 from _helpers import face_counts_by_dimension, parse_all, prints
 
@@ -316,3 +317,18 @@ def test_constructs_come_by_node_count_then_text(small_corpus, named):
     for h in list(small_corpus) + list(named.values()):
         keys = [(t.node_count, print_construct(h, t)) for t in enumerate_constructs(h)]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_covers_drop_one_member_of_psi(small_corpus, named):
+    # the covers of s are the node_count - 1 faces whose nested set is
+    # psi(s) minus one member other than the carrier
+    for h in list(small_corpus) + list(named.values()):
+        faces = enumerate_constructs(h)
+        by_psi = {psi(t): t for t in faces}
+        carrier = frozenset(h.carrier)
+        for s in faces:
+            got = covers(h, s)
+            nested = psi(s)
+            want = {by_psi[nested - {m}] for m in nested if m != carrier}
+            assert len(got) == len(want) == s.node_count - 1
+            assert set(got) == want

@@ -31,6 +31,7 @@ from hgpoly.pba import (
     word_leq,
     x_sigma,
 )
+from hgpoly.truncation import tamed_constructs
 
 TEN_LETTER_BLOCKS = [
     {"x9"},
@@ -405,3 +406,12 @@ def test_word_order_memo_is_freed_with_its_setup():
     del setup
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_face_constructs_are_the_tamed_constructs(n):
+    setup = pba_setup(n)
+    faces = face_constructs(setup)
+    tamed = tamed_constructs(setup.state)
+    assert len(faces) == len(tamed)
+    assert set(faces) == set(tamed)

@@ -14,6 +14,8 @@ from hgpoly.constructs import (
     parse_construct,
 )
 from hgpoly.corpus import all_connected_atomic, hemiassociahedron
+from hgpoly.hypergraph import GuardExceeded, connected_subset_masks
+from hgpoly.pba import pba_setup
 from hgpoly.truncation import (
     Multiset,
     TruncationError,
@@ -251,6 +253,49 @@ def test_constr_facets_are_subset_sums():
         frozenset({"x"}), frozenset({"y"}), frozenset({"z"}),
         frozenset({"u"}), frozenset({"x+y"}), frozenset({"x", "x+y"}),
     }
+
+
+def _oracle_states():
+    """The square rounds and the pba rounds for n <= 2."""
+    states = [square_round_1(), square_round_2()]
+    for n in (1, 2):
+        setup = pba_setup(n)
+        states += [setup.round1, setup.state]
+    return states
+
+
+def test_tamed_constructions_are_the_tamed_construct_filter():
+    # root exactly a complement, every other node a singleton
+    for s in _oracle_states():
+        ht = s.truncations
+        comps = complements(s)
+        want = [
+            t for t in enumerate_constructs(ht)
+            if t.decoration in comps
+            and all(len(node.decoration) == 1 for node in list(t.nodes())[1:])
+        ]
+        got = tamed_constructions(s)
+        assert len(got) == len(set(got)) == len(want)
+        assert set(got) == set(want)
+
+
+def test_constrs_are_the_connected_subset_filter():
+    for s in _oracle_states():
+        ht = s.truncations
+        full = frozenset(s.facet_names)
+        want = [
+            make_node(ht, full - ht.labels(m), [Construct(ht.labels(m))])
+            for m in connected_subset_masks(ht)
+            if m != ht.full_mask and any(ht.labels(m) <= fam for fam in s.vertex_sets)
+        ]
+        assert constrs(s) == want
+
+
+def test_tamed_constructions_keep_the_enumeration_guard():
+    atoms = [f"a{i}" for i in range(10)]
+    path = [[a] for a in atoms] + [list(p) for p in zip(atoms, atoms[1:])]
+    with pytest.raises(GuardExceeded, match="carrier has 9 atoms, guard is 8"):
+        tamed_constructions(simplex_round(atoms, path))
 
 
 # -- degenerate truncation choices --------------------------------------
