@@ -72,13 +72,6 @@ class Construct:
             if isinstance(c, Construct):
                 yield from c.nodes()
 
-    def omega_leaves(self):
-        for c in self.children:
-            if isinstance(c, Omega):
-                yield c
-            else:
-                yield from c.omega_leaves()
-
 
 @dataclass(frozen=True)
 class Omega:

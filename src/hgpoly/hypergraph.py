@@ -102,7 +102,7 @@ class Hypergraph:
     # -- mask plumbing -------------------------------------------------
 
     def _edge_key(self, m: int) -> tuple[int, tuple[int, ...]]:
-        return (bin(m).count("1"), tuple(i for i in range(64) if m >> i & 1))
+        return (m.bit_count(), tuple(i for i in range(m.bit_length()) if m >> i & 1))
 
     def mask(self, atoms: Iterable[str]) -> int:
         m = 0

@@ -76,10 +76,6 @@ class OperadicTree:
         return tuple(out)
 
     @property
-    def edge_count(self) -> int:
-        return len(self.labels) - 1
-
-    @property
     def is_non_empty(self) -> bool:
         return bool(self.children)
 

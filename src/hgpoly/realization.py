@@ -1,10 +1,11 @@
 """Exact geometric realization of a hypergraph polytope.
 
 Every connected subset A contributes the half-space sum(A) >= 3^|A|; the
-carrier holds with equality. Vertices come from constructions by a
-triangular solve over the nested psi family, and verify_isomorphism checks
-the face-order isomorphism, simplicity, dimension, and the facet census on
-actual coordinates. Integer and Fraction arithmetic only.
+carrier holds with equality. The vertex of a construction solves the
+nested system over its psi family in integers, and verify_isomorphism
+checks the face-order isomorphism, simplicity, dimension, and the facet
+census on actual coordinates; `RationalPoint` holds them as `Fraction`s
+at the public boundary.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .constructs import (
     vertices_below,
 )
 from .hypergraph import Hypergraph, InvariantError, connected_subset_masks
-from .nestedsets import psi
 
 
 class RealizationError(InvariantError):
@@ -74,9 +74,6 @@ class RationalPoint:
     def sum_over(self, atoms) -> Fraction:
         return sum((self[a] for a in atoms), Fraction(0))
 
-    def as_strings(self) -> list[str]:
-        return [str(c) for c in self.coords]
-
 
 def hrep(h: Hypergraph) -> HalfSpaceSystem:
     """The defining constraint system in canonical support order: one
@@ -90,35 +87,49 @@ def hrep(h: Hypergraph) -> HalfSpaceSystem:
     return HalfSpaceSystem(h, tuple(constraints))
 
 
-def vertex_of_construction(h: Hypergraph, v: Construct) -> RationalPoint:
-    """Solve { sum(X) = 3^|X| : X in psi(v) } by increasing |X|; the
-    supports are nested so each equation determines one new coordinate.
-    The result is checked strictly against every other connected subset."""
+def _vertex(h: Hypergraph, v: Construct) -> tuple[tuple[int, ...], set[int], set[int]]:
+    """The vertex v names, in closed form: a node's atom gets 3^|span| minus
+    3^|child span| summed over its children. Returns the integer coordinates
+    in carrier order, psi(v) as masks and the proper connected subsets the
+    vertex is tight on; it must be strict on every other one."""
     if not v.is_construction:
         raise RealizationError(f"{print_construct(h, v)} is not a construction")
-    family = sorted(psi(v), key=len)
-    values: dict[str, Fraction] = {}
-    for x_set in family:
-        unknowns = [a for a in x_set if a not in values]
-        if len(unknowns) != 1:
-            raise RealizationError(
-                f"system is not triangular at {sorted(x_set)}: {unknowns}"
-            )
-        values[unknowns[0]] = Fraction(3 ** len(x_set)) - sum(
-            (values[a] for a in x_set if a != unknowns[0]), Fraction(0)
-        )
-    point = RationalPoint(h.carrier, tuple(values[a] for a in h.carrier))
-    member = set(family)
+    coords = [0] * len(h.carrier)
+    family: set[int] = set()
+
+    def rec(node: Construct) -> int:
+        bit = span = h.mask(node.decoration)
+        below = 0
+        for c in node.children:
+            m = rec(c)
+            span |= m
+            below += 3 ** m.bit_count()
+        coords[bit.bit_length() - 1] = 3 ** span.bit_count() - below
+        family.add(span)
+        return span
+
+    # one node per atom and a root spanning the carrier: each atom once
+    full = h.full_mask
+    if rec(v) != full or v.node_count != len(coords):
+        raise RealizationError(f"{print_construct(h, v)} does not span the carrier exactly once")
+    tight: set[int] = set()
     for m in connected_subset_masks(h):
-        y = h.labels(m)
-        if y in member:
-            continue
-        if point.sum_over(y) <= 3 ** len(y):
+        total = sum(map(coords.__getitem__, _bit_indices(m)))
+        bound = 3 ** m.bit_count()
+        if total <= bound and m not in family:
             raise RealizationError(
                 f"vertex of {print_construct(h, v)} fails strictness on "
-                f"{sorted(y)}: sum is {point.sum_over(y)}, bound {3 ** len(y)}"
+                f"{sorted(h.labels(m))}: sum is {total}, bound {bound}"
             )
-    return point
+        if total == bound:
+            tight.add(m)
+    tight.discard(full)
+    return tuple(coords), family, tight
+
+
+def vertex_of_construction(h: Hypergraph, v: Construct) -> RationalPoint:
+    """The vertex of the construction v, with Fraction coordinates."""
+    return RationalPoint(h.carrier, tuple(map(Fraction, _vertex(h, v)[0])))
 
 
 def face_vertex_set(h: Hypergraph, t: Construct) -> frozenset[RationalPoint]:
@@ -135,18 +146,17 @@ def f_vector(h: Hypergraph, *, max_carrier: int | None = 8) -> tuple[int, ...]:
 
 
 def affine_dimension(points) -> int:
-    """Dimension of the affine hull, by exact Gaussian elimination."""
-    pts = list(points)
+    """Dimension of the affine hull of points (objects with `coords`, or
+    coordinate tuples), by fraction-free Gaussian elimination: rows are
+    scaled and subtracted, never divided, so ints and Fractions stay exact."""
+    pts = [getattr(p, "coords", p) for p in points]
     if not pts:
         return -1
     base = pts[0]
-    rows = [
-        [p.coords[i] - base.coords[i] for i in range(len(base.coords))]
-        for p in pts[1:]
-    ]
+    width = len(base)
+    rows = [[p[i] - base[i] for i in range(width)] for p in pts[1:]]
     rank = 0
     col = 0
-    width = len(base.coords)
     while rank < len(rows) and col < width:
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
@@ -155,9 +165,9 @@ def affine_dimension(points) -> int:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank][col]
         for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+            factor = rows[r][col]
+            if factor:
+                rows[r] = [lead * a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
         col += 1
     return rank
@@ -209,22 +219,18 @@ def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> Verific
     faces = _constructs(h, max_carrier)
     constructions = [c for c in faces if c.is_construction]
 
-    points: dict[Construct, RationalPoint] = {}
+    solved = {}
     for v in constructions:
         try:
-            points[v] = vertex_of_construction(h, v)
+            solved[v] = _vertex(h, v)
         except RealizationError as err:
             report.add("strictness", str(err))
     if not report.ok:
         return report
 
     n = len(h.carrier)
-    facet_sets = {
-        m: h.labels(m) for m in connected_subset_masks(h) if m != h.full_mask
-    }
-
-    seen_points: dict[RationalPoint, Construct] = {}
-    for v, p in points.items():
+    seen_points: dict[tuple[int, ...], Construct] = {}
+    for v, (p, family, on) in solved.items():
         other = seen_points.get(p)
         if other is not None:
             report.add(
@@ -232,8 +238,7 @@ def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> Verific
                 f"{print_construct(h, v)} and {print_construct(h, other)} coincide",
             )
         seen_points[p] = v
-        on = {y for y in facet_sets.values() if p.sum_over(y) == 3 ** len(y)}
-        named = psi(v) - {frozenset(h.carrier)}
+        named = family - {h.full_mask}
         if on != named or len(on) != n - 1:
             report.add(
                 "simplicity",
@@ -247,7 +252,7 @@ def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> Verific
     holding = [0] * len(point_index)
     for i, t in enumerate(faces):
         for v in vertices_below(h, t):
-            below[i] |= 1 << point_index[points[v]]
+            below[i] |= 1 << point_index[solved[v][0]]
         for j in _bit_indices(below[i]):
             holding[j] |= 1 << i
 
@@ -282,15 +287,16 @@ def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> Verific
             )
         seen_sets[below[i]] = t
 
-    dim = affine_dimension(points.values())
+    dim = affine_dimension(p for p, _, _ in solved.values())
     if dim != n - 1:
         report.add("dimension", f"affine hull has dimension {dim}, expected {n - 1}")
 
     facets = [i for i, t in enumerate(faces) if t.node_count == 2]
-    if len(facets) != len(facet_sets):
+    proper = len(connected_subset_masks(h)) - 1
+    if len(facets) != proper:
         report.add(
             "facet-census",
-            f"{len(facets)} two-node constructs vs {len(facet_sets)} connected subsets",
+            f"{len(facets)} two-node constructs vs {proper} connected subsets",
         )
     for k, a in enumerate(facets):
         for b in facets[k + 1 :]:
@@ -301,19 +307,14 @@ def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> Verific
                 )
 
     report.stats.update(
-        {
-            "constructs": len(faces),
-            "vertices": len(constructions),
-            "facets": len(facets),
-            "dimension": dim,
-        }
+        constructs=len(faces), vertices=len(constructions), facets=len(facets), dimension=dim
     )
     return report
 
 
 def vertices_to_json_dict(h: Hypergraph, *, max_carrier: int | None = 8) -> dict:
-    """JSON export: construction text -> exact coordinates as strings."""
+    """JSON export: construction text -> integer coordinates as strings."""
     out = {}
     for v in enumerate_constructions(h, max_carrier=max_carrier):
-        out[print_construct(h, v)] = vertex_of_construction(h, v).as_strings()
+        out[print_construct(h, v)] = [str(c) for c in _vertex(h, v)[0]]
     return {"format": 1, "carrier": list(h.carrier), "vertices": out}

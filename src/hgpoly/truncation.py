@@ -13,9 +13,10 @@ from typing import Iterable
 from .constructs import (
     Construct,
     _bits,
+    _check_size,
     _rooted,
+    _sort_key,
     _submasks,
-    enumerate_constructs,
     print_construct,
     validate_construct,
 )
@@ -214,13 +215,16 @@ def complements(s: RoundState) -> list[frozenset[str]]:
 
 def tamed_constructs(s: RoundState) -> list[Construct]:
     """Constructs of the truncation hypergraph whose root contains the
-    complement of some vertex decoration."""
-    comps = complements(s)
-    return [
-        t
-        for t in enumerate_constructs(s.truncations)
-        if any(c <= t.decoration for c in comps)
-    ]
+    complement of some vertex decoration, by node count and then text.
+    The roots are each complement grown by every subset of its
+    decoration; a decoration over 8 facets raises GuardExceeded."""
+    ht = s.truncations
+    roots = set()
+    for fam in map(ht.mask, s.vertex_sets):
+        _check_size(fam.bit_count(), 8)
+        c = ht.full_mask & ~fam
+        roots.update(c | y for y in (*_submasks(fam), 0) if c | y)
+    return sorted(_rooted(ht, roots, _submasks), key=_sort_key(ht))
 
 
 def tamed_constructions(s: RoundState) -> list[Construct]:

@@ -145,6 +145,26 @@ def test_trunc_round_takes_the_state_of_pba_setup(capsys, tmp_path):
     assert json.loads(out)["round"] == 3
 
 
+def test_trunc_round_counts_tamed_faces_past_8_facets(capsys, tmp_path):
+    # pba setup 2 previews 12 facets; advancing along the bare truncation
+    # (singletons plus the full set) yields a 12-atom truncation hypergraph
+    status, out, _ = run(capsys, "pba", "setup", "2")
+    assert status == 0
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(json.loads(out)["state"]))
+    status, out, _ = run(capsys, "trunc", "round", "--state", str(state))
+    names = json.loads(out)["facet_names"]
+    assert status == 0 and len(names) == 12
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({
+        "format": 1, "carrier": names, "hyperedges": [[n] for n in names] + [names],
+    }))
+    status, out, err = run(capsys, "trunc", "round", "--state", str(state),
+                           "--truncations", str(bare))
+    assert (status, err) == (0, "")
+    assert json.loads(out)["tamed"]["constructs"] == 25
+
+
 def test_pba_round_trip(capsys):
     face = "{x2,x3,x4,x2+x3,x2+x4,x3+x4,x1+x2,x1+x3,x1+x4," \
            "x1+x2+x3,x1+x2+x4,x1+x3+x4,x2+x3+x4}(x1)"

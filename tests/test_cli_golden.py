@@ -189,6 +189,29 @@ SYNTAX_GOLDEN = {
 }
 
 
+# `realize --vertices` and `--verify` on the six-atom complete graph, path
+# and cycle, where the vertex coordinates grow to 3^6; the digests were
+# computed with the triangular Fraction solve, before the integer closed form
+SIX_ATOMS = {"K6": corpus.complete_graph, "P6": corpus.path_graph, "C6": corpus.cycle_graph}
+SIX_ATOMS_GOLDEN = {
+    ("K6", "vertices"): (0, "d318cda417d1ee9d99e41904682455d276ab065fc8ba2d3cc91991ef93555629"),
+    ("K6", "verify"): (0, "180a14aa44ec78d5167010cd53d85d91ee03b8c672cf00a03a7591329caf891a"),
+    ("P6", "vertices"): (0, "4f7c69d9416376d907866f511109402c2f88fc9c48ae821aad8f8d97cbba9d1f"),
+    ("P6", "verify"): (0, "7dbcabcfde8ecab3a856fd3c564b627ed01c708c3c9ca6c316744b6e51f4e72b"),
+    ("C6", "vertices"): (0, "7e84fdd905eb07eefb65b416f036b68e4cfaa76e86b7c237cf53855737b148b2"),
+    ("C6", "verify"): (0, "0463503b9a5941a227d8653d9afa890e7f00f1ceb00477ac4c4d78c8c7454dfa"),
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(SIX_ATOMS_GOLDEN))
+def test_realize_on_six_atoms_matches_golden(capsys, tmp_path, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(SIX_ATOMS[name](6).to_json_dict()))
+    status = cli.main(COMMANDS[command] + [str(path)])
+    out = capsys.readouterr().out
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == SIX_ATOMS_GOLDEN[name, command]
+
+
 def _argv(template, inputs):
     return [str(inputs.get(a, a)) for a in template]
 

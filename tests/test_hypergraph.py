@@ -119,3 +119,13 @@ def test_connected_subsets_are_computed_once_per_hypergraph():
     assert masks == (0b001, 0b010, 0b100, 0b111)
     assert connected_subset_masks(h) is masks
     assert twin._connected_subsets is None
+
+
+def test_edge_order_is_canonical_past_atom_63():
+    atoms = [f"a{i}" for i in range(80)]
+    edges = [[a] for a in atoms] + [[atoms[i], atoms[i + 1]] for i in range(60, 79)]
+    h1, h2 = Hypergraph(atoms, edges), Hypergraph(atoms, edges[::-1])
+    assert h1 == h2 and hash(h1) == hash(h2)
+    assert h1.to_json_dict() == h2.to_json_dict()
+    pairs = h1.to_json_dict()["hyperedges"][80:]
+    assert pairs == [[atoms[i], atoms[i + 1]] for i in range(60, 79)]

@@ -408,7 +408,7 @@ def test_word_order_memo_is_freed_with_its_setup():
     assert ref() is None
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_face_constructs_are_the_tamed_constructs(n):
     setup = pba_setup(n)
     faces = face_constructs(setup)

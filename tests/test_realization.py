@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hgpoly import (
+    HypergraphError,
     RealizationError,
     f_vector,
     face_vertex_set,
@@ -12,7 +13,8 @@ from hgpoly import (
     vertex_of_construction,
 )
 from hgpoly import constructs, corpus, realization
-from hgpoly.constructs import enumerate_constructs
+from hgpoly.constructs import Construct, enumerate_constructions, enumerate_constructs
+from hgpoly.nestedsets import psi
 from hgpoly.realization import affine_dimension, vertices_to_json_dict
 
 PENTAGON_HREP = """\
@@ -58,6 +60,45 @@ def test_rejects_non_construction(named):
     h = named["pentagon"]
     with pytest.raises(RealizationError):
         vertex_of_construction(h, parse_construct(h, "{x,y}(z)"))
+
+
+def test_vertices_are_tight_on_psi_and_strict_elsewhere(small_corpus, named):
+    # an oracle independent of the closed form: the public constraint
+    # system, summed label by label over the Fraction coordinates
+    for h in [*small_corpus, *named.values()]:
+        system = hrep(h)
+        for v in enumerate_constructions(h):
+            p = vertex_of_construction(h, v)
+            family = psi(v)
+            for c in system.constraints:
+                total = p.sum_over(c.support)
+                if c.support in family:
+                    assert total == c.rhs, (h, c)
+                else:
+                    assert total > c.rhs, (h, c)
+
+
+def _tree(atom, *children):
+    return Construct(frozenset({atom}), children)
+
+
+MALFORMED = {
+    "x(y)": _tree("x", _tree("y")),
+    "x(y(y))": _tree("x", _tree("y", _tree("y"))),
+    "x(y(z),z)": _tree("x", _tree("y", _tree("z")), _tree("z")),
+}
+
+
+@pytest.mark.parametrize("tree", MALFORMED.values(), ids=MALFORMED)
+def test_trees_that_do_not_span_the_carrier_once_are_refused(named, tree):
+    with pytest.raises(RealizationError):
+        vertex_of_construction(named["pentagon"], tree)
+
+
+def test_a_tree_over_other_atoms_is_refused(named):
+    tree = _tree("x", _tree("y", _tree("z", _tree("w"))))
+    with pytest.raises(HypergraphError, match="'w' not in carrier"):
+        vertex_of_construction(named["pentagon"], tree)
 
 
 def test_permutohedron_barycenter_is_interior(named):
