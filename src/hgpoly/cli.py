@@ -17,7 +17,7 @@ import json
 import sys
 
 from .constructs import (
-    covers,
+    _covers,
     enumerate_constructions,
     enumerate_constructs,
     parse_construct,
@@ -133,7 +133,7 @@ def _hg_hasse(args, out: io.StringIO) -> int:
     out.write("digraph hasse {\n")
     for _, node in sorted((n - c.node_count, node) for c, node in text.items()):
         out.write(f'  "{node}";\n')
-    rows = {f'  "{text[s]}" -> "{text[t]}";\n' for s in text for t in covers(h, s)}
+    rows = {f'  "{text[s]}" -> "{text[t]}";\n' for s in text for t in _covers(h, s)}
     for row in sorted(rows):
         out.write(row)
     out.write("}\n")
@@ -193,7 +193,11 @@ def _trunc_init(args, out: io.StringIO) -> int:
 
 
 def _trunc_round(args, out: io.StringIO) -> int:
-    state = round_state_from_json_dict(_load_json(args.state))
+    data = _load_json(args.state)
+    # the outputs of `pba setup` and `trunc round --truncations` wrap a state
+    if isinstance(data, dict) and "round" not in data and isinstance(data.get("state"), dict):
+        data = data["state"]
+    state = round_state_from_json_dict(data)
     if args.truncations is None:
         tr = next_round(state)
         names = [m.text() for m in tr.facets]

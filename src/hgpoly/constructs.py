@@ -352,8 +352,15 @@ def enumerate_constructions(h: Hypergraph, *, max_carrier: int | None = 8) -> li
 
 def covers(h: Hypergraph, s: Construct) -> list[Construct]:
     """All constructs obtained by contracting exactly one tree edge of s
-    (merge a child's decoration into its parent's). Distinct edges drop
-    distinct spans from psi(s), so no cover repeats."""
+    (merge a child's decoration into its parent's), by node count and then
+    text."""
+    return sorted(_covers(h, s), key=_sort_key(h))
+
+
+def _covers(h: Hypergraph, s: Construct) -> list[Construct]:
+    """covers(h, s) unsorted, for callers that order the result
+    themselves. Distinct edges drop distinct spans from psi(s), so no cover
+    repeats."""
 
     def rec(node: Construct) -> list[Construct]:
         kids = node.children
@@ -367,7 +374,7 @@ def covers(h: Hypergraph, s: Construct) -> list[Construct]:
                 results.append(Construct(node.decoration, kids[:i] + (sub,) + kids[i + 1 :]))
         return results
 
-    return sorted(rec(s), key=_sort_key(h))
+    return rec(s)
 
 
 def covers_memo(h: Hypergraph, s: Construct) -> tuple[Construct, ...]:

@@ -86,8 +86,8 @@ class Hypergraph:
         for i, a in enumerate(self.carrier):
             if (1 << i) not in masks:
                 raise HypergraphError(f"not atomic: singleton {{{a}}} is missing")
-        object.__setattr__(self, "_edge_masks", tuple(sorted(masks, key=self._edge_key)))
         object.__setattr__(self, "_full", full)
+        object.__setattr__(self, "_edge_masks", tuple(sorted(masks, key=self._edge_key)))
         object.__setattr__(self, "_comp_cache", {})
         # construct -> its covers, filled by constructs.covers_memo
         object.__setattr__(self, "_covers_cache", {})
@@ -101,8 +101,13 @@ class Hypergraph:
 
     # -- mask plumbing -------------------------------------------------
 
-    def _edge_key(self, m: int) -> tuple[int, tuple[int, ...]]:
-        return (m.bit_count(), tuple(i for i in range(m.bit_length()) if m >> i & 1))
+    def _edge_key(self, m: int) -> int:
+        """Size, then the ascending tuple of positions, as one integer. Two
+        masks of one size first differ at the lowest bit of their XOR, set
+        in the earlier one; its complement has that bit clear, and reversing
+        the bits makes it the highest bit that differs."""
+        n = len(self.carrier)
+        return m.bit_count() << n | int(bin(self._full ^ m)[2:].zfill(n)[::-1], 2)
 
     def mask(self, atoms: Iterable[str]) -> int:
         m = 0
@@ -232,11 +237,26 @@ def saturate(h: Hypergraph) -> Hypergraph:
 
 def connected_subset_masks(h: Hypergraph) -> tuple[int, ...]:
     """All non-empty connected subsets of the carrier, as masks, by size and
-    then position; computed once per hypergraph."""
+    then position; computed once per hypergraph.
+
+    Grown from the singletons: a connected set united with an edge that
+    meets it and leaves it is connected, and every connected set is reached
+    so, by adding the edges inside it one by one. The cost is the number of
+    connected subsets times the number of edges, never 2^n."""
     got = h._connected_subsets
     if got is None:
-        out = [sub for sub in range(1, h.full_mask + 1) if h.connected_mask(sub)]
-        got = tuple(sorted(out, key=h._edge_key))
+        edges = [e for e in h.edge_masks if e & (e - 1)]
+        seen = {e for e in h.edge_masks if not e & (e - 1)}
+        todo = list(seen)
+        while todo:
+            s = todo.pop()
+            for e in edges:
+                if e & s and e & ~s:
+                    t = s | e
+                    if t not in seen:
+                        seen.add(t)
+                        todo.append(t)
+        got = tuple(sorted(seen, key=h._edge_key))
         object.__setattr__(h, "_connected_subsets", got)
     return got
 

@@ -15,7 +15,9 @@ from fractions import Fraction
 
 from .constructs import (
     Construct,
+    _check_guard,
     _constructs,
+    _submasks,
     covers_memo,
     enumerate_constructions,
     print_construct,
@@ -137,12 +139,36 @@ def face_vertex_set(h: Hypergraph, t: Construct) -> frozenset[RationalPoint]:
 
 
 def f_vector(h: Hypergraph, *, max_carrier: int | None = 8) -> tuple[int, ...]:
-    """Face counts by dimension, vertices first, top last."""
+    """Face counts by dimension, vertices first, top last, counted without
+    building a face. F(S) = sum over non-empty Y in S of z times the product
+    of F(C) over the components C of S - Y is the face polynomial of the
+    nestohedron (Postnikov 2009): its z^k coefficient counts the constructs
+    over S with k nodes, and a face of dimension d has n - d nodes."""
+    _check_guard(h, max_carrier, "constructs")
+    memo: dict[int, list[int]] = {}
+
+    def poly(region: int) -> list[int]:
+        got = memo.get(region)
+        if got is None:
+            got = [0] * (region.bit_count() + 1)
+            for y in _submasks(region):
+                term = [0, 1]
+                for c in h.components_mask(region & ~y):
+                    factor = poly(c)
+                    prod = [0] * (len(term) + len(factor) - 1)
+                    for i, a in enumerate(term):
+                        if a:
+                            for j, b in enumerate(factor):
+                                prod[i + j] += a * b
+                    term = prod
+                for k, a in enumerate(term):
+                    got[k] += a
+            memo[region] = got
+        return got
+
     n = len(h.carrier)
-    counts = [0] * n
-    for c in _constructs(h, max_carrier):
-        counts[n - c.node_count] += 1
-    return tuple(counts)
+    top = poly(h.full_mask)
+    return tuple(top[n - d] for d in range(n))
 
 
 def affine_dimension(points) -> int:

@@ -55,6 +55,19 @@ def test_fvector(capsys, pentagon_file):
     assert run(capsys, "hg", "fvector", pentagon_file) == (0, "5 5 1\n", "")
 
 
+def test_fvector_keeps_the_8_atom_guard(capsys, tmp_path):
+    atoms = list("abcdefghi")
+    path = tmp_path / "simplex9.json"
+    path.write_text(json.dumps({
+        "format": 1, "carrier": atoms, "hyperedges": [[a] for a in atoms] + [atoms],
+    }))
+    status, out, err = run(capsys, "hg", "fvector", str(path))
+    assert (status, out) == (2, "")
+    assert "guard exceeded: carrier has 9 atoms, guard is 8" in err
+    status, out, _ = run(capsys, "hg", "fvector", str(path), "--max-carrier", "9")
+    assert (status, out) == (0, "9 36 84 126 126 84 36 9 1\n")
+
+
 def test_hrep(capsys, pentagon_file):
     status, out, _ = run(capsys, "hg", "realize", "--hrep", pentagon_file)
     assert status == 0 and out == PENTAGON_HREP
@@ -143,6 +156,27 @@ def test_trunc_round_takes_the_state_of_pba_setup(capsys, tmp_path):
     status, out, _ = run(capsys, "trunc", "round", "--state", str(state))
     assert status == 0
     assert json.loads(out)["round"] == 3
+
+
+@pytest.mark.parametrize("wrapped_by", ["pba setup", "trunc round --truncations"])
+def test_trunc_round_takes_wrapped_state(capsys, tmp_path, wrapped_by):
+    if wrapped_by == "pba setup":
+        status, out, _ = run(capsys, "pba", "setup", "2")
+    else:
+        ht1, ht2 = tmp_path / "ht1.json", tmp_path / "ht2.json"
+        ht1.write_text(json.dumps(SQUARE_HT1))
+        ht2.write_text(json.dumps(SQUARE_HT2))
+        state1 = tmp_path / "s1.json"
+        state1.write_text(run(capsys, "trunc", "init", "--truncations", str(ht1))[1])
+        status, out, _ = run(capsys, "trunc", "round", "--state", str(state1),
+                             "--truncations", str(ht2))
+    assert status == 0
+    wrapped, unwrapped = tmp_path / "wrapped.json", tmp_path / "unwrapped.json"
+    wrapped.write_text(out)
+    unwrapped.write_text(json.dumps(json.loads(out)["state"]))
+    direct = run(capsys, "trunc", "round", "--state", str(wrapped))
+    assert direct[0] == 0 and direct[1]
+    assert direct == run(capsys, "trunc", "round", "--state", str(unwrapped))
 
 
 def test_trunc_round_counts_tamed_faces_past_8_facets(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -119,6 +120,36 @@ def test_connected_subsets_are_computed_once_per_hypergraph():
     assert masks == (0b001, 0b010, 0b100, 0b111)
     assert connected_subset_masks(h) is masks
     assert twin._connected_subsets is None
+
+
+def _brute_connected_subsets(h):
+    return tuple(
+        sorted((s for s in range(1, h.full_mask + 1) if h.connected_mask(s)), key=h._edge_key)
+    )
+
+
+def _random_atomic(rng, n):
+    atoms = [f"a{i}" for i in range(n)]
+    edges = [[a] for a in atoms]
+    edges += [rng.sample(atoms, rng.randint(2, 4)) for _ in range(rng.randint(1, 2 * n))]
+    return Hypergraph(atoms, edges)
+
+
+def test_connected_subsets_match_the_brute_force_filter(small_corpus, named):
+    rng = random.Random(8)
+    randoms = [_random_atomic(rng, n) for n in range(7, 11) for _ in range(6)]
+    for h in [*small_corpus, *named.values(), *randoms]:
+        assert connected_subset_masks(h) == _brute_connected_subsets(h), h
+
+
+def test_connected_subsets_do_not_walk_every_mask():
+    atoms = [f"a{i}" for i in range(24)]
+    edges = [[a] for a in atoms] + [[atoms[i], atoms[i + 1]] for i in range(23)]
+    h = Hypergraph(atoms, edges)
+    masks = connected_subset_masks(h)
+    assert len(masks) == 300
+    assert masks[-1] == h.full_mask
+    assert len(h._comp_cache) <= 300
 
 
 def test_edge_order_is_canonical_past_atom_63():

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from hgpoly import (
+    Hypergraph,
     HypergraphError,
     RealizationError,
     f_vector,
@@ -16,6 +18,8 @@ from hgpoly import constructs, corpus, realization
 from hgpoly.constructs import Construct, enumerate_constructions, enumerate_constructs
 from hgpoly.nestedsets import psi
 from hgpoly.realization import affine_dimension, vertices_to_json_dict
+
+from _helpers import face_counts_by_dimension
 
 PENTAGON_HREP = """\
 x >= 3
@@ -136,6 +140,36 @@ def test_f_vectors(named):
     assert f_vector(named["3-permutohedron"]) == (24, 36, 14, 1)
     assert f_vector(named["2-simplex"]) == (3, 3, 1)
     assert f_vector(named["hemiassociahedron"]) == (18, 27, 11, 1)
+
+
+def _simplex(n):
+    atoms = [f"a{i}" for i in range(n)]
+    return Hypergraph(atoms, [[a] for a in atoms] + [atoms])
+
+
+def _path(n):
+    atoms = [f"a{i}" for i in range(n)]
+    return Hypergraph(atoms, [[a] for a in atoms] + [atoms[i : i + 2] for i in range(n - 1)])
+
+
+def _complete_graph(n):
+    atoms = [f"a{i}" for i in range(n)]
+    pairs = [[a, b] for i, a in enumerate(atoms) for b in atoms[i + 1 :]]
+    return Hypergraph(atoms, [[a] for a in atoms] + pairs)
+
+
+def test_f_vector_matches_enumeration(small_corpus, named):
+    for h in [*small_corpus, *named.values()]:
+        assert f_vector(h) == face_counts_by_dimension(h, enumerate_constructs(h)), h
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_f_vector_closed_forms(n):
+    assert f_vector(_complete_graph(n))[0] == math.factorial(n)
+    assert f_vector(_path(n))[0] == math.comb(2 * n, n) // (n + 1)
+    simplex = f_vector(_simplex(n))
+    assert sum(simplex) == 2**n - 1
+    assert simplex == tuple(math.comb(n, n - d - 1) for d in range(n))
 
 
 def test_affine_dimension_helper():
