@@ -7,7 +7,12 @@ vertices. One memoised mask recursion, `_trees`, builds every family:
 constructs draw Y from every non-empty subset of the region, while
 constructions, spanning partial constructions and the vertices below a
 face draw single atoms. Three independent implementations of the face
-order are kept deliberately separate so their agreement can be tested.
+order are kept deliberately separate so their agreement can be tested:
+`rules` asks whether t lies in the breadth-first closure of `covers` from
+s, memoised on the hypergraph, while `v2` and `v3` decide on the
+decoration and span masks of the nodes, also memoised on the hypergraph.
+The order takes constructs only: a tree with an Omega leaf raises
+ConstructError.
 """
 
 from __future__ import annotations
@@ -350,6 +355,27 @@ def enumerate_constructions(h: Hypergraph, *, max_carrier: int | None = 8) -> li
 # -- the face order, three ways ----------------------------------------
 
 
+def _masks(h: Hypergraph, node: Construct) -> tuple[int, int]:
+    """The decoration and span of a construct node as masks over h's
+    carrier, memoised on h, so each distinct node is converted once. The
+    face order takes constructs only: an Omega leaf anywhere below node
+    raises ConstructError. The hot loops read h._mask_cache first and call
+    this on a miss only."""
+    got = h._mask_cache.get(node)
+    if got is None:
+        if not isinstance(node, Construct):
+            raise ConstructError("Omega leaf: the face order compares constructs only")
+        try:
+            dec = h.mask(node.decoration)
+        except HypergraphError as err:
+            raise ConstructError(str(err)) from None
+        span = dec
+        for c in node.children:
+            span |= _masks(h, c)[1]
+        got = h._mask_cache[node] = (dec, span)
+    return got
+
+
 def covers(h: Hypergraph, s: Construct) -> list[Construct]:
     """All constructs obtained by contracting exactly one tree edge of s
     (merge a child's decoration into its parent's), by node count and then
@@ -361,13 +387,22 @@ def _covers(h: Hypergraph, s: Construct) -> list[Construct]:
     """covers(h, s) unsorted, for callers that order the result
     themselves. Distinct edges drop distinct spans from psi(s), so no cover
     repeats."""
+    _masks(h, s)  # rejects an Omega leaf and memoises every span below s
+    spans = h._mask_cache
+
+    def lowest(c: Construct) -> int:
+        m = spans[c][1]
+        return m & -m
 
     def rec(node: Construct) -> list[Construct]:
         kids = node.children
         results = []
         for i, child in enumerate(kids):
             rest = kids[:i] + kids[i + 1 :]
-            results.append(make_node(h, node.decoration | child.decoration, rest + child.children))
+            # the merged node's children keep their spans, so they go in
+            # canonical order by lowest atom
+            merged = tuple(sorted(rest + child.children, key=lowest))
+            results.append(Construct(node.decoration | child.decoration, merged))
             # a contraction inside a child keeps the child's span, hence its
             # place among the children
             for sub in rec(child):
@@ -385,109 +420,107 @@ def covers_memo(h: Hypergraph, s: Construct) -> tuple[Construct, ...]:
     return got
 
 
-def _leq_rules(h: Hypergraph, s: Construct, t: Construct) -> bool:
-    # reachability along single-edge contractions
-    if s == t:
+def _up(h: Hypergraph, s: Construct) -> frozenset[Construct]:
+    """The faces reachable from s along single-edge contractions, s
+    included: one breadth-first closure of covers_memo, memoised on h for
+    the faces s it is asked about."""
+    got = h._up_cache.get(s)
+    if got is None:
+        seen = {s}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in covers_memo(h, u):
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        got = h._up_cache[s] = frozenset(seen)
+    return got
+
+
+def _leq_v2(h: Hypergraph, s: Construct, dec: int, x: int, kids: tuple[Construct, ...]) -> bool:
+    # direct two-clause recursion on the pair: s, with decoration mask dec,
+    # against the face with root decoration mask x and children kids
+    if dec & ~x:
+        return False
+    if not s.children:
         return True
-    target_nodes = t.node_count
-    frontier = {s}
-    seen = {s}
-    while frontier:
-        nxt = set()
-        for u in frontier:
-            if u.node_count <= target_nodes:
-                continue
-            for v in covers_memo(h, u):
-                if v == t:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    nxt.add(v)
-        frontier = nxt
-    return False
-
-
-def _leq_v2(h: Hypergraph, s: Construct, t: Construct, memo: dict) -> bool:
-    # direct two-clause recursion on the pair
-    key = (s, t)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    result = True
-    if s.decoration - t.decoration:
-        result = False
-    else:
-        xmask = h.mask(t.decoration)
-        t_kids = {h.mask(c.span): c for c in t.children}
-        for s_child in s.children:
-            kmask = h.mask(s_child.span)
-            inside = {m: c for m, c in t_kids.items() if not m & ~kmask}
-            inter = kmask & xmask
-            if inter == 0:
-                # the whole component sits beside the larger decoration
-                if len(inside) != 1 or next(iter(inside)) != kmask:
-                    result = False
-                    break
-                if not _leq_v2(h, s_child, next(iter(inside.values())), memo):
-                    result = False
-                    break
-            else:
-                target = make_node(h, h.labels(inter), tuple(inside.values()))
-                if not _leq_v2(h, s_child, target, memo):
-                    result = False
-                    break
-    memo[key] = result
-    return result
-
-
-def _leq_v3(h: Hypergraph, s: Construct, t: Construct) -> bool:
-    # cut s along the decoration of t's root; the cut prefix must be a
-    # spanning partial construct and the hanging subtrees must sit below
-    # t's children component by component
-    if len(t.decoration) == len(s.span) and t.decoration == s.span:
-        return True  # one-node maximum of this component
-    x = t.decoration
-    prefix_spans: dict[frozenset[str], Construct] = {}
-
-    def cut(node: Construct) -> bool:
-        # True iff node belongs to the prefix; collects hanging subtrees
-        if node.decoration & x:
-            if node.decoration - x:
+    masks = h._mask_cache
+    spans = [((masks.get(c) or _masks(h, c))[1], c) for c in kids]
+    for child in s.children:
+        cdec, k = masks.get(child) or _masks(h, child)
+        inside = tuple(c for m, c in spans if not m & ~k)
+        inter = k & x
+        if inter:
+            if not _leq_v2(h, child, cdec, inter, inside):
                 return False
-            for child in node.children:
-                if isinstance(child, Omega):
-                    return False
-                if child.span & x:
-                    if not cut(child):
-                        return False
-                else:
-                    prefix_spans[child.span] = child
-            return True
-        return False
+        else:
+            # the whole component sits beside the larger decoration
+            if len(inside) != 1:
+                return False
+            tdec, span = masks.get(inside[0]) or _masks(h, inside[0])
+            if span != k or not _leq_v2(h, child, cdec, tdec, inside[0].children):
+                return False
+    return True
 
-    if s.decoration - x or not cut(s):
+
+def _leq_v3(h: Hypergraph, s: Construct, dec: int, span: int, t: Construct, x: int) -> bool:
+    # cut s (decoration mask dec, span mask span) along the decoration mask
+    # x of t's root; the cut prefix must be a spanning partial construct of
+    # x and the hanging subtrees must sit below t's children component by
+    # component
+    if x == span:
+        return True  # one-node maximum of this component
+    if dec & ~x or not dec & x:
         return False
+    masks = h._mask_cache
+    hung: dict[int, tuple[Construct, int]] = {}
+    hanging = 0
+    stack = [s]
+    while stack:
+        for child in stack.pop().children:
+            cdec, cspan = masks.get(child) or _masks(h, child)
+            if not cspan & x:
+                hung[cspan] = child, cdec
+                hanging |= cspan
+            elif cdec & ~x or not cdec & x:
+                return False
+            else:
+                stack.append(child)
     # the prefix decorations must exhaust x
-    hung = frozenset().union(*prefix_spans) if prefix_spans else frozenset()
-    if s.span - hung != x:
+    if span & ~hanging != x:
         return False
-    t_kids = {c.span: c for c in t.children}
-    if set(prefix_spans) != set(t_kids):
+    below = {}
+    for c in t.children:
+        cdec, cspan = masks.get(c) or _masks(h, c)
+        below[cspan] = c, cdec
+    if hung.keys() != below.keys():
         return False
-    return all(_leq_v3(h, prefix_spans[k], t_kids[k]) for k in t_kids)
+    for k, (c, cdec) in hung.items():
+        u, udec = below[k]
+        if not _leq_v3(h, c, cdec, k, u, udec):
+            return False
+    return True
 
 
 def leq(s: Construct, t: Construct, h: Hypergraph, variant: str = "v2") -> bool:
     """Face order: s is a face of t. Variants are independent
-    implementations that must agree."""
-    if s.span != t.span:
+    implementations that must agree: `rules` asks whether t is in the
+    memoised contraction closure of s, `v2` and `v3` decide on masks.
+    Both must be constructs; an Omega leaf raises ConstructError."""
+    masks = h._mask_cache
+    dec, span = masks.get(s) or _masks(h, s)
+    x, tspan = masks.get(t) or _masks(h, t)
+    if span != tspan:
         raise ConstructError("constructs of different carriers are incomparable")
     if variant == "rules":
-        return _leq_rules(h, s, t)
+        return t in _up(h, s)
     if variant == "v2":
-        return _leq_v2(h, s, t, {})
+        return _leq_v2(h, s, dec, x, t.children)
     if variant == "v3":
-        return _leq_v3(h, s, t)
+        return _leq_v3(h, s, dec, span, t, x)
     raise ValueError(f"unknown variant {variant!r}")
 
 

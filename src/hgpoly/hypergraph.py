@@ -48,7 +48,7 @@ class Hypergraph:
 
     __slots__ = (
         "carrier", "_index", "_edge_masks", "_full", "_comp_cache", "_covers_cache",
-        "_text_cache", "_connected_subsets",
+        "_text_cache", "_mask_cache", "_up_cache", "_connected_subsets",
     )
 
     def __init__(
@@ -93,6 +93,10 @@ class Hypergraph:
         object.__setattr__(self, "_covers_cache", {})
         # construct -> its text, filled by constructs.print_construct
         object.__setattr__(self, "_text_cache", {})
+        # construct node -> (decoration mask, span mask), filled by constructs._masks
+        object.__setattr__(self, "_mask_cache", {})
+        # construct -> the frozenset of faces above it, filled by constructs._up
+        object.__setattr__(self, "_up_cache", {})
         # set by connected_subset_masks on first use
         object.__setattr__(self, "_connected_subsets", None)
 

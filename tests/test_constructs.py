@@ -1,5 +1,6 @@
 import gc
 import math
+from itertools import combinations
 import pickle
 import weakref
 
@@ -332,3 +333,95 @@ def test_covers_drop_one_member_of_psi(small_corpus, named):
             want = {by_psi[nested - {m}] for m in nested if m != carrier}
             assert len(got) == len(want) == s.node_count - 1
             assert set(got) == want
+
+
+VARIANTS = ("rules", "v2", "v3")
+
+
+def test_order_and_covers_refuse_partial_constructs(small_corpus, named):
+    # a tree with an Omega leaf is no face: every variant and covers raise
+    # ConstructError alike, whichever side of the comparison it is on
+    h = named["2-simplex"]
+    (p,) = spanning_partial_constructions(h, ["x"])
+    assert print_construct(h, p) == "x(?y,?z)"
+    for variant in VARIANTS:
+        with pytest.raises(ConstructError):
+            leq(p, p, h, variant)
+    checked = 0
+    for h in small_corpus:
+        top = Construct(frozenset(h.carrier))
+        for size in range(1, len(h.carrier)):
+            for x in combinations(h.carrier, size):
+                for p in spanning_partial_constructions(h, x):
+                    for s, t in ((p, p), (p, top), (top, p)):
+                        for variant in VARIANTS:
+                            with pytest.raises(ConstructError):
+                                leq(s, t, h, variant)
+                    with pytest.raises(ConstructError):
+                        covers(h, p)
+                    checked += 1
+    assert checked == 6551
+
+
+def test_up_sets_are_boolean_intervals(small_corpus, named):
+    # hypergraph polytopes are simple, so the faces above s form a Boolean
+    # interval of rank node_count(s) - 1; this closed form needs neither
+    # covers nor psi nor another variant
+    cases = list(small_corpus) + [h for h in named.values() if len(h.carrier) <= 5]
+    for h in cases:
+        faces = enumerate_constructs(h)
+        for variant in VARIANTS:
+            for s in faces:
+                above = sum(leq(s, t, h, variant) for t in faces)
+                assert above == 2 ** (s.node_count - 1)
+
+
+class _Probe(Construct):
+    """A construct node that can be weakly referenced."""
+
+
+def test_order_memos_are_owned_by_their_hypergraph():
+    h, twin = corpus.hemiassociahedron(), corpus.hemiassociahedron()
+    faces = enumerate_constructs(h)
+    vertex, top = faces[-1], faces[0]
+    probe = _Probe(vertex.decoration, vertex.children)
+    for variant in VARIANTS:
+        assert leq(probe, top, h, variant)
+    assert probe in h._mask_cache and probe in h._up_cache
+    assert not twin._mask_cache and not twin._up_cache
+    ref = weakref.ref(probe)
+    del probe
+    gc.collect()
+    assert ref() is not None  # held by h's memos
+    del h, faces, vertex, top
+    gc.collect()
+    assert ref() is None
+
+
+def test_order_follows_the_carrier_order_of_each_hypergraph():
+    # the same construct objects under two carrier orders; the hypergraph
+    # met first alternates, so a memo shared between the two would mix
+    # the masks of one order into the other (atoms no other test uses, so
+    # no earlier test has met these nodes)
+    edges = [["p"], ["q"], ["r"], ["p", "q"], ["q", "r"]]
+    pqr, rqp = Hypergraph("pqr", edges), Hypergraph("rqp", edges)
+    faces = enumerate_constructs(pqr)
+    for i, s in enumerate(faces):
+        for j, t in enumerate(faces):
+            want = psi(t) <= psi(s)
+            for h in (pqr, rqp) if (i + j) % 2 else (rqp, pqr):
+                for variant in VARIANTS:
+                    assert leq(s, t, h, variant) == want
+
+
+def test_rules_memoises_only_the_queried_up_set():
+    # the chain vertex of a path lies below 2^(n-1) faces; the rules order
+    # keeps that one up-set and no up-set of the faces it passed through
+    n = 10
+    atoms = [f"a{i}" for i in range(n)]
+    h = Hypergraph(atoms, [[a] for a in atoms] + [list(e) for e in zip(atoms, atoms[1:])])
+    chain = parse_construct(h, "(".join(atoms) + ")" * (n - 1))
+    top = Construct(frozenset(h.carrier))
+    assert leq(chain, top, h, "rules")
+    assert list(h._up_cache) == [chain]
+    assert len(h._up_cache[chain]) == 2 ** (n - 1)
