@@ -15,8 +15,10 @@ import argparse
 import io
 import json
 import sys
+from functools import cache
 
 from .constructs import (
+    MAX_CARRIER,
     _covers,
     enumerate_constructions,
     enumerate_constructs,
@@ -31,7 +33,7 @@ from .operadic import (
     skeleton_dot,
     tree_from_json_dict,
 )
-from .pba import census, decode, encode, parse_word, pba_setup, word_text
+from .pba import MAX_N, census, decode, encode, parse_word, pba_setup, word_text
 from .realization import (
     f_vector,
     hrep,
@@ -293,8 +295,8 @@ def _add_hg_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="hypergraph JSON file")
     p.add_argument("--atomize", action="store_true",
                    help="add missing singleton hyperedges on load")
-    p.add_argument("--max-carrier", type=_positive, default=8,
-                   help="enumeration guard (default 8)")
+    p.add_argument("--max-carrier", type=_positive, default=MAX_CARRIER,
+                   help=f"enumeration guard (default {MAX_CARRIER})")
 
 
 def _add_op_common(p: argparse.ArgumentParser) -> None:
@@ -305,11 +307,14 @@ def _add_op_common(p: argparse.ArgumentParser) -> None:
 
 def _add_pba_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=_positive, help="number of letters minus one")
-    p.add_argument("--max-n", type=_positive, default=4,
-                   help="setup guard (default 4)")
+    p.add_argument("--max-n", type=_positive, default=MAX_N,
+                   help=f"setup guard (default {MAX_N})")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: the handlers read the module's globals when
+    # they run, so the shared parser holds no state between calls
     parser = argparse.ArgumentParser(
         prog="hgpoly",
         description="Hypergraph polytopes: faces, realizations, coherence "

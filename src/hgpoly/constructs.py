@@ -23,6 +23,11 @@ from itertools import product
 from .hypergraph import GuardExceeded, Hypergraph, HypergraphError, is_connected
 
 
+# The default enumeration guard: the most atoms a carrier may have before
+# an enumeration refuses it.
+MAX_CARRIER = 8
+
+
 class ConstructError(ValueError):
     """A raw tree is not a construct of the given hypergraph."""
 
@@ -210,7 +215,7 @@ def parse_construct(h: Hypergraph, text: str) -> Construct:
 
 def validate_construct(h: Hypergraph, t: Construct) -> Construct:
     """Check the inductive definition against h and return the canonical
-    form. Raises ConstructError at the first offending node."""
+    form, reusing canonical subtrees. Raises ConstructError at the first offending node."""
 
     def rec(node: Construct, ambient: int) -> Construct:
         if not isinstance(node, Construct):
@@ -219,6 +224,7 @@ def validate_construct(h: Hypergraph, t: Construct) -> Construct:
             raise ConstructError("empty decoration")
         try:
             dec = h.mask(node.decoration)
+            by_span = {h.mask(c.span): c for c in node.children}
         except HypergraphError as err:
             raise ConstructError(str(err)) from None
         if dec & ~ambient:
@@ -227,16 +233,16 @@ def validate_construct(h: Hypergraph, t: Construct) -> Construct:
                 f"decoration {print_atom_set(h, node.decoration)} leaves its component (atoms {extra})"
             )
         comps = h.components_mask(ambient & ~dec)
-        spans = [h.mask(c.span) for c in node.children]
-        if sorted(spans) != sorted(comps):
+        if len(node.children) != len(comps) or by_span.keys() != set(comps):
             want = [print_atom_set(h, h.labels(c)) for c in comps]
-            got = [print_atom_set(h, h.labels(s)) for s in spans]
+            got = [print_atom_set(h, c.span) for c in node.children]
             raise ConstructError(
                 f"children of {print_atom_set(h, node.decoration)} span {got}, "
                 f"expected the components {want}"
             )
-        by_span = {h.mask(c.span): c for c in node.children}
-        return make_node(h, node.decoration, [rec(by_span[c], c) for c in comps])
+        kids = tuple(rec(by_span[c], c) for c in comps)
+        same = all(a is b for a, b in zip(kids, node.children))
+        return node if same else Construct(node.decoration, kids)
 
     if not is_connected(h):
         raise ConstructError("ambient hypergraph is disconnected")
@@ -314,8 +320,8 @@ def _rooted(h: Hypergraph, roots, decorations) -> list[Construct]:
     """The constructs of h whose root decoration is one of the masks in
     roots, root by root in that order. Below the root, each component of
     the rest takes the trees `_trees` draws with `decorations`, by node
-    count and then text; a component over 8 atoms (the default guard of
-    enumerate_constructs) raises GuardExceeded."""
+    count and then text; a component over MAX_CARRIER atoms raises
+    GuardExceeded."""
     key = _sort_key(h)
     below: dict[int, list[Construct]] = {}
     out: list[Construct] = []
@@ -324,7 +330,7 @@ def _rooted(h: Hypergraph, roots, decorations) -> list[Construct]:
         for c in h.components_mask(h.full_mask & ~root):
             got = below.get(c)
             if got is None:
-                _check_size(c.bit_count(), 8)
+                _check_size(c.bit_count(), MAX_CARRIER)
                 got = below[c] = sorted(_trees(h, c, decorations, c, c, None), key=key)
             parts.append(got)
         dec = h.labels(root)
@@ -340,12 +346,16 @@ def _constructs(h: Hypergraph, max_carrier: int | None) -> list[Construct]:
     return _trees(h, full, _submasks, full, full, None)
 
 
-def enumerate_constructs(h: Hypergraph, *, max_carrier: int | None = 8) -> list[Construct]:
+def enumerate_constructs(
+    h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER
+) -> list[Construct]:
     """All constructs of h, each once, by node count and then text."""
     return sorted(_constructs(h, max_carrier), key=_sort_key(h))
 
 
-def enumerate_constructions(h: Hypergraph, *, max_carrier: int | None = 8) -> list[Construct]:
+def enumerate_constructions(
+    h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER
+) -> list[Construct]:
     """All constructions (every decoration a singleton), in text order."""
     _check_guard(h, max_carrier, "constructions")
     full = h.full_mask

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from itertools import combinations
 
-from .constructs import Construct, make_node, print_atom_set, validate_construct
+from .constructs import Construct, print_atom_set, validate_construct
 from .hypergraph import Hypergraph
 
 NestedSet = frozenset  # of frozensets of atom labels
@@ -103,7 +103,7 @@ def unpsi(h: Hypergraph, family) -> Construct:
     def build(s: frozenset[str]) -> Construct:
         kids = children_of(s)
         decoration = s.difference(*kids) if kids else s
-        return make_node(h, decoration, [build(k) for k in kids])
+        return Construct(decoration, tuple(build(k) for k in kids))
 
     return validate_construct(h, build(carrier))
 

@@ -23,7 +23,6 @@ from .constructs import (
     Construct,
     enumerate_constructs,
     enumerate_constructions,
-    make_node,
     print_construct,
     validate_construct,
     vertices_below,
@@ -513,7 +512,7 @@ def word_to_construction(g: EdgeGraph, word: str) -> Construct:
                 f"{_word_text(w)} puts the parent-side block on the right"
             )
         kids = tuple(x for x in (built_l, built_r) if x is not None)
-        node = make_node(h, frozenset((vertex_of[c],)), kids)
+        node = Construct(frozenset((vertex_of[c],)), kids)
         return node, set_l | set_r
 
     built, used = rec(parsed)

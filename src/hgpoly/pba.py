@@ -21,7 +21,7 @@ from .constructs import (
     make_node,
     validate_construct,
 )
-from .hypergraph import Hypergraph, restrict
+from .hypergraph import Hypergraph, InvariantError, restrict
 from .nestedsets import psi
 from .truncation import (
     RoundState,
@@ -30,6 +30,10 @@ from .truncation import (
     simplex_round,
     tamed_constructions,
 )
+
+
+# The default setup guard: the largest n that pba_setup builds unasked.
+MAX_N = 4
 
 
 class PbaError(ValueError):
@@ -392,10 +396,12 @@ def x_sigma(setup: PbaSetup, order: Sequence[str]) -> frozenset[str]:
     )
 
 
-def pba_setup(n: int, *, max_n: int = 4) -> PbaSetup:
+def pba_setup(n: int, *, max_n: int = MAX_N) -> PbaSetup:
     """Build both rounds and verify the permutohedron facts: round-one
-    constrs are the proper non-empty subsets and round-one tamed
-    constructions biject with the letter orderings."""
+    constrs are the proper non-empty subsets, round-one tamed
+    constructions biject with the letter orderings and the round-two
+    vertex decorations are the prefix chains. A failed fact raises
+    InvariantError; n outside 1..max_n raises PbaError."""
     if n < 1:
         raise PbaError("need at least two letters")
     if n > max_n:
@@ -411,9 +417,9 @@ def pba_setup(n: int, *, max_n: int = 4) -> PbaSetup:
         for c in combinations(letters, k)
     }
     if ys != proper:
-        raise PbaError("round-one constrs are not the proper non-empty subsets")
+        raise InvariantError("round-one constrs are not the proper non-empty subsets")
     if len(tamed_constructions(round1)) != factorial(n + 1):
-        raise PbaError("round-one constructions do not count the orderings")
+        raise InvariantError("round-one constructions do not count the orderings")
 
     def name(group: Iterable[str]) -> str:
         return "+".join(sorted(group, key=_letter_index))
@@ -433,7 +439,7 @@ def pba_setup(n: int, *, max_n: int = 4) -> PbaSetup:
         for order in permutations(letters)
     }
     if set(state.vertex_sets) != expected:
-        raise PbaError("round-two vertex decorations are not the prefix chains")
+        raise InvariantError("round-two vertex decorations are not the prefix chains")
     return PbaSetup(n, letters, round1, state)
 
 
@@ -580,12 +586,12 @@ def decode(setup: PbaSetup, w: HoleWord) -> Construct:
                 raise HoleWordError(
                     f"parentheses at tokens {r} leave an empty decoration"
                 )
-            return make_node(ht, dec, kids)
+            return Construct(dec, tuple(kids))
 
         children.append(build(zone_range, inside))
 
     try:
-        return validate_construct(ht, make_node(ht, root, children))
+        return validate_construct(ht, Construct(root, tuple(children)))
     except ConstructError as exc:
         raise HoleWordError(f"word does not name a construct: {exc}") from exc
 

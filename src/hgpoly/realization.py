@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .constructs import (
+    MAX_CARRIER,
     Construct,
     _check_guard,
     _constructs,
@@ -138,7 +139,7 @@ def face_vertex_set(h: Hypergraph, t: Construct) -> frozenset[RationalPoint]:
     return frozenset(vertex_of_construction(h, v) for v in vertices_below(h, t))
 
 
-def f_vector(h: Hypergraph, *, max_carrier: int | None = 8) -> tuple[int, ...]:
+def f_vector(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> tuple[int, ...]:
     """Face counts by dimension, vertices first, top last, counted without
     building a face. F(S) = sum over non-empty Y in S of z times the product
     of F(C) over the components C of S - Y is the face polynomial of the
@@ -233,7 +234,9 @@ def _bit_indices(mask: int):
         mask ^= low
 
 
-def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> VerificationReport:
+def verify_isomorphism(
+    h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER
+) -> VerificationReport:
     """Check the construct order against actual geometry: order
     isomorphism, injectivity, simplicity, affine dimension, facet census.
 
@@ -338,7 +341,7 @@ def verify_isomorphism(h: Hypergraph, *, max_carrier: int | None = 8) -> Verific
     return report
 
 
-def vertices_to_json_dict(h: Hypergraph, *, max_carrier: int | None = 8) -> dict:
+def vertices_to_json_dict(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> dict:
     """JSON export: construction text -> integer coordinates as strings."""
     out = {}
     for v in enumerate_constructions(h, max_carrier=max_carrier):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .constructs import (
+    MAX_CARRIER,
     Construct,
     _bits,
     _check_size,
@@ -18,9 +19,8 @@ from .constructs import (
     _sort_key,
     _submasks,
     print_construct,
-    validate_construct,
 )
-from .hypergraph import Hypergraph, HypergraphError
+from .hypergraph import Hypergraph, HypergraphError, _is_label_list
 from .nestedsets import psi
 
 
@@ -29,6 +29,11 @@ class TruncationError(ValueError):
 
 
 # -- formal sums of atoms ----------------------------------------------
+
+
+def _is_count(value) -> bool:
+    """A positive JSON integer; true and false are not counts."""
+    return type(value) is int and value > 0
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ class Multiset:
         extra = set(data) - set(base)
         if extra:
             raise TruncationError(f"facet uses atoms outside the base: {sorted(extra)}")
-        if not all(isinstance(c, int) and c > 0 for c in data.values()):
+        if not all(map(_is_count, data.values())):
             raise TruncationError("facet counts must be positive integers")
         return cls(base, tuple(data.get(b, 0) for b in base))
 
@@ -217,11 +222,12 @@ def tamed_constructs(s: RoundState) -> list[Construct]:
     """Constructs of the truncation hypergraph whose root contains the
     complement of some vertex decoration, by node count and then text.
     The roots are each complement grown by every subset of its
-    decoration; a decoration over 8 facets raises GuardExceeded."""
+    decoration; a decoration over MAX_CARRIER facets raises
+    GuardExceeded."""
     ht = s.truncations
     roots = set()
     for fam in map(ht.mask, s.vertex_sets):
-        _check_size(fam.bit_count(), 8)
+        _check_size(fam.bit_count(), MAX_CARRIER)
         c = ht.full_mask & ~fam
         roots.update(c | y for y in (*_submasks(fam), 0) if c | y)
     return sorted(_rooted(ht, roots, _submasks), key=_sort_key(ht))
@@ -232,7 +238,7 @@ def tamed_constructions(s: RoundState) -> list[Construct]:
     other nodes are singletons."""
     ht = s.truncations
     roots = [ht.mask(c) for c in complements(s) if c]
-    return [validate_construct(ht, t) for t in _rooted(ht, roots, _bits)]
+    return _rooted(ht, roots, _bits)
 
 
 def constrs(s: RoundState) -> list[Construct]:
@@ -382,28 +388,52 @@ def round_state_to_json_dict(s: RoundState) -> dict:
     }
 
 
+def _label_lists(data: dict, key: str, where: str = "round JSON") -> list:
+    value = data[key]
+    if not isinstance(value, list) or not all(map(_is_label_list, value)):
+        raise TruncationError(f"{where} {key!r} must be a list of lists of facet names")
+    return value
+
+
+def _round_index(data: dict, where: str = "round JSON") -> int:
+    if not _is_count(data["round"]):
+        raise TruncationError(f"{where} 'round' must be a positive integer")
+    return data["round"]
+
+
 def round_state_from_json_dict(data: dict) -> RoundState:
+    """Read a round back from round_state_to_json_dict's format, checking
+    the type of every field; raises TruncationError on the first bad one."""
     if not isinstance(data, dict):
         raise TruncationError("round JSON must be an object")
     needed = {"base", "round", "facets", "vertex_hypergraph", "truncation_hypergraph"}
     missing = needed - set(data)
     if missing:
         raise TruncationError(f"round JSON lacks {sorted(missing)}")
+    if not _is_label_list(data["base"]):
+        raise TruncationError("round JSON 'base' must be a list of atom labels")
+    if not isinstance(data["facets"], list):
+        raise TruncationError("round JSON 'facets' must be a list of counts objects")
+    entries = data.get("trace", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise TruncationError("round JSON 'trace' must be a list of objects")
     base = tuple(data["base"])
     facets = [Multiset.from_json_dict(base, d) for d in data["facets"]]
-    trace = tuple(
-        TraceEntry(
-            e["round"],
-            tuple(tuple(f) for f in e["vertex_hypergraph"]),
-            tuple(tuple(f) for f in e["truncation_hypergraph"]),
-        )
-        for e in data.get("trace", [])
-    )
+    trace = []
+    for e in entries:
+        missing = {"round", "vertex_hypergraph", "truncation_hypergraph"} - set(e)
+        if missing:
+            raise TruncationError(f"trace entry lacks {sorted(missing)}")
+        trace.append(TraceEntry(
+            _round_index(e, "trace entry"),
+            tuple(map(tuple, _label_lists(e, "vertex_hypergraph", "trace entry"))),
+            tuple(map(tuple, _label_lists(e, "truncation_hypergraph", "trace entry"))),
+        ))
     return make_round(
         base,
         facets,
-        data["vertex_hypergraph"],
+        _label_lists(data, "vertex_hypergraph"),
         Hypergraph.from_json_dict(data["truncation_hypergraph"]),
-        round_index=data["round"],
-        trace=trace,
+        round_index=_round_index(data),
+        trace=tuple(trace),
     )

@@ -1,11 +1,12 @@
 """The command line: worked examples per subcommand, the three exit
 statuses with their distinct messages, and byte-identical reruns."""
 
+import argparse
 import json
 
 import pytest
 
-from hgpoly import InvariantError, RealizationError, cli, corpus
+from hgpoly import InvariantError, RealizationError, cli, corpus, pba
 from hgpoly.operadic import parse_tree
 
 PENTAGON_HREP = """\
@@ -197,6 +198,70 @@ def test_trunc_round_counts_tamed_faces_past_8_facets(capsys, tmp_path):
                            "--truncations", str(bare))
     assert (status, err) == (0, "")
     assert json.loads(out)["tamed"]["constructs"] == 25
+
+
+def _break(key, value):
+    def patch(state):
+        state[key] = value
+    return patch
+
+
+def _fuse_first_decoration(state):
+    # ["y", "z", "u"] as the string "yzu"
+    state["vertex_hypergraph"][0] = "".join(state["vertex_hypergraph"][0])
+
+
+def _true_count(state):
+    state["facets"][0] = {"x": True}
+
+
+@pytest.mark.parametrize("patch, message", [
+    (_break("round", "x"), "'round' must be a positive integer"),
+    (_break("round", True), "'round' must be a positive integer"),
+    (_break("round", 0), "'round' must be a positive integer"),
+    (_break("trace", [{"round": 1}]), "trace entry lacks"),
+    (_break("trace", 5), "'trace' must be a list of objects"),
+    (_break("vertex_hypergraph", 5), "'vertex_hypergraph' must be a list of lists"),
+    (_break("base", "xyzu"), "'base' must be a list of atom labels"),
+    (_fuse_first_decoration, "'vertex_hypergraph' must be a list of lists"),
+    (_true_count, "facet counts must be positive integers"),
+], ids=["round-str", "round-bool", "round-zero", "trace-entry", "trace-int",
+        "vertex-int", "base-str", "decoration-str", "count-true"])
+def test_malformed_round_json_exits_2(capsys, tmp_path, patch, message):
+    ht1 = tmp_path / "ht1.json"
+    ht1.write_text(json.dumps(SQUARE_HT1))
+    state = json.loads(run(capsys, "trunc", "init", "--truncations", str(ht1))[1])
+    patch(state)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    status, out, err = run(capsys, "trunc", "round", "--state", str(path))
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_pba_setup_self_check_failure_is_an_invariant_break(capsys, monkeypatch):
+    real = pba.constrs
+    monkeypatch.setattr(pba, "constrs", lambda s: real(s)[1:])
+    status, out, err = run(capsys, "pba", "setup", "2")
+    assert (status, out) == (1, "")
+    assert err == (
+        "error: invariant broken: round-one constrs are not the proper non-empty subsets\n"
+    )
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch, pentagon_file):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "hg", "fvector", pentagon_file)[0] == 0
+    first = len(built)
+    assert run(capsys, "pba", "census", "2")[0] == 0
+    assert len(built) == first
 
 
 def test_pba_round_trip(capsys):

@@ -133,6 +133,28 @@ def test_validate_rejects_escaping_decoration(named):
         )
 
 
+def _reversed(t: Construct) -> Construct:
+    return Construct(t.decoration, tuple(_reversed(c) for c in reversed(t.children)))
+
+
+def test_validate_restores_the_component_order(small_corpus, named):
+    # every node's children reversed: validation puts them back in the
+    # order the enumeration builds, and hands a canonical tree back as is
+    for h in list(small_corpus) + list(named.values()):
+        for t in enumerate_constructs(h):
+            assert validate_construct(h, _reversed(t)) == t
+            assert validate_construct(h, t) is t
+
+
+def test_validate_rejects_two_children_over_one_component(named):
+    h = named["2-simplex"]
+    y, z = Construct(frozenset("y")), Construct(frozenset("z"))
+    for kids in [(y, y), (y, y, z), (y, z, z), (y, z, y)]:
+        with pytest.raises(ConstructError, match="expected the components"):
+            validate_construct(h, Construct(frozenset("x"), kids))
+    assert validate_construct(h, Construct(frozenset("x"), (z, y))).children == (y, z)
+
+
 def test_print_uses_carrier_order(named):
     h = named["edge-truncated-3-simplex"]
     c = parse_construct(h, "{ x , y } ( { u , z } )")

@@ -12,6 +12,7 @@ from hgpoly.constructs import (
     leq,
     make_node,
     parse_construct,
+    validate_construct,
 )
 from hgpoly.corpus import all_connected_atomic, hemiassociahedron
 from hgpoly.hypergraph import GuardExceeded, connected_subset_masks
@@ -277,6 +278,20 @@ def test_tamed_constructions_are_the_tamed_construct_filter():
         got = tamed_constructions(s)
         assert len(got) == len(set(got)) == len(want)
         assert set(got) == set(want)
+
+
+def test_tamed_constructions_are_canonical(pba2, pba3):
+    # tamed_constructions hands out the kernel's trees unchecked: each must
+    # already be the canonical construct that validation returns
+    states = [square_round_1(), square_round_2()]
+    for setup in (pba_setup(1), pba2, pba3):
+        states += [setup.round1, setup.state]
+    for s in states:
+        ht = s.truncations
+        got = tamed_constructions(s)
+        assert got
+        for t in got:
+            assert validate_construct(ht, t) == t
 
 
 def test_constrs_are_the_connected_subset_filter():
