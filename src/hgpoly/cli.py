@@ -19,7 +19,7 @@ from functools import cache
 
 from .constructs import (
     MAX_CARRIER,
-    _covers,
+    covers,
     enumerate_constructions,
     enumerate_constructs,
     parse_construct,
@@ -135,7 +135,7 @@ def _hg_hasse(args, out: io.StringIO) -> int:
     out.write("digraph hasse {\n")
     for _, node in sorted((n - c.node_count, node) for c, node in text.items()):
         out.write(f'  "{node}";\n')
-    rows = {f'  "{text[s]}" -> "{text[t]}";\n' for s in text for t in _covers(h, s)}
+    rows = {f'  "{text[s]}" -> "{text[t]}";\n' for s in text for t in covers(h, s)}
     for row in sorted(rows):
         out.write(row)
     out.write("}\n")

@@ -23,6 +23,8 @@ from itertools import product
 from .hypergraph import GuardExceeded, Hypergraph, HypergraphError, is_connected
 
 
+_set = object.__setattr__
+
 # The default enumeration guard: the most atoms a carrier may have before
 # an enumeration refuses it.
 MAX_CARRIER = 8
@@ -32,11 +34,13 @@ class ConstructError(ValueError):
     """A raw tree is not a construct of the given hypergraph."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Construct:
     """A tree node; equality and the hash cover only `decoration` and
     `children`. The hash and the span are computed on first use and kept,
-    since faces are compared and looked up far more often than built."""
+    since faces are compared and looked up far more often than built; the
+    node count is computed at construction, by a hand-written __init__
+    because enumeration and covers build nodes by the million."""
 
     decoration: frozenset[str]
     children: tuple["Construct | Omega", ...] = ()
@@ -44,10 +48,15 @@ class Construct:
     _span: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "node_count", 1 + sum(c.node_count for c in self.children)
-        )
+    def __init__(self, decoration: frozenset[str], children: tuple = ()) -> None:
+        count = 1
+        for c in children:
+            count += c.node_count
+        _set(self, "decoration", decoration)
+        _set(self, "children", children)
+        _set(self, "node_count", count)
+        _set(self, "_span", None)
+        _set(self, "_hash", None)
 
     def __hash__(self) -> int:
         got = self._hash
@@ -249,12 +258,15 @@ def validate_construct(h: Hypergraph, t: Construct) -> Construct:
     return rec(t, h.full_mask)
 
 
-def _check_size(atoms: int, max_carrier: int | None) -> None:
-    if max_carrier is not None and atoms > max_carrier:
-        raise GuardExceeded(
-            f"carrier has {atoms} atoms, guard is {max_carrier}; "
-            "raise the guard explicitly to enumerate"
-        )
+def _check_size(
+    count: int, max_carrier: int | None, noun: str = "carrier", unit: str = "atoms"
+) -> None:
+    """Refuse an enumeration over more than max_carrier atoms of the carrier,
+    which callers may raise, or of a component or vertex decoration, whose
+    guard is MAX_CARRIER."""
+    if max_carrier is not None and count > max_carrier:
+        hint = "raise the guard explicitly to enumerate" if noun == "carrier" else "this guard is fixed"
+        raise GuardExceeded(f"{noun} has {count} {unit}, guard is {max_carrier}; {hint}")
 
 
 def _check_guard(h: Hypergraph, max_carrier: int | None, family: str) -> None:
@@ -330,7 +342,7 @@ def _rooted(h: Hypergraph, roots, decorations) -> list[Construct]:
         for c in h.components_mask(h.full_mask & ~root):
             got = below.get(c)
             if got is None:
-                _check_size(c.bit_count(), MAX_CARRIER)
+                _check_size(c.bit_count(), MAX_CARRIER, "component")
                 got = below[c] = sorted(_trees(h, c, decorations, c, c, None), key=key)
             parts.append(got)
         dec = h.labels(root)
@@ -388,15 +400,9 @@ def _masks(h: Hypergraph, node: Construct) -> tuple[int, int]:
 
 def covers(h: Hypergraph, s: Construct) -> list[Construct]:
     """All constructs obtained by contracting exactly one tree edge of s
-    (merge a child's decoration into its parent's), by node count and then
-    text."""
-    return sorted(_covers(h, s), key=_sort_key(h))
-
-
-def _covers(h: Hypergraph, s: Construct) -> list[Construct]:
-    """covers(h, s) unsorted, for callers that order the result
-    themselves. Distinct edges drop distinct spans from psi(s), so no cover
-    repeats."""
+    (merge a child's decoration into its parent's). Their order is
+    deterministic but unspecified. Distinct edges drop distinct spans from
+    psi(s), so no cover repeats."""
     _masks(h, s)  # rejects an Omega leaf and memoises every span below s
     spans = h._mask_cache
 
@@ -408,22 +414,26 @@ def _covers(h: Hypergraph, s: Construct) -> list[Construct]:
         kids = node.children
         results = []
         for i, child in enumerate(kids):
-            rest = kids[:i] + kids[i + 1 :]
+            before, after, grand = kids[:i], kids[i + 1 :], child.children
+            if not grand:
+                results.append(Construct(node.decoration | child.decoration, before + after))
+                continue
             # the merged node's children keep their spans, so they go in
             # canonical order by lowest atom
-            merged = tuple(sorted(rest + child.children, key=lowest))
+            merged = tuple(sorted(before + after + grand, key=lowest))
             results.append(Construct(node.decoration | child.decoration, merged))
             # a contraction inside a child keeps the child's span, hence its
             # place among the children
             for sub in rec(child):
-                results.append(Construct(node.decoration, kids[:i] + (sub,) + kids[i + 1 :]))
+                results.append(Construct(node.decoration, before + (sub,) + after))
         return results
 
     return rec(s)
 
 
 def covers_memo(h: Hypergraph, s: Construct) -> tuple[Construct, ...]:
-    """covers(h, s), memoised on h itself, so the memo is freed with h."""
+    """covers(h, s) as a tuple, memoised on h itself, so the memo is freed
+    with h."""
     got = h._covers_cache.get(s)
     if got is None:
         got = h._covers_cache[s] = tuple(covers(h, s))

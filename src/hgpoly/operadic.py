@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .constructs import (
+    MAX_CARRIER,
     Construct,
-    enumerate_constructs,
+    _constructs,
+    _masks,
     enumerate_constructions,
     print_construct,
     validate_construct,
-    vertices_below,
 )
 from .hypergraph import Hypergraph, InvariantError, components
 
@@ -326,43 +327,62 @@ class EdgeClassification:
     target: Construct | None = None
 
 
-def _is_strictly_below(v: Construct, lo: str, hi: str) -> bool:
-    """True when lo's node is a proper ancestor of hi's node in v."""
-    for node in v.nodes():
-        if lo in node.decoration:
-            return hi in node.span and hi not in node.decoration
-    raise ValueError(f"atom {lo!r} not in construction")
+def _split(h: Hypergraph, e: Construct, node: Construct, upper: str, lower: str) -> Construct:
+    """The endpoint of the edge e that splits its doubleton node into upper
+    above lower: lower takes the children of node inside its component of
+    the node's span minus upper, and upper keeps the others."""
+    region = _masks(h, node)[1]
+    (part,) = (c for c in h.components_mask(region & ~h.mask([upper])) if c & h.mask([lower]))
+    span = {c: _masks(h, c)[1] for c in node.children}
+    inside = tuple(c for c in node.children if not span[c] & ~part)
+    # the lower node joins the children upper keeps, by lowest atom
+    span[Construct(frozenset((lower,)), inside)] = part
+    rest = sorted((c for c in span if c not in inside), key=lambda c: span[c] & -span[c])
+    top = Construct(frozenset((upper,)), tuple(rest))
+
+    # the split keeps the node's span, hence its place among its siblings
+    def rec(t: Construct) -> Construct:
+        if t is node:
+            return top
+        if region & ~_masks(h, t)[1]:
+            return t
+        return Construct(t.decoration, tuple(map(rec, t.children)))
+
+    return rec(e)
 
 
 def classify_edge(g: EdgeGraph, e: Construct) -> EdgeClassification:
     """Decide beta versus theta for a polytope edge.
 
-    The edge merges two atoms u, v into one doubleton node. If the
-    min-path between u and v is all solid, the edge is beta, oriented
-    toward the endpoint construction in which the lower-level atom sits
-    below the higher-level one; a dashed crossing makes it theta.
+    The edge merges two atoms u, v into one doubleton node; its two
+    endpoints split that node, u above v and v above u. If the min-path
+    between u and v is all solid, the edge is beta, oriented toward the
+    endpoint in which the lower-level atom sits above the higher-level one;
+    a dashed crossing makes it theta.
     """
     h = g.hypergraph
     e = validate_construct(h, e)
     doubletons = [n for n in e.nodes() if len(n.decoration) == 2]
     if len(doubletons) != 1 or e.node_count != len(h.carrier) - 1:
         raise OperadicTreeError("expected a construct with exactly one doubleton node")
-    u, v = h.sorted_labels(doubletons[0].decoration)
-    path = min_path(g, u, v)
-    ends = vertices_below(h, e)
-    if len(ends) != 2:
-        raise InvariantError("polytope edge does not have exactly two endpoints")
-    first, second = sorted(ends, key=lambda c: print_construct(h, c))
+    return _classify_edge(g, e, {})
+
+
+def _classify_edge(g: EdgeGraph, e: Construct, paths: dict) -> EdgeClassification:
+    """classify_edge on an edge the kernel built; paths memoises min_path
+    per pair of atoms."""
+    h = g.hypergraph
+    node = next(n for n in e.nodes() if len(n.decoration) == 2)
+    u, v = h.sorted_labels(node.decoration)
+    path = paths.get((u, v))
+    if path is None:
+        path = paths[u, v] = min_path(g, u, v)
+    ends = {u: _split(h, e, node, u, v), v: _split(h, e, node, v, u)}
+    first, second = sorted(ends.values(), key=lambda c: print_construct(h, c))
     if path.path_type == "II":
         return EdgeClassification("theta", (first, second), path)
     lo, hi = (u, v) if g.level[u] < g.level[v] else (v, u)
-    if _is_strictly_below(first, lo, hi):
-        source, target = second, first
-    else:
-        source, target = first, second
-    if not _is_strictly_below(target, lo, hi) or _is_strictly_below(source, lo, hi):
-        raise InvariantError("endpoints do not split the merged pair as expected")
-    return EdgeClassification("beta", (first, second), path, source, target)
+    return EdgeClassification("beta", (first, second), path, ends[hi], ends[lo])
 
 
 def subtree_component_correspondence(g: EdgeGraph, k) -> OperadicTree:
@@ -525,11 +545,16 @@ def word_to_construction(g: EdgeGraph, word: str) -> Construct:
 def construction_to_word(g: EdgeGraph, v: Construct) -> str:
     """Encode a construction as its decomposition word, parent-side
     block on the left, outermost parentheses dropped."""
-    t, h = g.tree, g.hypergraph
+    h = g.hypergraph
     v = validate_construct(h, v)
     if not v.is_construction or v.span != frozenset(h.carrier):
         raise OperadicTreeError("expected a construction spanning the whole graph")
-    parent_of = {c: p for p, c in t.edges()}
+    return _word(g, v)
+
+
+def _word(g: EdgeGraph, v: Construct) -> str:
+    """construction_to_word on a construction the kernel built."""
+    parent_of = {c: p for p, c in g.tree.edges()}
 
     def rec(node: Construct) -> tuple[str, frozenset[str]]:
         (atom,) = node.decoration
@@ -554,9 +579,7 @@ def construction_to_word(g: EdgeGraph, v: Construct) -> str:
 
 def decomposition_words(g: EdgeGraph) -> list[str]:
     """All full decomposition words, one per construction, sorted."""
-    return sorted(
-        construction_to_word(g, v) for v in enumerate_constructions(g.hypergraph)
-    )
+    return sorted(_word(g, v) for v in enumerate_constructions(g.hypergraph))
 
 
 def skeleton_dot(g: EdgeGraph) -> str:
@@ -564,15 +587,16 @@ def skeleton_dot(g: EdgeGraph) -> str:
     solid, theta edges undirected and dashed, vertices labeled by words."""
     h = g.hypergraph
     n = len(h.carrier)
-    label = {v: construction_to_word(g, v) for v in enumerate_constructions(h)}
+    label = {v: _word(g, v) for v in enumerate_constructions(h)}
     lines = ["digraph skeleton {"]
     for text in sorted(label.values()):
         lines.append(f'  "{text}";')
     rows = []
-    for e in enumerate_constructs(h):
+    paths: dict = {}
+    for e in _constructs(h, MAX_CARRIER):
         if e.node_count != n - 1:
             continue
-        cls = classify_edge(g, e)
+        cls = _classify_edge(g, e, paths)
         if cls.kind == "beta":
             rows.append(f'  "{label[cls.source]}" -> "{label[cls.target]}" [label="beta"];')
         else:

@@ -13,13 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import constructs
 from .constructs import (
     MAX_CARRIER,
     Construct,
+    _bits,
     _check_guard,
     _constructs,
+    _masks,
     _submasks,
-    covers_memo,
     enumerate_constructions,
     print_construct,
     vertices_below,
@@ -116,8 +118,15 @@ def _vertex(h: Hypergraph, v: Construct) -> tuple[tuple[int, ...], set[int], set
     if rec(v) != full or v.node_count != len(coords):
         raise RealizationError(f"{print_construct(h, v)} does not span the carrier exactly once")
     tight: set[int] = set()
+    # the subsets come by size, so m minus its lowest atom is mostly one
+    # already summed
+    sums = {0: 0}
     for m in connected_subset_masks(h):
-        total = sum(map(coords.__getitem__, _bit_indices(m)))
+        low = m & -m
+        rest = sums.get(m ^ low)
+        if rest is None:
+            rest = sum(map(coords.__getitem__, _bit_indices(m ^ low)))
+        total = sums[m] = rest + coords[low.bit_length() - 1]
         bound = 3 ** m.bit_count()
         if total <= bound and m not in family:
             raise RealizationError(
@@ -234,19 +243,58 @@ def _bit_indices(mask: int):
         mask ^= low
 
 
+def _psi_keys(h: Hypergraph, faces, bit: dict[int, int]) -> list[int]:
+    """psi(t) of each face t as the OR of bit[span] over its nodes: a
+    bitset over the indices of connected_subset_masks(h)."""
+    spans = h._mask_cache
+
+    def key(node: Construct) -> int:
+        got = bit[spans[node][1]]
+        for c in node.children:
+            got |= key(c)
+        return got
+
+    for t in faces:
+        _masks(h, t)
+    return list(map(key, faces))
+
+
+def _face_vertices(keys: list[int], at: list[int], width: int) -> list[int]:
+    """The vertex bitset of each face whose psi key, the carrier left out,
+    is in keys: the AND over the members i of the key of tight[i], the
+    vertices j whose tight facets at[j] hold i; width counts the subsets."""
+    tight = [0] * width
+    for j, own in enumerate(at):
+        for i in _bit_indices(own):
+            tight[i] |= 1 << j
+    out = []
+    for key in keys:
+        bits = (1 << len(at)) - 1
+        for i in _bit_indices(key):
+            bits &= tight[i]
+        out.append(bits)
+    return out
+
+
 def verify_isomorphism(
     h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER
 ) -> VerificationReport:
     """Check the construct order against actual geometry: order
     isomorphism, injectivity, simplicity, affine dimension, facet census.
 
-    The order compared is the closure of single-edge contractions (the
-    `rules` order, built from `covers`): s <= t must hold exactly when
-    every vertex of s, from vertices_below, is a vertex of t. Vertex sets
-    and up-sets are int bitsets over indexed points and faces."""
+    Each face is keyed by psi(t), a bitset over the connected subsets; a
+    vertex lies on a face exactly when it is tight on every member of its
+    key but the carrier (Postnikov 2009; Feichtner-Sturmfels 2005). The
+    polytope is simple: every subset of a vertex's tight facets, with the
+    carrier, must be a key, and these must reach every face. The order
+    compared is the closure of `covers` (the `rules` order): the covers of
+    s must be the faces keyed by key(s) minus one non-carrier member, and
+    vertices_below the top face must give every vertex."""
     report = VerificationReport(h)
     faces = _constructs(h, max_carrier)
-    constructions = [c for c in faces if c.is_construction]
+    n = len(h.carrier)
+    # n nodes partition n atoms, so every decoration is a singleton
+    constructions = [c for c in faces if c.node_count == n]
 
     solved = {}
     for v in constructions:
@@ -257,7 +305,6 @@ def verify_isomorphism(
     if not report.ok:
         return report
 
-    n = len(h.carrier)
     seen_points: dict[tuple[int, ...], Construct] = {}
     for v, (p, family, on) in solved.items():
         other = seen_points.get(p)
@@ -274,54 +321,62 @@ def verify_isomorphism(
                 f"{print_construct(h, v)} lies on {len(on)} facets, named {len(named)}",
             )
 
-    # below[i]: the vertex bitset of face i, over the distinct points;
-    # holding[j]: the faces whose vertex set holds point j
-    point_index = {p: j for j, p in enumerate(seen_points)}
-    below = [0] * len(faces)
-    holding = [0] * len(point_index)
-    for i, t in enumerate(faces):
-        for v in vertices_below(h, t):
-            below[i] |= 1 << point_index[solved[v][0]]
-        for j in _bit_indices(below[i]):
-            holding[j] |= 1 << i
-
-    # up[i]: the faces reached from face i by contracting tree edges; a
-    # cover has one node fewer, so the fewest nodes go first
-    index = {t: i for i, t in enumerate(faces)}
-    up = [0] * len(faces)
-    for i in sorted(range(len(faces)), key=lambda i: faces[i].node_count):
-        bits = 1 << i
-        for u in covers_memo(h, faces[i]):
-            bits |= up[index[u]]
-        up[i] = bits
-
-    everything = (1 << len(faces)) - 1
-    for i, s in enumerate(faces):
-        geometric = everything
-        for j in _bit_indices(below[i]):
-            geometric &= holding[j]
-        for k in _bit_indices(up[i] ^ geometric):
-            report.add(
-                "order-isomorphism",
-                f"{print_construct(h, s)} vs {print_construct(h, faces[k])}",
-            )
-
-    seen_sets: dict[int, Construct] = {}
-    for i, t in enumerate(faces):
-        other = seen_sets.get(below[i])
-        if other is not None:
+    subsets = connected_subset_masks(h)
+    bit = {m: 1 << i for i, m in enumerate(subsets)}
+    carrier = bit[h.full_mask]
+    keys = _psi_keys(h, faces, bit)
+    index: dict[int, int] = {}
+    for i, key in enumerate(keys):
+        j = index.setdefault(key, i)
+        if j != i:
             report.add(
                 "injectivity",
-                f"{print_construct(h, t)} and {print_construct(h, other)} share vertices",
+                f"{print_construct(h, faces[i])} and {print_construct(h, faces[j])} "
+                "share a nested set",
             )
-        seen_sets[below[i]] = t
+
+    # the tight facets of each vertex as a key without the carrier; the
+    # faces at a vertex are the subsets of its tight facets
+    at = [sum(map(bit.__getitem__, on)) for _, _, on in solved.values()]
+    reached = bytearray(len(faces))
+    for v, own in zip(solved, at):
+        for sub in (*_submasks(own), 0):
+            i = index.get(sub | carrier)
+            if i is None:
+                report.add(
+                    "order-isomorphism",
+                    f"{sub.bit_count()} tight facets of {print_construct(h, v)} name no face",
+                )
+            else:
+                reached[i] = 1
+    for i, r in enumerate(reached):
+        if not r:
+            report.add("order-isomorphism", f"{print_construct(h, faces[i])} holds no vertex")
+
+    face_at = {t: i for i, t in enumerate(faces)}
+    for i, s in enumerate(faces):
+        key = keys[i]
+        ups = constructs.covers(h, s)
+        got = {face_at.get(u) for u in ups}
+        want = {index.get(key ^ b) for b in _bits(key & ~carrier)}
+        if None in want or got != want or len(ups) != len(want):
+            report.add(
+                "order-isomorphism",
+                f"covers of {print_construct(h, s)} are not its nested set minus one member",
+            )
+
+    top = next(t for t in faces if t.node_count == 1)
+    if set(vertices_below(h, top)) != solved.keys():
+        report.add("order-isomorphism", f"{print_construct(h, top)} misses a vertex")
 
     dim = affine_dimension(p for p, _, _ in solved.values())
     if dim != n - 1:
         report.add("dimension", f"affine hull has dimension {dim}, expected {n - 1}")
 
     facets = [i for i, t in enumerate(faces) if t.node_count == 2]
-    proper = len(connected_subset_masks(h)) - 1
+    sets = _face_vertices([keys[i] & ~carrier for i in facets], at, len(subsets))
+    below = dict(zip(facets, sets))
+    proper = len(subsets) - 1
     if len(facets) != proper:
         report.add(
             "facet-census",

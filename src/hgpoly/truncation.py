@@ -218,16 +218,23 @@ def complements(s: RoundState) -> list[frozenset[str]]:
     return out
 
 
+def _check_decorations(s: RoundState) -> None:
+    """The tamed enumerations grow each vertex decoration into trees: one
+    over MAX_CARRIER facets raises GuardExceeded."""
+    for fam in s.vertex_sets:
+        _check_size(len(fam), MAX_CARRIER, "vertex decoration", "facets")
+
+
 def tamed_constructs(s: RoundState) -> list[Construct]:
     """Constructs of the truncation hypergraph whose root contains the
     complement of some vertex decoration, by node count and then text.
     The roots are each complement grown by every subset of its
     decoration; a decoration over MAX_CARRIER facets raises
     GuardExceeded."""
+    _check_decorations(s)
     ht = s.truncations
     roots = set()
     for fam in map(ht.mask, s.vertex_sets):
-        _check_size(fam.bit_count(), MAX_CARRIER)
         c = ht.full_mask & ~fam
         roots.update(c | y for y in (*_submasks(fam), 0) if c | y)
     return sorted(_rooted(ht, roots, _submasks), key=_sort_key(ht))
@@ -235,7 +242,8 @@ def tamed_constructs(s: RoundState) -> list[Construct]:
 
 def tamed_constructions(s: RoundState) -> list[Construct]:
     """Tamed constructs whose root is exactly a complement and whose
-    other nodes are singletons."""
+    other nodes are singletons, under the same guard as tamed_constructs."""
+    _check_decorations(s)
     ht = s.truncations
     roots = [ht.mask(c) for c in complements(s) if c]
     return _rooted(ht, roots, _bits)

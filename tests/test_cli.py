@@ -200,6 +200,27 @@ def test_trunc_round_counts_tamed_faces_past_8_facets(capsys, tmp_path):
     assert json.loads(out)["tamed"]["constructs"] == 25
 
 
+def test_trunc_round_guard_names_the_vertex_decoration(capsys, tmp_path):
+    # a 10-atom path gives vertex decorations of 9 facets; no trunc flag
+    # raises that guard, and the message names what it counts
+    atoms = [f"a{i}" for i in range(10)]
+    path = tmp_path / "path10.json"
+    path.write_text(json.dumps({
+        "format": 1, "carrier": atoms,
+        "hyperedges": [[a] for a in atoms] + [list(p) for p in zip(atoms, atoms[1:])],
+    }))
+    status, out, _ = run(capsys, "trunc", "init", "--truncations", str(path))
+    assert status == 0
+    state = tmp_path / "s1.json"
+    state.write_text(out)
+    status, out, err = run(capsys, "trunc", "round", "--state", str(state))
+    assert (status, out) == (2, "")
+    assert err == (
+        "error: guard exceeded: vertex decoration has 9 facets, guard is 8; "
+        "this guard is fixed\n"
+    )
+
+
 def _break(key, value):
     def patch(state):
         state[key] = value

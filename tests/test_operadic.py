@@ -5,7 +5,13 @@ from itertools import permutations
 import pytest
 
 from hgpoly import corpus
-from hgpoly.constructs import enumerate_constructions, enumerate_constructs, parse_construct, print_construct
+from hgpoly.constructs import (
+    enumerate_constructions,
+    enumerate_constructs,
+    parse_construct,
+    print_construct,
+    vertices_below,
+)
 from hgpoly.hypergraph import connected_subset_masks
 from hgpoly.operadic import (
     EdgeGraph,
@@ -25,6 +31,7 @@ from hgpoly.operadic import (
     tree_from_json_dict,
     word_to_construction,
 )
+from hgpoly.operadic import _split
 
 FIGURE_TREE = "a(b(c,d),e)"
 FIGURE_NAMES = {"c": "x", "d": "y", "b": "z", "e": "u"}
@@ -447,3 +454,28 @@ def test_skeleton_dot_output():
     assert dot.count('[label="beta"]') == 2
     assert dot.count('[label="theta"') == 3
     assert dot == skeleton_dot(build_edge_graph(parse_tree("a(b(d),c)")))
+
+
+def _edges(h):
+    return [e for e in enumerate_constructs(h) if e.node_count == len(h.carrier) - 1]
+
+
+def test_edge_endpoints_split_the_doubleton(named):
+    # the two splits of an edge's doubleton are its vertices_below, on the
+    # edge graphs of every tree with 5 or 6 nodes and on the named corpus
+    checked = 0
+    for n in (5, 6):
+        for t in corpus.all_operadic_trees(n):
+            g = build_edge_graph(t)
+            for e in _edges(g.hypergraph):
+                cls = classify_edge(g, e)
+                assert list(cls.endpoints) == vertices_below(g.hypergraph, e)
+                checked += 1
+    for h in named.values():
+        for e in _edges(h):
+            (node,) = (x for x in e.nodes() if len(x.decoration) == 2)
+            u, v = h.sorted_labels(node.decoration)
+            ends = {_split(h, e, node, u, v), _split(h, e, node, v, u)}
+            assert ends == set(vertices_below(h, e))
+            checked += 1
+    assert checked == 3231

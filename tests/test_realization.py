@@ -17,6 +17,7 @@ from hgpoly import (
 from hgpoly import constructs, corpus, realization
 from hgpoly.constructs import Construct, enumerate_constructions, enumerate_constructs
 from hgpoly.nestedsets import psi
+from hgpoly.hypergraph import connected_subset_masks
 from hgpoly.realization import affine_dimension, vertices_to_json_dict
 
 from _helpers import face_counts_by_dimension
@@ -207,6 +208,28 @@ def test_vertex_json_strings(named):
     blob = vertices_to_json_dict(named["pentagon"])
     assert blob["format"] == 1
     assert blob["vertices"]["x(y(z))"] == ["18", "6", "3"]
+
+
+def test_tight_facets_give_the_vertices_of_each_face(small_corpus, named):
+    # a vertex lies on a face exactly when it is tight on every member of
+    # the face's nested set: the AND of the tight bitsets over psi(t) minus
+    # the carrier is vertices_below(t), on every face
+    cases = list(small_corpus) + [h for h in named.values() if len(h.carrier) <= 5]
+    checked = 0
+    for h in cases:
+        faces = enumerate_constructs(h)
+        vertices = [v for v in faces if v.is_construction]
+        bit = {m: 1 << i for i, m in enumerate(connected_subset_masks(h))}
+        carrier = bit[h.full_mask]
+        at = [sum(bit[m] for m in realization._vertex(h, v)[2]) for v in vertices]
+        keys = realization._psi_keys(h, faces, bit)
+        sets = realization._face_vertices([k & ~carrier for k in keys], at, len(bit))
+        for t, key, got in zip(faces, keys, sets):
+            assert key == sum(bit[h.mask(x)] for x in psi(t))
+            want = set(constructs.vertices_below(h, t))
+            assert {v for j, v in enumerate(vertices) if got >> j & 1} == want
+            checked += 1
+    assert checked == 9527
 
 
 def test_verify_isomorphism_catches_a_missing_vertex(monkeypatch):

@@ -309,14 +309,14 @@ def test_constrs_are_the_connected_subset_filter():
 def test_tamed_constructions_keep_the_enumeration_guard():
     atoms = [f"a{i}" for i in range(10)]
     path = [[a] for a in atoms] + [list(p) for p in zip(atoms, atoms[1:])]
-    with pytest.raises(GuardExceeded, match="carrier has 9 atoms, guard is 8"):
+    with pytest.raises(GuardExceeded, match="vertex decoration has 9 facets, guard is 8"):
         tamed_constructions(simplex_round(atoms, path))
 
 
 def test_tamed_constructs_guard_each_vertex_decoration():
     atoms = [f"a{i}" for i in range(10)]
     path = [[a] for a in atoms] + [list(p) for p in zip(atoms, atoms[1:])]
-    with pytest.raises(GuardExceeded, match="carrier has 9 atoms, guard is 8"):
+    with pytest.raises(GuardExceeded, match="vertex decoration has 9 facets, guard is 8"):
         tamed_constructs(simplex_round(atoms, path))
 
 
