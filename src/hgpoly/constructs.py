@@ -295,6 +295,14 @@ def _bits(m: int):
         m ^= bit
 
 
+def _bit_indices(m: int):
+    """The positions of the set bits of m, lowest first."""
+    while m:
+        bit = m & -m
+        yield bit.bit_length() - 1
+        m ^= bit
+
+
 def _trees(
     h: Hypergraph, ambient: int, decorations, xmask: int, spanned: int, fill
 ) -> list[Construct]:

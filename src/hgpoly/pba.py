@@ -462,22 +462,11 @@ def encode(setup: PbaSetup, t: Construct) -> HoleWord:
     children, placed over the zone letters it spans."""
     ht = setup.hypergraph
     t = validate_construct(ht, t)
-    carrier = frozenset(ht.carrier)
-    y_names = carrier - t.decoration
-    chain = _chain_of(setup, y_names)
-
-    prev: frozenset[str] = frozenset()
-    blocks = []
-    for s in chain:
-        blocks.append(s - prev)
-        prev = s
-    blocks.append(frozenset(setup.letters) - prev)
-    skeleton = standardize_blocks(blocks)
+    chain = _chain_of(setup, frozenset(ht.carrier) - t.decoration)
+    skeleton = standardize(setup.letters, chain)
     tokens = skeleton.tokens
 
-    gap_name = {}
-    for g, s in enumerate(chain, start=1):
-        gap_name[setup.name_of(s)] = g
+    gap_name = {setup.name_of(s): g for g, s in enumerate(chain, start=1)}
     whole = (0, len(tokens) - 1)
     parens = set(skeleton.parens)
 

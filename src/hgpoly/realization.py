@@ -17,6 +17,7 @@ from . import constructs
 from .constructs import (
     MAX_CARRIER,
     Construct,
+    _bit_indices,
     _bits,
     _check_guard,
     _constructs,
@@ -233,14 +234,6 @@ class VerificationReport:
             lines.append(f"  {kind}:")
             lines.extend(f"    {w}" for w in self.failures[kind])
         return "\n".join(lines)
-
-
-def _bit_indices(mask: int):
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _psi_keys(h: Hypergraph, faces, bit: dict[int, int]) -> list[int]:

@@ -8,20 +8,22 @@ and reads the next vertex hypergraph off the tamed constructions.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from .constructs import (
     MAX_CARRIER,
     Construct,
+    _bit_indices,
     _bits,
     _check_size,
+    _masks,
     _rooted,
     _sort_key,
     _submasks,
     print_construct,
 )
 from .hypergraph import Hypergraph, HypergraphError, _is_label_list
-from .nestedsets import psi
 
 
 class TruncationError(ValueError):
@@ -112,7 +114,7 @@ class RoundState:
     """One truncation round: facets, vertex decorations, truncations.
 
     Facet names (canonical formal-sum prints) serve as the atoms of both
-    hypergraphs; ``facets`` fixes their order.
+    hypergraphs; ``facets`` runs in the order of the truncation carrier.
     """
 
     base: tuple[str, ...]
@@ -126,11 +128,15 @@ class RoundState:
     def facet_names(self) -> tuple[str, ...]:
         return self.truncations.carrier
 
+    def __post_init__(self) -> None:
+        if tuple(m.text() for m in self.facets) != self.truncations.carrier:
+            raise TruncationError("facets must run in the order of the truncation carrier")
+
     def facet(self, name: str) -> Multiset:
-        got = {m.text(): m for m in self.facets}.get(name)
-        if got is None:
+        i = self.truncations._index.get(name)
+        if i is None:
             raise TruncationError(f"unknown facet {name!r}")
-        return got
+        return self.facets[i]
 
 
 def _edges_of(top: Hypergraph | Iterable) -> list[list[str]]:
@@ -140,10 +146,8 @@ def _edges_of(top: Hypergraph | Iterable) -> list[list[str]]:
 
 
 def _family_key(names: tuple[str, ...]):
-    def key(family: frozenset[str]) -> tuple:
-        return (len(family), tuple(sorted(names.index(f) for f in family)))
-
-    return key
+    index = {name: i for i, name in enumerate(names)}
+    return lambda family: (len(family), sorted(map(index.__getitem__, family)))
 
 
 def make_round(
@@ -164,24 +168,21 @@ def make_round(
     base = tuple(base)
     facets = tuple(facets)
     names = tuple(m.text() for m in facets)
-    if len(set(names)) != len(names):
-        raise TruncationError("facet names collide")
-    for m in facets:
-        if m.base != base:
-            raise TruncationError("facet base mismatch")
     name_set = frozenset(names)
+    if len(name_set) != len(names):
+        raise TruncationError("facet names collide")
+    if any(m.base != base for m in facets):
+        raise TruncationError("facet base mismatch")
 
-    families = []
-    for family in vertex_sets:
-        fam = frozenset(family)
+    families = dict.fromkeys(map(frozenset, vertex_sets))
+    for fam in families:
         if not fam:
             raise TruncationError("vertex decorations must be non-empty")
         if not fam <= name_set:
             raise TruncationError(f"vertex decoration {sorted(fam)} uses unknown facets")
-        if fam not in families:
-            families.append(fam)
+    covered = set().union(*families)
     for name in names:
-        if not any(name in fam for fam in families):
+        if name not in covered:
             raise TruncationError(f"facet {name!r} lies in no vertex decoration")
 
     # rebuild over the facet order so prints are canonical
@@ -191,8 +192,8 @@ def make_round(
         raise TruncationError(f"truncation hypergraph invalid: {exc}") from exc
     if not ht.connected_mask(ht.full_mask):
         raise TruncationError("truncation hypergraph must be connected")
-    families.sort(key=_family_key(names))
-    return RoundState(base, facets, tuple(families), ht, round_index, trace)
+    families = tuple(sorted(families, key=_family_key(names)))
+    return RoundState(base, facets, families, ht, round_index, trace)
 
 
 def simplex_round(base: Iterable[str], truncations: Hypergraph | Iterable) -> RoundState:
@@ -210,12 +211,7 @@ def simplex_round(base: Iterable[str], truncations: Hypergraph | Iterable) -> Ro
 def complements(s: RoundState) -> list[frozenset[str]]:
     """Complements of the vertex decorations, deduped, in family order."""
     full = frozenset(s.facet_names)
-    out: list[frozenset[str]] = []
-    for fam in s.vertex_sets:
-        c = full - fam
-        if c not in out:
-            out.append(c)
-    return out
+    return list(dict.fromkeys(full - fam for fam in s.vertex_sets))
 
 
 def _check_decorations(s: RoundState) -> None:
@@ -267,15 +263,45 @@ def constrs(s: RoundState) -> list[Construct]:
     ]
 
 
+def _sum(s: RoundState, mask: int) -> Multiset:
+    """mu_sigma of the facets in a mask over s.truncations (facet i is atom i)."""
+    return mu_sigma(map(s.facets.__getitem__, _bit_indices(mask)))
+
+
+def _flattening(s: RoundState):
+    """The round's flattening: the text of _sum(s, mask), memoised per
+    mask for one pass over the round. A text reached from a second mask
+    raises TruncationError naming the mask flattened first, then the
+    second; a fresh memo per pass keeps that from depending on past calls."""
+    labels = s.truncations.labels
+    preimage: dict[str, int] = {}
+
+    @cache
+    def flat(mask: int) -> str:
+        text = _sum(s, mask).text()
+        prior = preimage.setdefault(text, mask)
+        if prior != mask:
+            raise TruncationError(
+                f"flattening is not injective: {{{','.join(sorted(labels(prior)))}}} and "
+                f"{{{','.join(sorted(labels(mask)))}}} both map to {text}"
+            )
+        return text
+
+    return flat
+
+
+def _family(ht: Hypergraph, flat, t: Construct) -> frozenset[str]:
+    """The flattened nested set of t minus the carrier, read off its span masks."""
+    spans = (_masks(ht, node)[1] for node in t.nodes())
+    return frozenset(flat(span) for span in spans if span != ht.full_mask)
+
+
 def vertex_family(s: RoundState, construction: Construct) -> frozenset[str]:
     """Flattened image of a tamed construction's nested set, minus the
     carrier, as facet names."""
-    full = frozenset(s.facet_names)
-    return frozenset(
-        mu_sigma([s.facet(n) for n in sub]).text()
-        for sub in psi(construction)
-        if sub != full
-    )
+    for name in sorted(construction.span):
+        s.facet(name)  # a name outside the facets raises TruncationError
+    return _family(s.truncations, _flattening(s), construction)
 
 
 # -- advancing ----------------------------------------------------------
@@ -300,58 +326,42 @@ def next_round(s: RoundState) -> RoundTransition:
     old facet disappears, or if some new facet lies in no decoration.
     """
     ht = s.truncations
-    by_name = {m.text(): m for m in s.facets}
-    applied: dict[str, frozenset[str]] = {}
-    image_sum: dict[str, Multiset] = {}
-
-    def flatten(sub: frozenset[str]) -> str:
-        total = mu_sigma([by_name[n] for n in sub])
-        image = total.text()
-        prior = applied.setdefault(image, sub)
-        if prior != sub:
-            raise TruncationError(
-                f"flattening is not injective: {{{','.join(sorted(prior))}}} and "
-                f"{{{','.join(sorted(sub))}}} both map to {image}"
-            )
-        image_sum[image] = total
-        return image
-
-    images: list[str] = []
+    flat = _flattening(s)
+    # each new facet text and the mask it flattens, in constr order
+    images: dict[str, int] = {}
     for t in constrs(s):
-        image = flatten(t.children[0].decoration)
-        if image not in images:
-            images.append(image)
+        y = ht.mask(t.children[0].decoration)
+        images.setdefault(flat(y), y)
 
     missing = [n for n in s.facet_names if n not in images]
     if missing:
         raise TruncationError(f"facets {missing} do not survive the round")
-    new_names = [n for n in images if n not in by_name]
-    facets = tuple(image_sum[n] for n in [*s.facet_names, *new_names])
+    new = [n for n in images if n not in ht._index]
+    facets = s.facets + tuple(_sum(s, images[n]) for n in new)
 
-    families: list[frozenset[str]] = []
-    sources: dict[frozenset[str], list[str]] = {}
+    # each vertex decoration and the tamed constructions flattening onto it
+    sources: dict[frozenset[str], list[Construct]] = {}
     for t in tamed_constructions(s):
-        fam = frozenset(flatten(sub) for sub in psi(t) if sub != frozenset(s.facet_names))
-        if not fam <= set(images):
+        fam = _family(ht, flat, t)
+        if not images.keys() >= fam:
             raise TruncationError(
                 f"decoration of {print_construct(ht, t)} leaves the new facet set"
             )
-        if fam not in families:
-            families.append(fam)
-        sources.setdefault(fam, []).append(print_construct(ht, t))
+        sources.setdefault(fam, []).append(t)
 
-    uncovered = [n for n in images if not any(n in fam for fam in families)]
+    covered = set().union(*sources)
+    uncovered = [n for n in images if n not in covered]
     if uncovered:
         raise TruncationError(f"new facets {uncovered} lie in no vertex decoration")
 
-    names = tuple(m.text() for m in facets)
-    families.sort(key=_family_key(names))
-    coincidences = tuple(
-        (tuple(sorted(fam, key=names.index)), tuple(sorted(sources[fam])))
-        for fam in families
-        if len(sources[fam]) > 1
-    )
-    return RoundTransition(facets, tuple(families), coincidences)
+    names = (*s.facet_names, *new)
+    families = tuple(sorted(sources, key=_family_key(names)))
+    coincidences = []
+    for fam in families:
+        if len(sources[fam]) > 1:
+            prints = sorted(print_construct(ht, t) for t in sources[fam])
+            coincidences.append((tuple(sorted(fam, key=names.index)), tuple(prints)))
+    return RoundTransition(facets, families, tuple(coincidences))
 
 
 def advance(s: RoundState, truncations: Hypergraph | Iterable) -> RoundState:

@@ -138,6 +138,8 @@ SQUARE_HT2 = {
                    ["u", "x", "y", "z", "x+y"]],
 }
 TREES = {"star": "a(b,c,d)", "chain": "a(b(c(d)))", "figure": "a(b(c,d),e)"}
+# named hypergraphs used as round-one truncations by `trunc init`
+ROUND_ONE = ("hemiassociahedron", "3-permutohedron")
 PBA_FACE = "{x2,x3,x4,x1+x3,x1+x4,x2+x3,x2+x4,x3+x4,x1+x2+x4,x1+x3+x4,x2+x3+x4}({x1,x1+x2+x3}(x1+x2))"
 
 # an argument naming one of the files written by `inputs` below stands
@@ -153,6 +155,12 @@ SYNTAX_COMMANDS = {
     "trunc round preview 1": ["trunc", "round", "--state", "s1.json"],
     "trunc round advance": ["trunc", "round", "--state", "s1.json", "--truncations", "ht2.json"],
     "trunc round preview 2": ["trunc", "round", "--state", "s2.json"],
+    **{f"trunc round pba {n}": ["trunc", "round", "--state", f"pba{n}.json"] for n in (3, 4)},
+    **{f"trunc init {name}": ["trunc", "init", "--truncations", f"{name}.json"] for name in ROUND_ONE},
+    **{
+        f"trunc round preview {name}": ["trunc", "round", "--state", f"s-{name}.json"]
+        for name in ROUND_ONE
+    },
     **{
         f"op {command} {tree}": ["op", command, "--tree", f"{tree}.json"]
         for command in ("graph", "classify", "words")
@@ -183,9 +191,15 @@ SYNTAX_GOLDEN = {
     "pba setup 3": (0, "52d92003d125250e10af12e3e7c0cd8ee31694bf0dae45cbbe21447e31a66fc0"),
     "pba setup 4": (0, "2d23868925c9bd01e596e7cff6e48c83c388a29aca099bd95ff103a9ea88660f"),
     "trunc init": (0, "1970e8030e60c8570ac289a0597729e19327a6098cb2c63f9207607bd8f48a96"),
+    "trunc init 3-permutohedron": (0, "25082b3a9ab1f3b57f89dd5c5d62093afe8e131e2125e37b3138f0c09f677b51"),
+    "trunc init hemiassociahedron": (0, "2377e2356f520a9d0dc2292f120aa6e0b9f8159f8f1f3a4c3681be775d6f928c"),
     "trunc round advance": (0, "0e76b70d829f69c9e0dd9aea560030317a6ab41a276bdfe5481f6f065f3bdb48"),
+    "trunc round pba 3": (0, "d08bc57ecae21f01f97a7cf7b81951885b2472656b082f2b3547d4fa16849b3c"),
+    "trunc round pba 4": (0, "04b5faaba895d474c37b975073eb2d92f56a659ecf049352b024fd1053d7defe"),
     "trunc round preview 1": (0, "284bedb95a82b8552971e6649dc9d093ed6d649007197c50ca3fe73e74f4474a"),
     "trunc round preview 2": (0, "c2fbd5501bb33a99cbf529f0bbb21f4015153b3a96f24b47a15919ae0c34daab"),
+    "trunc round preview 3-permutohedron": (0, "1c96c0ad82b79aaf884a509c56b737b6b32944c2450493d28efe8a3f2daea98b"),
+    "trunc round preview hemiassociahedron": (0, "64ff7a2ab9237e6a3affbb8d0db834658790eae312ff4619e784020aa0ff5d55"),
 }
 
 
@@ -220,15 +234,19 @@ def _argv(template, inputs):
 def inputs(tmp_path, capsys):
     files = {"ht1.json": SQUARE_HT1, "ht2.json": SQUARE_HT2}
     files.update((f"{name}.json", parse_tree(text).to_json_dict()) for name, text in TREES.items())
+    files.update((f"{name}.json", corpus.named_corpus()[name].to_json_dict()) for name in ROUND_ONE)
     paths = {}
     for name, data in files.items():
         paths[name] = tmp_path / name
         paths[name].write_text(json.dumps(data))
-    # s1 is the output of `trunc init`, s2 the state field of the output
-    # of `trunc round --truncations`
+    # s1 and s-<name> are outputs of `trunc init`, s2 the state field of
+    # the output of `trunc round --truncations`, pba<n> the output of
+    # `pba setup n` (which `trunc round` unwraps itself)
     for name, template, unwrap in (
         ("s1.json", SYNTAX_COMMANDS["trunc init"], False),
         ("s2.json", SYNTAX_COMMANDS["trunc round advance"], True),
+        *((f"s-{name}.json", SYNTAX_COMMANDS[f"trunc init {name}"], False) for name in ROUND_ONE),
+        *((f"pba{n}.json", SYNTAX_COMMANDS[f"pba setup {n}"], False) for n in (3, 4)),
     ):
         assert cli.main(_argv(template, paths)) == 0
         data = json.loads(capsys.readouterr().out)

@@ -2,6 +2,7 @@
 degenerate truncation choices, and the loud failure modes."""
 
 import json
+import random
 
 import pytest
 
@@ -12,13 +13,16 @@ from hgpoly.constructs import (
     leq,
     make_node,
     parse_construct,
+    print_construct,
     validate_construct,
 )
 from hgpoly.corpus import all_connected_atomic, hemiassociahedron
 from hgpoly.hypergraph import GuardExceeded, connected_subset_masks
+from hgpoly.nestedsets import psi
 from hgpoly.pba import pba_setup
 from hgpoly.truncation import (
     Multiset,
+    RoundState,
     TruncationError,
     advance,
     complements,
@@ -73,6 +77,12 @@ def square_round_1():
 
 def square_round_2():
     return advance(square_round_1(), ROUND_2_TRUNCATIONS)
+
+
+def square_round_3():
+    # round 3 truncates along {x+y,2x+y}
+    names = ["x", "y", "z", "u", "x+y", "2x+y"]
+    return advance(square_round_2(), [[n] for n in names] + [["x+y", "2x+y"], names])
 
 
 # -- formal sums --------------------------------------------------------
@@ -137,6 +147,21 @@ def test_round_1_construction_vertex():
     t = parse_construct(s.truncations, "z(y(x),u)")
     assert t in set(tamed_constructions(s))
     assert vertex_family(s, t) == {"x", "x+y", "u"}
+
+
+def test_facet_reads_each_facet_by_name():
+    for s in (square_round_1(), square_round_2(), square_round_3()):
+        for m in s.facets:
+            assert s.facet(m.text()) is m
+        with pytest.raises(TruncationError, match="unknown facet 'w'"):
+            s.facet("w")
+
+
+def test_round_state_keeps_facets_in_carrier_order():
+    s = square_round_2()
+    shuffled = (s.facets[1], s.facets[0], *s.facets[2:])
+    with pytest.raises(TruncationError, match="carrier"):
+        RoundState(s.base, shuffled, s.vertex_sets, s.truncations)
 
 
 # -- the worked square example ------------------------------------------
@@ -318,6 +343,70 @@ def test_tamed_constructs_guard_each_vertex_decoration():
     path = [[a] for a in atoms] + [list(p) for p in zip(atoms, atoms[1:])]
     with pytest.raises(GuardExceeded, match="vertex decoration has 9 facets, guard is 8"):
         tamed_constructs(simplex_round(atoms, path))
+
+
+def _reference_transition(s):
+    """The transition computed on labels: psi families, mu_sigma over facet
+    names and list scans. Returns next_round's three fields and the vertex
+    family of every tamed construction."""
+    ht = s.truncations
+    full = frozenset(s.facet_names)
+    by_name = {m.text(): m for m in s.facets}
+    preimage, image_sum = {}, {}
+
+    def flatten(sub):
+        total = mu_sigma([by_name[n] for n in sub])
+        image = total.text()
+        assert preimage.setdefault(image, sub) == sub, f"two preimages of {image}"
+        image_sum[image] = total
+        return image
+
+    images = []
+    for t in constrs(s):
+        image = flatten(t.children[0].decoration)
+        if image not in images:
+            images.append(image)
+    names = list(s.facet_names) + [n for n in images if n not in s.facet_names]
+    families, sources, family_of = [], {}, {}
+    for t in tamed_constructions(s):
+        fam = family_of[t] = frozenset(flatten(sub) for sub in psi(t) if sub != full)
+        if fam not in families:
+            families.append(fam)
+        sources.setdefault(fam, []).append(print_construct(ht, t))
+    families.sort(key=lambda f: (len(f), sorted(names.index(n) for n in f)))
+    coincidences = tuple(
+        (tuple(sorted(fam, key=names.index)), tuple(sorted(sources[fam])))
+        for fam in families
+        if len(sources[fam]) > 1
+    )
+    return tuple(image_sum[n] for n in names), tuple(families), coincidences, family_of
+
+
+def _random_advance(s, rng):
+    """Advance s along a random connected truncation hypergraph on the
+    next round's facets: every singleton, a few random pairs and triples,
+    and the whole carrier."""
+    names = [m.text() for m in next_round(s).facets]
+    edges = [[n] for n in names] + [names]
+    for _ in range(rng.randint(0, 4)):
+        edges.append(rng.sample(names, rng.randint(2, min(3, len(names)))))
+    return advance(s, edges)
+
+
+def test_next_round_matches_the_label_reference():
+    round_one = [simplex_round(h.carrier, h) for k in (2, 3, 4) for h in all_connected_atomic(k)]
+    states = [*round_one, square_round_1(), square_round_2(), square_round_3()]
+    for n in (1, 2, 3):
+        setup = pba_setup(n)
+        states += [setup.round1, setup.state]
+    rng = random.Random(12)
+    states += [_random_advance(s, rng) for s in rng.sample(round_one, 60)]
+    for s in states:
+        facets, vertex_sets, coincidences, family_of = _reference_transition(s)
+        tr = next_round(s)
+        assert (tr.facets, tr.vertex_sets, tr.coincidences) == (facets, vertex_sets, coincidences)
+        for t, fam in family_of.items():
+            assert vertex_family(s, t) == fam
 
 
 # -- degenerate truncation choices --------------------------------------
