@@ -389,8 +389,7 @@ def _masks(h: Hypergraph, node: Construct) -> tuple[int, int]:
     """The decoration and span of a construct node as masks over h's
     carrier, memoised on h, so each distinct node is converted once. The
     face order takes constructs only: an Omega leaf anywhere below node
-    raises ConstructError. The hot loops read h._mask_cache first and call
-    this on a miss only."""
+    raises ConstructError."""
     got = h._mask_cache.get(node)
     if got is None:
         if not isinstance(node, Construct):
@@ -439,27 +438,22 @@ def covers(h: Hypergraph, s: Construct) -> list[Construct]:
     return rec(s)
 
 
-def covers_memo(h: Hypergraph, s: Construct) -> tuple[Construct, ...]:
-    """covers(h, s) as a tuple, memoised on h itself, so the memo is freed
-    with h."""
-    got = h._covers_cache.get(s)
-    if got is None:
-        got = h._covers_cache[s] = tuple(covers(h, s))
-    return got
-
-
 def _up(h: Hypergraph, s: Construct) -> frozenset[Construct]:
     """The faces reachable from s along single-edge contractions, s
-    included: one breadth-first closure of covers_memo, memoised on h for
-    the faces s it is asked about."""
+    included: one breadth-first closure of covers, memoised on h for the
+    faces s it is asked about, with each face's covers memoised on h too."""
     got = h._up_cache.get(s)
     if got is None:
+        memo = h._covers_cache
         seen = {s}
         frontier = [s]
         while frontier:
             nxt = []
             for u in frontier:
-                for v in covers_memo(h, u):
+                ups = memo.get(u)
+                if ups is None:
+                    ups = memo[u] = tuple(covers(h, u))
+                for v in ups:
                     if v not in seen:
                         seen.add(v)
                         nxt.append(v)
@@ -476,9 +470,9 @@ def _leq_v2(h: Hypergraph, s: Construct, dec: int, x: int, kids: tuple[Construct
     if not s.children:
         return True
     masks = h._mask_cache
-    spans = [((masks.get(c) or _masks(h, c))[1], c) for c in kids]
+    spans = [(masks[c][1], c) for c in kids]
     for child in s.children:
-        cdec, k = masks.get(child) or _masks(h, child)
+        cdec, k = masks[child]
         inside = tuple(c for m, c in spans if not m & ~k)
         inter = k & x
         if inter:
@@ -488,7 +482,7 @@ def _leq_v2(h: Hypergraph, s: Construct, dec: int, x: int, kids: tuple[Construct
             # the whole component sits beside the larger decoration
             if len(inside) != 1:
                 return False
-            tdec, span = masks.get(inside[0]) or _masks(h, inside[0])
+            tdec, span = masks[inside[0]]
             if span != k or not _leq_v2(h, child, cdec, tdec, inside[0].children):
                 return False
     return True
@@ -509,7 +503,7 @@ def _leq_v3(h: Hypergraph, s: Construct, dec: int, span: int, t: Construct, x: i
     stack = [s]
     while stack:
         for child in stack.pop().children:
-            cdec, cspan = masks.get(child) or _masks(h, child)
+            cdec, cspan = masks[child]
             if not cspan & x:
                 hung[cspan] = child, cdec
                 hanging |= cspan
@@ -522,7 +516,7 @@ def _leq_v3(h: Hypergraph, s: Construct, dec: int, span: int, t: Construct, x: i
         return False
     below = {}
     for c in t.children:
-        cdec, cspan = masks.get(c) or _masks(h, c)
+        cdec, cspan = masks[c]
         below[cspan] = c, cdec
     if hung.keys() != below.keys():
         return False
@@ -538,6 +532,8 @@ def leq(s: Construct, t: Construct, h: Hypergraph, variant: str = "v2") -> bool:
     implementations that must agree: `rules` asks whether t is in the
     memoised contraction closure of s, `v2` and `v3` decide on masks.
     Both must be constructs; an Omega leaf raises ConstructError."""
+    # a miss here memoises every node below s or t, so the variants index
+    # h._mask_cache directly
     masks = h._mask_cache
     dec, span = masks.get(s) or _masks(h, s)
     x, tspan = masks.get(t) or _masks(h, t)

@@ -89,7 +89,7 @@ class Hypergraph:
         object.__setattr__(self, "_full", full)
         object.__setattr__(self, "_edge_masks", tuple(sorted(masks, key=self._edge_key)))
         object.__setattr__(self, "_comp_cache", {})
-        # construct -> its covers, filled by constructs.covers_memo
+        # construct -> its covers, filled by constructs._up
         object.__setattr__(self, "_covers_cache", {})
         # construct -> its text, filled by constructs.print_construct
         object.__setattr__(self, "_text_cache", {})
@@ -123,12 +123,23 @@ class Hypergraph:
         return m
 
     def labels(self, mask: int) -> frozenset[str]:
-        return frozenset(a for i, a in enumerate(self.carrier) if mask >> i & 1)
+        # the walk of sorted_labels, inline: the tree kernel calls this per node
+        carrier, out = self.carrier, []
+        while mask:
+            bit = mask & -mask
+            out.append(carrier[bit.bit_length() - 1])
+            mask ^= bit
+        return frozenset(out)
 
     def sorted_labels(self, atoms: Iterable[str] | int) -> tuple[str, ...]:
         """Atoms in carrier order."""
         mask = atoms if isinstance(atoms, int) else self.mask(atoms)
-        return tuple(a for i, a in enumerate(self.carrier) if mask >> i & 1)
+        carrier, out = self.carrier, []
+        while mask:
+            bit = mask & -mask
+            out.append(carrier[bit.bit_length() - 1])
+            mask ^= bit
+        return tuple(out)
 
     @property
     def full_mask(self) -> int:

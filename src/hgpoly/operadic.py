@@ -587,13 +587,15 @@ def skeleton_dot(g: EdgeGraph) -> str:
     solid, theta edges undirected and dashed, vertices labeled by words."""
     h = g.hypergraph
     n = len(h.carrier)
-    label = {v: _word(g, v) for v in enumerate_constructions(h)}
+    # one kernel run: the vertices have n nodes, the edges n - 1
+    faces = _constructs(h, MAX_CARRIER)
+    label = {v: _word(g, v) for v in faces if v.node_count == n}
     lines = ["digraph skeleton {"]
     for text in sorted(label.values()):
         lines.append(f'  "{text}";')
     rows = []
     paths: dict = {}
-    for e in _constructs(h, MAX_CARRIER):
+    for e in faces:
         if e.node_count != n - 1:
             continue
         cls = _classify_edge(g, e, paths)

@@ -241,8 +241,8 @@ def tamed_constructions(s: RoundState) -> list[Construct]:
     other nodes are singletons, under the same guard as tamed_constructs."""
     _check_decorations(s)
     ht = s.truncations
-    roots = [ht.mask(c) for c in complements(s) if c]
-    return _rooted(ht, roots, _bits)
+    roots = dict.fromkeys(ht.full_mask & ~ht.mask(fam) for fam in s.vertex_sets)
+    return _rooted(ht, [c for c in roots if c], _bits)
 
 
 def constrs(s: RoundState) -> list[Construct]:
@@ -309,18 +309,17 @@ def vertex_family(s: RoundState, construction: Construct) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class RoundTransition:
-    """The facets and vertex decorations of the next round, plus any
-    constructions that collapsed onto the same decoration."""
+    """The facets and vertex decorations of the next round."""
 
     facets: tuple[Multiset, ...]
     vertex_sets: tuple[frozenset[str], ...]
-    coincidences: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
 
 def next_round(s: RoundState) -> RoundTransition:
     """Flatten the decorations of the maximal tamed constructs into the
     next facet set and map each tamed construction to the flattened
-    image of its nested set.
+    image of its nested set. psi is injective and so is the flattening
+    (a collision raises), so each construction has its own decoration.
 
     Fails loudly if flattening identifies two distinct subsets, if an
     old facet disappears, or if some new facet lies in no decoration.
@@ -339,29 +338,23 @@ def next_round(s: RoundState) -> RoundTransition:
     new = [n for n in images if n not in ht._index]
     facets = s.facets + tuple(_sum(s, images[n]) for n in new)
 
-    # each vertex decoration and the tamed constructions flattening onto it
-    sources: dict[frozenset[str], list[Construct]] = {}
+    # the vertex decoration of each tamed construction
+    families: dict[frozenset[str], None] = {}
     for t in tamed_constructions(s):
         fam = _family(ht, flat, t)
         if not images.keys() >= fam:
             raise TruncationError(
                 f"decoration of {print_construct(ht, t)} leaves the new facet set"
             )
-        sources.setdefault(fam, []).append(t)
+        families[fam] = None
 
-    covered = set().union(*sources)
+    covered = set().union(*families)
     uncovered = [n for n in images if n not in covered]
     if uncovered:
         raise TruncationError(f"new facets {uncovered} lie in no vertex decoration")
 
     names = (*s.facet_names, *new)
-    families = tuple(sorted(sources, key=_family_key(names)))
-    coincidences = []
-    for fam in families:
-        if len(sources[fam]) > 1:
-            prints = sorted(print_construct(ht, t) for t in sources[fam])
-            coincidences.append((tuple(sorted(fam, key=names.index)), tuple(prints)))
-    return RoundTransition(facets, families, tuple(coincidences))
+    return RoundTransition(facets, tuple(sorted(families, key=_family_key(names))))
 
 
 def advance(s: RoundState, truncations: Hypergraph | Iterable) -> RoundState:
@@ -369,7 +362,7 @@ def advance(s: RoundState, truncations: Hypergraph | Iterable) -> RoundState:
     tr = next_round(s)
     entry = TraceEntry(
         s.round_index,
-        tuple(tuple(sorted(f, key=s.facet_names.index)) for f in s.vertex_sets),
+        tuple(s.truncations.sorted_labels(f) for f in s.vertex_sets),
         tuple(tuple(s.truncations.sorted_labels(m)) for m in s.truncations.edge_masks),
     )
     return make_round(
@@ -391,9 +384,7 @@ def round_state_to_json_dict(s: RoundState) -> dict:
         "base": list(s.base),
         "round": s.round_index,
         "facets": [m.to_json_dict() for m in s.facets],
-        "vertex_hypergraph": [
-            sorted(f, key=s.facet_names.index) for f in s.vertex_sets
-        ],
+        "vertex_hypergraph": [list(s.truncations.sorted_labels(f)) for f in s.vertex_sets],
         "truncation_hypergraph": s.truncations.to_json_dict(),
         "trace": [
             {

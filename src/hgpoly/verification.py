@@ -438,7 +438,8 @@ def _round_properties_hold(s) -> None:
     new_names = [m.text() for m in tr.facets]
     need(list(s.facet_names) == new_names[: len(s.facet_names)],
          "old facets are not a prefix of the new round")
-    need(tr.coincidences == (), "flattening is not injective on the constrs")
+    need(len(tr.vertex_sets) == len(tamed_constructions(s)),
+         "tamed constructions do not biject with the vertex decorations")
     need(len(new_names) == len(set(new_names)), "facet names collide")
     for name in new_names:
         need(any(name in fam for fam in tr.vertex_sets),

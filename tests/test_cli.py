@@ -2,6 +2,7 @@
 statuses with their distinct messages, and byte-identical reruns."""
 
 import argparse
+import dataclasses
 import json
 
 import pytest
@@ -267,6 +268,25 @@ def test_pba_setup_self_check_failure_is_an_invariant_break(capsys, monkeypatch)
     assert (status, out) == (1, "")
     assert err == (
         "error: invariant broken: round-one constrs are not the proper non-empty subsets\n"
+    )
+
+
+def test_pba_setup_dropped_decoration_is_an_invariant_break(capsys, monkeypatch):
+    # an advance that loses one vertex decoration no longer counts the
+    # (n+1)! letter orderings
+    real = pba.advance
+
+    def lossy(s, edges):
+        state = real(s, edges)
+        return dataclasses.replace(state, vertex_sets=state.vertex_sets[1:])
+
+    monkeypatch.setattr(pba, "advance", lossy)
+    with pytest.raises(InvariantError, match="do not count the orderings"):
+        pba.pba_setup(2)
+    status, out, err = run(capsys, "pba", "setup", "2")
+    assert (status, out) == (1, "")
+    assert err == (
+        "error: invariant broken: round-one constructions do not count the orderings\n"
     )
 
 

@@ -22,7 +22,7 @@ from hgpoly import (
     validate_construct,
     vertices_below,
 )
-from hgpoly.constructs import Construct, Omega, covers_memo
+from hgpoly.constructs import Construct, Omega
 from hgpoly import corpus
 from hgpoly.nestedsets import psi
 
@@ -290,8 +290,9 @@ def test_covers_memo_is_owned_by_its_hypergraph():
     faces = enumerate_constructs(h)
     assert leq(faces[-1], faces[0], h, "rules")
     assert h._covers_cache and not twin._covers_cache
-    for s in faces:
-        assert covers_memo(h, s) == tuple(covers(h, s))
+    assert set(h._covers_cache) <= set(faces)
+    for s, got in h._covers_cache.items():
+        assert got == tuple(covers(h, s))
 
 
 def test_text_memo_is_owned_by_its_hypergraph():

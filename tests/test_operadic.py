@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from hgpoly import corpus
+from hgpoly import corpus, operadic
 from hgpoly.constructs import (
     enumerate_constructions,
     enumerate_constructs,
@@ -454,6 +454,27 @@ def test_skeleton_dot_output():
     assert dot.count('[label="beta"]') == 2
     assert dot.count('[label="theta"') == 3
     assert dot == skeleton_dot(build_edge_graph(parse_tree("a(b(d),c)")))
+
+
+def test_skeleton_dot_runs_the_kernel_once(monkeypatch):
+    # vertices and edges both come from one unsorted run of the kernel;
+    # the text-sorted constructions are not built just to key the labels
+    g = build_edge_graph(parse_tree("a(b(c,d),e(f))"))
+    want = skeleton_dot(g)
+    calls = []
+    real = operadic._constructs
+
+    def counting(h, max_carrier):
+        calls.append(h)
+        return real(h, max_carrier)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("skeleton_dot called enumerate_constructions")
+
+    monkeypatch.setattr(operadic, "_constructs", counting)
+    monkeypatch.setattr(operadic, "enumerate_constructions", refused)
+    assert skeleton_dot(g) == want
+    assert calls == [g.hypergraph]
 
 
 def _edges(h):

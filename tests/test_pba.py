@@ -8,6 +8,7 @@ from itertools import permutations
 
 import pytest
 
+from hgpoly import truncation
 from hgpoly.constructs import leq, parse_construct
 from hgpoly.hypergraph import Hypergraph, restrict
 from hgpoly.nestedsets import psi
@@ -66,6 +67,22 @@ def test_setup_counts(pba2, pba3):
     assert len(pba3.state.facet_names) == 14
     assert len(pba3.state.vertex_sets) == 24
     assert pba3.state.facet_names[:4] == ("x1", "x2", "x3", "x4")
+
+
+def test_setup_enumerates_round_one_once(monkeypatch):
+    # the (n+1)! count is read off the advanced state's decorations, one
+    # per round-one tamed construction, so only next_round enumerates them
+    calls = []
+    real = truncation.tamed_constructions
+
+    def counting(s):
+        calls.append(s.round_index)
+        return real(s)
+
+    monkeypatch.setattr(truncation, "tamed_constructions", counting)
+    setup = pba_setup(3)
+    assert calls == [1]
+    assert len(setup.state.vertex_sets) == 24
 
 
 def test_setup_guard():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from hgpoly import truncation
 from hgpoly.constructs import (
     Construct,
     enumerate_constructions,
@@ -36,6 +37,11 @@ from hgpoly.truncation import (
     tamed_constructions,
     tamed_constructs,
     vertex_family,
+)
+from hgpoly.verification import (
+    VerificationFailure,
+    _round_properties_hold,
+    check_truncation_rounds,
 )
 
 BASE = ("x", "y", "z", "u")
@@ -168,11 +174,13 @@ def test_round_state_keeps_facets_in_carrier_order():
 
 
 def test_round_1_to_2():
-    tr = next_round(square_round_1())
+    s = square_round_1()
+    tr = next_round(s)
     assert {m.text() for m in tr.facets} == H2
     assert [m.text() for m in tr.facets][:4] == list(BASE)
     assert set(tr.vertex_sets) == H2V
-    assert tr.coincidences == ()
+    # each tamed construction has its own vertex decoration
+    assert len(tr.vertex_sets) == len(tamed_constructions(s))
 
 
 def test_round_2_state():
@@ -233,7 +241,7 @@ def test_round_2_to_3():
     assert {m.text() for m in tr.facets} == H3
     assert [m.text() for m in tr.facets][:5] == list(s.facet_names)
     assert set(tr.vertex_sets) == H3V
-    assert tr.coincidences == ()
+    assert len(tr.vertex_sets) == len(tamed_constructions(s))
 
 
 def test_round_3_correspondences():
@@ -347,8 +355,9 @@ def test_tamed_constructs_guard_each_vertex_decoration():
 
 def _reference_transition(s):
     """The transition computed on labels: psi families, mu_sigma over facet
-    names and list scans. Returns next_round's three fields and the vertex
-    family of every tamed construction."""
+    names and list scans. Returns next_round's two fields, the families
+    that two or more tamed constructions share (with their prints) and the
+    vertex family of every tamed construction."""
     ht = s.truncations
     full = frozenset(s.facet_names)
     by_name = {m.text(): m for m in s.facets}
@@ -403,10 +412,31 @@ def test_next_round_matches_the_label_reference():
     states += [_random_advance(s, rng) for s in rng.sample(round_one, 60)]
     for s in states:
         facets, vertex_sets, coincidences, family_of = _reference_transition(s)
+        assert coincidences == ()
         tr = next_round(s)
-        assert (tr.facets, tr.vertex_sets, tr.coincidences) == (facets, vertex_sets, coincidences)
+        assert (tr.facets, tr.vertex_sets) == (facets, vertex_sets)
         for t, fam in family_of.items():
             assert vertex_family(s, t) == fam
+
+
+def test_a_shared_vertex_decoration_fails_the_round_check(monkeypatch):
+    # psi and the flattening are injective, so no two tamed constructions
+    # share a decoration; force the second construction of every pass onto
+    # the first one's decoration and the check must notice
+    real = truncation._family
+    passes = {}
+
+    def colliding(ht, flat, t):
+        fams = passes.setdefault(flat, [])
+        fams.append(real(ht, flat, t))
+        return fams[0] if len(fams) == 2 else fams[-1]
+
+    monkeypatch.setattr(truncation, "_family", colliding)
+    with pytest.raises(VerificationFailure):
+        check_truncation_rounds()
+    h = hemiassociahedron()
+    with pytest.raises(VerificationFailure, match="do not biject"):
+        _round_properties_hold(simplex_round(h.carrier, h))
 
 
 # -- degenerate truncation choices --------------------------------------
