@@ -373,13 +373,18 @@ def enumerate_constructs(
     return sorted(_constructs(h, max_carrier), key=_sort_key(h))
 
 
+def _constructions(h: Hypergraph, max_carrier: int | None) -> list[Construct]:
+    """enumerate_constructions without the sort."""
+    _check_guard(h, max_carrier, "constructions")
+    full = h.full_mask
+    return _trees(h, full, _bits, full, full, None)
+
+
 def enumerate_constructions(
     h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER
 ) -> list[Construct]:
     """All constructions (every decoration a singleton), in text order."""
-    _check_guard(h, max_carrier, "constructions")
-    full = h.full_mask
-    return sorted(_trees(h, full, _bits, full, full, None), key=_sort_key(h))
+    return sorted(_constructions(h, max_carrier), key=_sort_key(h))
 
 
 # -- the face order, three ways ----------------------------------------
@@ -403,6 +408,11 @@ def _masks(h: Hypergraph, node: Construct) -> tuple[int, int]:
             span |= _masks(h, c)[1]
         got = h._mask_cache[node] = (dec, span)
     return got
+
+
+def _spans(h: Hypergraph, t: Construct) -> list[int]:
+    """psi(t) as masks: the span of each node of t, in preorder."""
+    return [_masks(h, node)[1] for node in t.nodes()]
 
 
 def covers(h: Hypergraph, s: Construct) -> list[Construct]:

@@ -22,11 +22,10 @@ from functools import cached_property
 from .constructs import (
     MAX_CARRIER,
     Construct,
-    _constructs,
-    _masks,
-    enumerate_constructions,
-    print_construct,
+    _constructions,
+    _spans,
     validate_construct,
+    vertices_below,
 )
 from .hypergraph import Hypergraph, InvariantError, components
 
@@ -327,62 +326,36 @@ class EdgeClassification:
     target: Construct | None = None
 
 
-def _split(h: Hypergraph, e: Construct, node: Construct, upper: str, lower: str) -> Construct:
-    """The endpoint of the edge e that splits its doubleton node into upper
-    above lower: lower takes the children of node inside its component of
-    the node's span minus upper, and upper keeps the others."""
-    region = _masks(h, node)[1]
-    (part,) = (c for c in h.components_mask(region & ~h.mask([upper])) if c & h.mask([lower]))
-    span = {c: _masks(h, c)[1] for c in node.children}
-    inside = tuple(c for c in node.children if not span[c] & ~part)
-    # the lower node joins the children upper keeps, by lowest atom
-    span[Construct(frozenset((lower,)), inside)] = part
-    rest = sorted((c for c in span if c not in inside), key=lambda c: span[c] & -span[c])
-    top = Construct(frozenset((upper,)), tuple(rest))
-
-    # the split keeps the node's span, hence its place among its siblings
-    def rec(t: Construct) -> Construct:
-        if t is node:
-            return top
-        if region & ~_masks(h, t)[1]:
-            return t
-        return Construct(t.decoration, tuple(map(rec, t.children)))
-
-    return rec(e)
+def _beta_ends(g: EdgeGraph, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """A beta edge's endpoints (x, atom on top, ...) as (source, target):
+    the source has the higher-level atom on top."""
+    return (a, b) if g.level[a[1]] > g.level[b[1]] else (b, a)
 
 
 def classify_edge(g: EdgeGraph, e: Construct) -> EdgeClassification:
     """Decide beta versus theta for a polytope edge.
 
     The edge merges two atoms u, v into one doubleton node; its two
-    endpoints split that node, u above v and v above u. If the min-path
+    endpoints, the vertices below it, split that node. If the min-path
     between u and v is all solid, the edge is beta, oriented toward the
-    endpoint in which the lower-level atom sits above the higher-level one;
-    a dashed crossing makes it theta.
+    endpoint in which the lower-level atom sits above the higher-level
+    one; a dashed crossing makes it theta.
     """
     h = g.hypergraph
     e = validate_construct(h, e)
     doubletons = [n for n in e.nodes() if len(n.decoration) == 2]
     if len(doubletons) != 1 or e.node_count != len(h.carrier) - 1:
         raise OperadicTreeError("expected a construct with exactly one doubleton node")
-    return _classify_edge(g, e, {})
-
-
-def _classify_edge(g: EdgeGraph, e: Construct, paths: dict) -> EdgeClassification:
-    """classify_edge on an edge the kernel built; paths memoises min_path
-    per pair of atoms."""
-    h = g.hypergraph
-    node = next(n for n in e.nodes() if len(n.decoration) == 2)
-    u, v = h.sorted_labels(node.decoration)
-    path = paths.get((u, v))
-    if path is None:
-        path = paths[u, v] = min_path(g, u, v)
-    ends = {u: _split(h, e, node, u, v), v: _split(h, e, node, v, u)}
-    first, second = sorted(ends.values(), key=lambda c: print_construct(h, c))
+    u, v = h.sorted_labels(doubletons[0].decoration)
+    path = min_path(g, u, v)
+    first, second = vertices_below(h, e)
     if path.path_type == "II":
         return EdgeClassification("theta", (first, second), path)
-    lo, hi = (u, v) if g.level[u] < g.level[v] else (v, u)
-    return EdgeClassification("beta", (first, second), path, ends[hi], ends[lo])
+    # u is above v in the first endpoint iff u's node spans v
+    (top,) = (n for n in first.nodes() if u in n.decoration)
+    ends = ((first, u), (second, v)) if v in top.span else ((first, v), (second, u))
+    (source, _), (target, _) = _beta_ends(g, *ends)
+    return EdgeClassification("beta", (first, second), path, source, target)
 
 
 def subtree_component_correspondence(g: EdgeGraph, k) -> OperadicTree:
@@ -547,7 +520,7 @@ def construction_to_word(g: EdgeGraph, v: Construct) -> str:
     block on the left, outermost parentheses dropped."""
     h = g.hypergraph
     v = validate_construct(h, v)
-    if not v.is_construction or v.span != frozenset(h.carrier):
+    if not v.is_construction:
         raise OperadicTreeError("expected a construction spanning the whole graph")
     return _word(g, v)
 
@@ -579,31 +552,42 @@ def _word(g: EdgeGraph, v: Construct) -> str:
 
 def decomposition_words(g: EdgeGraph) -> list[str]:
     """All full decomposition words, one per construction, sorted."""
-    return sorted(_word(g, v) for v in enumerate_constructions(g.hypergraph))
+    return sorted(_word(g, v) for v in _constructions(g.hypergraph, MAX_CARRIER))
 
 
 def skeleton_dot(g: EdgeGraph) -> str:
     """Polytope vertex-edge skeleton as DOT: beta edges directed and
     solid, theta edges undirected and dashed, vertices labeled by words."""
     h = g.hypergraph
-    n = len(h.carrier)
-    # one kernel run: the vertices have n nodes, the edges n - 1
-    faces = _constructs(h, MAX_CARRIER)
-    label = {v: _word(g, v) for v in faces if v.node_count == n}
-    lines = ["digraph skeleton {"]
-    for text in sorted(label.values()):
-        lines.append(f'  "{text}";')
+    # an edge is the nested set of either of its vertices less the span of
+    # one node: record (word, atom of the node's parent, atom of the node)
+    words = []
+    edges: dict[frozenset[int], list[tuple[str, str, str]]] = {}
+    for v in _constructions(h, MAX_CARRIER):
+        word = _word(g, v)
+        words.append(word)
+        spans = _spans(h, v)
+        nested = frozenset(spans)
+        for i, node in enumerate(v.nodes()):
+            (upper,) = node.decoration
+            j = i + 1  # spans is in preorder: the children follow node
+            for child in node.children:
+                (lower,) = child.decoration
+                edges.setdefault(nested - {spans[j]}, []).append((word, upper, lower))
+                j += child.node_count
     rows = []
     paths: dict = {}
-    for e in faces:
-        if e.node_count != n - 1:
-            continue
-        cls = _classify_edge(g, e, paths)
-        if cls.kind == "beta":
-            rows.append(f'  "{label[cls.source]}" -> "{label[cls.target]}" [label="beta"];')
-        else:
-            a, b = sorted(label[x] for x in cls.endpoints)
+    for ends in edges.values():
+        if len(ends) != 2:
+            raise InvariantError(f"a skeleton edge should have 2 vertices, found {len(ends)}")
+        pair = ends[0][1:]
+        if pair not in paths:
+            paths[pair] = min_path(g, *pair)
+        if paths[pair].path_type == "II":
+            a, b = sorted(w for w, _, _ in ends)
             rows.append(f'  "{a}" -> "{b}" [label="theta", dir=none, style=dashed];')
-    lines.extend(sorted(rows))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        else:
+            (a, _, _), (b, _, _) = _beta_ends(g, *ends)
+            rows.append(f'  "{a}" -> "{b}" [label="beta"];')
+    vertices = (f'  "{w}";' for w in sorted(words))
+    return "\n".join(["digraph skeleton {", *vertices, *sorted(rows), "}"]) + "\n"

@@ -21,7 +21,7 @@ from .constructs import (
     _bits,
     _check_guard,
     _constructs,
-    _masks,
+    _spans,
     _submasks,
     enumerate_constructions,
     print_construct,
@@ -237,19 +237,9 @@ class VerificationReport:
 
 
 def _psi_keys(h: Hypergraph, faces, bit: dict[int, int]) -> list[int]:
-    """psi(t) of each face t as the OR of bit[span] over its nodes: a
-    bitset over the indices of connected_subset_masks(h)."""
-    spans = h._mask_cache
-
-    def key(node: Construct) -> int:
-        got = bit[spans[node][1]]
-        for c in node.children:
-            got |= key(c)
-        return got
-
-    for t in faces:
-        _masks(h, t)
-    return list(map(key, faces))
+    """psi(t) of each face t as the sum of bit[span] over its nodes, whose
+    spans are distinct: a bitset over the indices of connected_subset_masks(h)."""
+    return [sum(map(bit.__getitem__, _spans(h, t))) for t in faces]
 
 
 def _face_vertices(keys: list[int], at: list[int], width: int) -> list[int]:

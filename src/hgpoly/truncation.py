@@ -17,9 +17,9 @@ from .constructs import (
     _bit_indices,
     _bits,
     _check_size,
-    _masks,
     _rooted,
     _sort_key,
+    _spans,
     _submasks,
     print_construct,
 )
@@ -292,8 +292,7 @@ def _flattening(s: RoundState):
 
 def _family(ht: Hypergraph, flat, t: Construct) -> frozenset[str]:
     """The flattened nested set of t minus the carrier, read off its span masks."""
-    spans = (_masks(ht, node)[1] for node in t.nodes())
-    return frozenset(flat(span) for span in spans if span != ht.full_mask)
+    return frozenset(flat(span) for span in _spans(ht, t) if span != ht.full_mask)
 
 
 def vertex_family(s: RoundState, construction: Construct) -> frozenset[str]:

@@ -145,6 +145,10 @@ TREES = {
     # past the five-node trees above
     "chain6": "a(b(c(d(e(f)))))",
     "figure6": "a(b(c,d),e(f))",
+    # an all-theta star past four nodes, and a seven-node tree whose
+    # skeleton mixes beta and theta edges on 248 vertices
+    "star6": "a(b,c,d,e,f)",
+    "figure7": "a(b(c,d),e(f,g))",
 }
 # named hypergraphs used as round-one truncations by `trunc init`
 ROUND_ONE = ("hemiassociahedron", "3-permutohedron")
@@ -181,17 +185,23 @@ SYNTAX_GOLDEN = {
     "op classify chain6": (0, "8387000f304dd502aee239142735e801ea696dca0b13c92f4204384f46ac7334"),
     "op classify figure": (0, "fbd768bae2f00fb0b028975cd818d82136b8ce765a167cc7026b811a2ee4b6b8"),
     "op classify figure6": (0, "23e7868d760db25cfd2f7e9b105a8cac6a3a6c46fd5e65c69115476f9bf20d04"),
+    "op classify figure7": (0, "c254d301defbdff599297df0eb5df9ad2cc1788898b8b72068405071e8efaf2f"),
     "op classify star": (0, "0aa3fd35bbde86bb2efd6b6e233c0cf067cdb46865fdd281709b97fcd06076e8"),
+    "op classify star6": (0, "084fe6a2b50474cb26193a27230c4bd4d6a53bdd402df9851f03802f2aa21aa0"),
     "op graph chain": (0, "1355349b9fa8fb077eda61d81ad62adaecfc57c0cb8421f512baec7de67f58ba"),
     "op graph chain6": (0, "5e1fca0f0882fd4819b76a245574352a8716677a21cf51438afe8951eb53df54"),
     "op graph figure": (0, "ba3220170d8720786b527eb37753f3631be55a58a6f592e99bf5d6b1da2984ec"),
     "op graph figure6": (0, "b2931345a379720a1078b437a9910b0070109da47e38564072c363f3f631055d"),
+    "op graph figure7": (0, "82f334413c5a306ff370e745f8a73292d5cd5c92bbb85fa55c03e00110ce74d7"),
     "op graph star": (0, "920e44cffcc9ed1e8e38e8fc81f0d2766f637b4769d267f73efcf471fb270bdf"),
+    "op graph star6": (0, "ddf2d4155736cffa5283c081d41e8c14656370351285cb2b2225094e57af63df"),
     "op words chain": (0, "ce5d20e04d73b332ab3ab8d7f86a5a664b5536f41c93491e6aea3453f7f01897"),
     "op words chain6": (0, "bb8792d6e34002c12015ef1db4b38232860beac3a25beeea96233499d4c078b6"),
     "op words figure": (0, "5716bbcf67751afa6706301ac0856512b612e1cd816d08c3575e9fcca895aff0"),
     "op words figure6": (0, "5fb9ea66fa53210f5a57274c3438da6120ab95375261a794fe143b54b9ece9ba"),
+    "op words figure7": (0, "26ca5cb0bb0e44b12bf07115c31c47ddee26242a9c5fbf144debd6fccb63ea57"),
     "op words star": (0, "b924e9eec42525216089366cded0d52c2e936240e781eadecbb42ea2fb6cfa07"),
+    "op words star6": (0, "132a01d8e53cd559cb7cb30cdddc172874fdd787cd969056bbb572f342788641"),
     "pba census 1": (0, "e11c950d6c124a852fc6f3ce38ac2fa02b84a157197190c814bd645681c55f18"),
     "pba census 2": (0, "01b664891c6da0a50e09f882df6007e60138809f79bf9f1096226c67308fce37"),
     "pba census 3": (0, "0a6a8ea77be845b8c15e51c7f0edf61086ab9970be2d544b9e157dae09d47637"),

@@ -1,10 +1,11 @@
 """Edge graphs of operadic trees: min-paths, beta/theta, decomposition words."""
 
+import json
 from itertools import permutations
 
 import pytest
 
-from hgpoly import corpus, operadic
+from hgpoly import cli, constructs, corpus, operadic
 from hgpoly.constructs import (
     enumerate_constructions,
     enumerate_constructs,
@@ -12,7 +13,8 @@ from hgpoly.constructs import (
     print_construct,
     vertices_below,
 )
-from hgpoly.hypergraph import connected_subset_masks
+from hgpoly.hypergraph import InvariantError, connected_subset_masks
+from hgpoly.nestedsets import psi
 from hgpoly.operadic import (
     EdgeGraph,
     OperadicTree,
@@ -31,7 +33,6 @@ from hgpoly.operadic import (
     tree_from_json_dict,
     word_to_construction,
 )
-from hgpoly.operadic import _split
 
 FIGURE_TREE = "a(b(c,d),e)"
 FIGURE_NAMES = {"c": "x", "d": "y", "b": "z", "e": "u"}
@@ -457,22 +458,25 @@ def test_skeleton_dot_output():
 
 
 def test_skeleton_dot_runs_the_kernel_once(monkeypatch):
-    # vertices and edges both come from one unsorted run of the kernel;
-    # the text-sorted constructions are not built just to key the labels
+    # the vertices come from one unsorted run of the kernel and the edges
+    # are read off their nested sets: no construct is enumerated, split
+    # into its vertices or printed
     g = build_edge_graph(parse_tree("a(b(c,d),e(f))"))
     want = skeleton_dot(g)
     calls = []
-    real = operadic._constructs
+    real = operadic._constructions
 
     def counting(h, max_carrier):
         calls.append(h)
         return real(h, max_carrier)
 
     def refused(*args, **kwargs):
-        raise AssertionError("skeleton_dot called enumerate_constructions")
+        raise AssertionError("skeleton_dot enumerated, split or printed a construct")
 
-    monkeypatch.setattr(operadic, "_constructs", counting)
-    monkeypatch.setattr(operadic, "enumerate_constructions", refused)
+    monkeypatch.setattr(operadic, "_constructions", counting)
+    for module in (operadic, constructs):
+        for name in ("_constructs", "enumerate_constructions", "vertices_below", "print_construct"):
+            monkeypatch.setattr(module, name, refused, raising=False)
     assert skeleton_dot(g) == want
     assert calls == [g.hypergraph]
 
@@ -482,21 +486,61 @@ def _edges(h):
 
 
 def test_edge_endpoints_split_the_doubleton(named):
-    # the two splits of an edge's doubleton are its vertices_below, on the
-    # edge graphs of every tree with 5 or 6 nodes and on the named corpus
+    # the two vertices below an edge are its nested set with one member
+    # more, on the edge graphs of every tree with 5 or 6 nodes and on the
+    # named corpus
+    trees = [build_edge_graph(t).hypergraph for n in (5, 6) for t in corpus.all_operadic_trees(n)]
     checked = 0
-    for n in (5, 6):
-        for t in corpus.all_operadic_trees(n):
-            g = build_edge_graph(t)
-            for e in _edges(g.hypergraph):
-                cls = classify_edge(g, e)
-                assert list(cls.endpoints) == vertices_below(g.hypergraph, e)
-                checked += 1
-    for h in named.values():
+    for h in [*trees, *named.values()]:
         for e in _edges(h):
-            (node,) = (x for x in e.nodes() if len(x.decoration) == 2)
-            u, v = h.sorted_labels(node.decoration)
-            ends = {_split(h, e, node, u, v), _split(h, e, node, v, u)}
-            assert ends == set(vertices_below(h, e))
+            ends = vertices_below(h, e)
+            assert len(ends) == 2
+            for v in ends:
+                assert any(psi(v) - {m} == psi(e) for m in psi(v))
             checked += 1
     assert checked == 3231
+
+
+def _reference_dot(g):
+    """skeleton_dot built edge by edge from the public classify_edge."""
+    h = g.hypergraph
+
+    def word(v):
+        return construction_to_word(g, v)
+
+    rows = []
+    for e in _edges(h):
+        cls = classify_edge(g, e)
+        if cls.kind == "beta":
+            rows.append(f'  "{word(cls.source)}" -> "{word(cls.target)}" [label="beta"];')
+        else:
+            a, b = sorted(map(word, cls.endpoints))
+            rows.append(f'  "{a}" -> "{b}" [label="theta", dir=none, style=dashed];')
+    vertices = [f'  "{w}";' for w in sorted(map(word, enumerate_constructions(h)))]
+    return "\n".join(["digraph skeleton {", *vertices, *sorted(rows), "}"]) + "\n"
+
+
+def test_skeleton_dot_matches_classify_edge_on_every_small_tree():
+    # the words name tree nodes, so renaming the atoms keeps the DOT; the
+    # reversed names put the atoms in carrier order against text order
+    for n in range(2, 7):
+        for t in corpus.all_operadic_trees(n):
+            want = skeleton_dot(build_edge_graph(t))
+            labels = [c for _, c in t.edges()]
+            for names in (None, dict(zip(labels, reversed(labels)))):
+                g = build_edge_graph(t, names)
+                assert skeleton_dot(g) == _reference_dot(g) == want
+
+
+def test_skeleton_edge_without_two_vertices_breaks_an_invariant(monkeypatch, capsys, tmp_path):
+    # dropping one vertex leaves its edges with one vertex each
+    real = operadic._constructions
+    monkeypatch.setattr(operadic, "_constructions", lambda h, max_carrier: real(h, max_carrier)[1:])
+    g = build_edge_graph(parse_tree("a(b(c,d),e(f))"))
+    message = "a skeleton edge should have 2 vertices, found 1"
+    with pytest.raises(InvariantError, match=message):
+        skeleton_dot(g)
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(g.tree.to_json_dict()))
+    assert cli.main(["op", "classify", "--tree", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: invariant broken: {message}\n")
