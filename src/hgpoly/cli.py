@@ -19,9 +19,9 @@ from functools import cache
 
 from .constructs import (
     MAX_CARRIER,
+    _constructs,
     covers,
     enumerate_constructions,
-    enumerate_constructs,
     parse_construct,
     print_construct,
 )
@@ -41,6 +41,7 @@ from .realization import (
     vertices_to_json_dict,
 )
 from .truncation import (
+    _tamed_constructs,
     advance,
     constrs,
     next_round,
@@ -48,7 +49,6 @@ from .truncation import (
     round_state_to_json_dict,
     simplex_round,
     tamed_constructions,
-    tamed_constructs,
 )
 from .verification import CHECKS, VerificationFailure
 
@@ -106,7 +106,7 @@ def _hg_faces(args, out: io.StringIO) -> int:
     n = len(h.carrier)
     rows = sorted(
         (n - c.node_count, print_construct(h, c))
-        for c in enumerate_constructs(h, max_carrier=args.max_carrier)
+        for c in _constructs(h, args.max_carrier)
     )
     for dim, text in rows:
         out.write(f"{dim}\t{text}\n")
@@ -130,7 +130,7 @@ def _hg_constructions(args, out: io.StringIO) -> int:
 def _hg_hasse(args, out: io.StringIO) -> int:
     h = _load_hypergraph(args)
     n = len(h.carrier)
-    faces = enumerate_constructs(h, max_carrier=args.max_carrier)
+    faces = _constructs(h, args.max_carrier)
     text = {c: print_construct(h, c) for c in faces}
     out.write("digraph hasse {\n")
     for _, node in sorted((n - c.node_count, node) for c, node in text.items()):
@@ -219,7 +219,7 @@ def _trunc_round(args, out: io.StringIO) -> int:
         "format": 1,
         "state": round_state_to_json_dict(new),
         "tamed": {
-            "constructs": len(tamed_constructs(new)),
+            "constructs": len(_tamed_constructs(new)),
             "constructions": len(tamed_constructions(new)),
             "constrs": len(constrs(new)),
         },

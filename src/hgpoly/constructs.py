@@ -6,13 +6,14 @@ recurses into each. Constructions (all decorations singletons) name the
 vertices. One memoised mask recursion, `_trees`, builds every family:
 constructs draw Y from every non-empty subset of the region, while
 constructions, spanning partial constructions and the vertices below a
-face draw single atoms. Three independent implementations of the face
-order are kept deliberately separate so their agreement can be tested:
-`rules` asks whether t lies in the breadth-first closure of `covers` from
-s, memoised on the hypergraph, while `v2` and `v3` decide on the
-decoration and span masks of the nodes, also memoised on the hypergraph.
-The order takes constructs only: a tree with an Omega leaf raises
-ConstructError.
+face draw single atoms; the tamed families of a truncation round fix the
+root decorations at the top region. Three independent implementations of
+the face order are kept deliberately separate so their agreement can be
+tested: `rules` asks whether t lies in the breadth-first closure of
+`covers` from s, memoised on the hypergraph, while `v2` and `v3` decide
+on the decoration and span masks of the nodes, also memoised on the
+hypergraph. The order takes constructs only: a tree with an Omega leaf
+raises ConstructError.
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ def _check_size(
     count: int, max_carrier: int | None, noun: str = "carrier", unit: str = "atoms"
 ) -> None:
     """Refuse an enumeration over more than max_carrier atoms of the carrier,
-    which callers may raise, or of a component or vertex decoration, whose
-    guard is MAX_CARRIER."""
+    which callers may raise, or of a vertex decoration, whose guard is
+    MAX_CARRIER."""
     if max_carrier is not None and count > max_carrier:
         hint = "raise the guard explicitly to enumerate" if noun == "carrier" else "this guard is fixed"
         raise GuardExceeded(f"{noun} has {count} {unit}, guard is {max_carrier}; {hint}")
@@ -309,9 +310,11 @@ def _trees(
     """The one tree recursion behind every construct family. A tree over a
     region takes a root decoration from decorations(region & xmask) and a
     subtree over each component it leaves; a component holding no atom of
-    xmask is a leaf chosen from fill(component). Children come in
-    canonical order, by least atom of `spanned` (the atoms the trees span;
-    an Omega leaf by least carried atom). The list is unsorted."""
+    xmask is a leaf chosen from fill(component). A family with fixed root
+    decorations (the tamed ones) returns them from decorations(ambient).
+    Children come in canonical order, by least atom of `spanned` (the
+    atoms the trees span; an Omega leaf by least carried atom). The list
+    is unsorted."""
     memo: dict[int, list[Construct]] = {}
 
     def order(c: int) -> int:
@@ -334,28 +337,6 @@ def _trees(
         return got
 
     return rec(ambient)
-
-
-def _rooted(h: Hypergraph, roots, decorations) -> list[Construct]:
-    """The constructs of h whose root decoration is one of the masks in
-    roots, root by root in that order. Below the root, each component of
-    the rest takes the trees `_trees` draws with `decorations`, by node
-    count and then text; a component over MAX_CARRIER atoms raises
-    GuardExceeded."""
-    key = _sort_key(h)
-    below: dict[int, list[Construct]] = {}
-    out: list[Construct] = []
-    for root in roots:
-        parts = []
-        for c in h.components_mask(h.full_mask & ~root):
-            got = below.get(c)
-            if got is None:
-                _check_size(c.bit_count(), MAX_CARRIER, "component")
-                got = below[c] = sorted(_trees(h, c, decorations, c, c, None), key=key)
-            parts.append(got)
-        dec = h.labels(root)
-        out.extend(Construct(dec, combo) for combo in product(*parts))
-    return out
 
 
 def _constructs(h: Hypergraph, max_carrier: int | None) -> list[Construct]:

@@ -15,15 +15,13 @@ from typing import Iterable, Sequence
 from .constructs import (
     Construct,
     ConstructError,
-    _rooted,
-    _submasks,
     leq,
     make_node,
     validate_construct,
 )
 from .hypergraph import Hypergraph, InvariantError, restrict
 from .nestedsets import psi
-from .truncation import RoundState, advance, constrs, simplex_round
+from .truncation import RoundState, _tamed_constructs, advance, constrs, simplex_round
 
 
 # The default setup guard: the largest n that pba_setup builds unasked.
@@ -47,6 +45,11 @@ def _subscript(number: int) -> str:
 
 def _letter_index(name: str) -> int:
     return int(name[1:])
+
+
+def _name(letters: Iterable[str]) -> str:
+    """The facet name of a letter set: its letters in index order, joined by +."""
+    return "+".join(sorted(letters, key=_letter_index))
 
 
 # -- words --------------------------------------------------------------
@@ -372,10 +375,10 @@ class PbaSetup:
         return self.state.truncations
 
     def name_of(self, letters: Iterable[str]) -> str:
-        got = sorted(letters, key=_letter_index)
+        got = _name(letters)
         if not got:
             raise PbaError("empty letter set has no facet")
-        return "+".join(got)
+        return got
 
     def letters_of(self, name: str) -> frozenset[str]:
         return frozenset(name.split("+"))
@@ -413,14 +416,11 @@ def pba_setup(n: int, *, max_n: int = MAX_N) -> PbaSetup:
     if ys != proper:
         raise InvariantError("round-one constrs are not the proper non-empty subsets")
 
-    def name(group: Iterable[str]) -> str:
-        return "+".join(sorted(group, key=_letter_index))
-
-    edges = [[name(c)] for c in proper]
+    edges = [[_name(c)] for c in proper]
     for c in proper:
         for extra in letters:
             if extra not in c and len(c) < n:
-                edges.append([name(c), name(set(c) | {extra})])
+                edges.append([_name(c), _name(set(c) | {extra})])
     if n == 1:
         # two facets and no subset pair: close the carrier to stay connected
         edges.append([letters[0], letters[1]])
@@ -429,7 +429,7 @@ def pba_setup(n: int, *, max_n: int = MAX_N) -> PbaSetup:
         raise InvariantError("round-one constructions do not count the orderings")
 
     expected = {
-        frozenset(name(order[: k + 1]) for k in range(n))
+        frozenset(_name(order[: k + 1]) for k in range(n))
         for order in permutations(letters)
     }
     if set(state.vertex_sets) != expected:
@@ -582,35 +582,12 @@ def decode(setup: PbaSetup, w: HoleWord) -> Construct:
 # -- faces and order ------------------------------------------------------
 
 
-def _proper_chains(setup: PbaSetup) -> list[tuple[frozenset[str], ...]]:
-    subsets = [
-        frozenset(c)
-        for k in range(1, setup.n + 1)
-        for c in combinations(setup.letters, k)
-    ]
-    subsets.sort(key=lambda s: (len(s), sorted(s, key=_letter_index)))
-    chains: list[tuple[frozenset[str], ...]] = [()]
-    frontier: list[tuple[frozenset[str], ...]] = [()]
-    while frontier:
-        nxt = []
-        for chain in frontier:
-            for s in subsets:
-                if not chain or chain[-1] < s:
-                    nxt.append(chain + (s,))
-        chains.extend(nxt)
-        frontier = nxt
-    return chains
-
-
 def face_constructs(setup: PbaSetup) -> list[Construct]:
-    """Every tamed construct, one per face: a root holding the complement
-    of a proper chain, over the constructs of the chain's runs (the
-    components the root leaves)."""
-    ht = setup.hypergraph
-    roots = [
-        ht.full_mask & ~ht.mask(map(setup.name_of, chain)) for chain in _proper_chains(setup)
-    ]
-    return _rooted(ht, roots, _submasks)
+    """Every tamed construct of the round-two state, one per face, in no
+    particular order: the root decorations are fixed at the top region,
+    each holding the complement of a vertex decoration (a prefix chain),
+    so a root is the complement of a proper chain of letter sets."""
+    return _tamed_constructs(setup.state)
 
 
 def face_words(setup: PbaSetup) -> list[HoleWord]:

@@ -20,10 +20,10 @@ from .constructs import (
     _bit_indices,
     _bits,
     _check_guard,
+    _constructions,
     _constructs,
     _spans,
     _submasks,
-    enumerate_constructions,
     print_construct,
     vertices_below,
 )
@@ -382,6 +382,6 @@ def verify_isomorphism(
 def vertices_to_json_dict(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> dict:
     """JSON export: construction text -> integer coordinates as strings."""
     out = {}
-    for v in enumerate_constructions(h, max_carrier=max_carrier):
+    for v in _constructions(h, max_carrier):
         out[print_construct(h, v)] = [str(c) for c in _vertex(h, v)[0]]
     return {"format": 1, "carrier": list(h.carrier), "vertices": out}

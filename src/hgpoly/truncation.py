@@ -17,10 +17,10 @@ from .constructs import (
     _bit_indices,
     _bits,
     _check_size,
-    _rooted,
     _sort_key,
     _spans,
     _submasks,
+    _trees,
     print_construct,
 )
 from .hypergraph import Hypergraph, HypergraphError, _is_label_list
@@ -221,28 +221,40 @@ def _check_decorations(s: RoundState) -> None:
         _check_size(len(fam), MAX_CARRIER, "vertex decoration", "facets")
 
 
+def _tamed(s: RoundState, grow, decorations) -> list[Construct]:
+    """One unsorted `_trees` run: the top region takes the roots grow(c,
+    fam) gives for each vertex decoration fam and its complement c, once
+    each in that order; every region below, which lies inside a vertex
+    decoration and so under _check_decorations, draws from decorations."""
+    _check_decorations(s)
+    ht = s.truncations
+    full = ht.full_mask
+    roots = dict.fromkeys(
+        r for fam in map(ht.mask, s.vertex_sets) for r in grow(full & ~fam, fam) if r
+    )
+    return _trees(ht, full, lambda m: roots if m == full else decorations(m), full, full, None)
+
+
+def _tamed_constructs(s: RoundState) -> list[Construct]:
+    """tamed_constructs without the sort, for callers that only count or
+    index the faces."""
+    return _tamed(s, lambda c, fam: (c | y for y in (*_submasks(fam), 0)), _submasks)
+
+
 def tamed_constructs(s: RoundState) -> list[Construct]:
     """Constructs of the truncation hypergraph whose root contains the
     complement of some vertex decoration, by node count and then text.
     The roots are each complement grown by every subset of its
     decoration; a decoration over MAX_CARRIER facets raises
     GuardExceeded."""
-    _check_decorations(s)
-    ht = s.truncations
-    roots = set()
-    for fam in map(ht.mask, s.vertex_sets):
-        c = ht.full_mask & ~fam
-        roots.update(c | y for y in (*_submasks(fam), 0) if c | y)
-    return sorted(_rooted(ht, roots, _submasks), key=_sort_key(ht))
+    return sorted(_tamed_constructs(s), key=_sort_key(s.truncations))
 
 
 def tamed_constructions(s: RoundState) -> list[Construct]:
     """Tamed constructs whose root is exactly a complement and whose
-    other nodes are singletons, under the same guard as tamed_constructs."""
-    _check_decorations(s)
-    ht = s.truncations
-    roots = dict.fromkeys(ht.full_mask & ~ht.mask(fam) for fam in s.vertex_sets)
-    return _rooted(ht, [c for c in roots if c], _bits)
+    other nodes are singletons, under the same guard as tamed_constructs.
+    The order is unspecified."""
+    return _tamed(s, lambda c, fam: (c,), _bits)
 
 
 def constrs(s: RoundState) -> list[Construct]:

@@ -1,0 +1,82 @@
+"""Leftover names in the library: every import is used and every private
+module-level function is referenced. Read with the standard `ast` only."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hgpoly"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _annotation_names(node) -> set[str]:
+    # a string annotation such as "Construct | Omega" names its types too
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _read_names(node) -> set[str]:
+    """Every name read below node, the names inside string annotations
+    included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation is not None:
+            names |= _annotation_names(sub.annotation)
+        elif isinstance(sub, ast.FunctionDef) and sub.returns is not None:
+            names |= _annotation_names(sub.returns)
+    return names
+
+
+def _referenced(node) -> set[str]:
+    """The names read below node and the attribute names it reads, as in
+    `constructs._spans`."""
+    return _read_names(node) | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    """The names a module binds by its imports, `from __future__` aside."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    return bound
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue  # the package re-exports what it imports
+        used = _read_names(tree)
+        unused += [f"{name}: {bound}" for bound in _imported(tree) if bound not in used]
+    assert not unused, unused
+
+
+def test_every_private_function_is_referenced():
+    modules = _modules()
+    reads = [(node, _referenced(node)) for tree in modules.values() for node in tree.body]
+    unreferenced = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
+                continue
+            if node.name.startswith("__"):
+                continue
+            # a reference from the function's own body does not count
+            if not any(node.name in names for other, names in reads if other is not node):
+                unreferenced.append(f"{name}: {node.name}")
+    assert not unreferenced, unreferenced

@@ -4,11 +4,11 @@ bijection, the word order, and the frozen three-dimensional census."""
 import gc
 import random
 import weakref
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from hgpoly import truncation
+from hgpoly import constructs, truncation
 from hgpoly.constructs import leq, parse_construct
 from hgpoly.hypergraph import Hypergraph, restrict
 from hgpoly.nestedsets import psi
@@ -32,7 +32,6 @@ from hgpoly.pba import (
     word_leq,
     x_sigma,
 )
-from hgpoly.truncation import tamed_constructs
 
 TEN_LETTER_BLOCKS = [
     {"x9"},
@@ -425,10 +424,44 @@ def test_word_order_memo_is_freed_with_its_setup():
     assert ref() is None
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_face_constructs_are_the_tamed_constructs(n):
+@pytest.mark.parametrize("n, count", [(1, 3), (2, 25), (3, 363), (4, 7401)])
+def test_face_roots_are_the_proper_chain_complements(n, count):
+    # the root decorations of the faces are exactly the carrier minus a
+    # proper chain of letter sets (the empty chain included)
     setup = pba_setup(n)
+    letters = setup.letters
+    subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(letters, k)]
+    carrier = frozenset(setup.hypergraph.carrier)
+    roots = set()
+    for r in range(n + 1):
+        for chain in combinations(subsets, r):
+            if all(a < b for a, b in zip(chain, chain[1:])):
+                names = {"+".join(sorted(c, key=lambda x: int(x[1:]))) for c in chain}
+                roots.add(carrier - names)
     faces = face_constructs(setup)
-    tamed = tamed_constructs(setup.state)
-    assert len(faces) == len(tamed)
-    assert set(faces) == set(tamed)
+    assert {t.decoration for t in faces} == roots
+    assert len(faces) == len(set(faces)) == count
+
+
+def test_tamed_families_run_the_kernel_once(monkeypatch, pba3):
+    # each tamed family is one kernel run whose top region takes the
+    # fixed root decorations
+    calls = []
+    real = truncation._trees
+
+    def counting(h, ambient, *rest):
+        calls.append(ambient)
+        return real(h, ambient, *rest)
+
+    for module in (truncation, constructs):
+        monkeypatch.setattr(module, "_trees", counting)
+    s = pba3.state
+    runs = (
+        (truncation.tamed_constructs, s),
+        (truncation.tamed_constructions, s),
+        (face_constructs, pba3),
+    )
+    for family, arg in runs:
+        calls.clear()
+        assert family(arg)
+        assert calls == [s.truncations.full_mask]
