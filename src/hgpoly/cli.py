@@ -17,14 +17,7 @@ import json
 import sys
 from functools import cache
 
-from .constructs import (
-    MAX_CARRIER,
-    _constructs,
-    covers,
-    enumerate_constructions,
-    parse_construct,
-    print_construct,
-)
+from .constructs import MAX_CARRIER, _bits, _keyed, _submasks, parse_construct, print_construct
 from .hypergraph import GuardExceeded, Hypergraph, InvariantError
 from .operadic import (
     EdgeGraph,
@@ -101,14 +94,17 @@ def _load_edge_graph(args) -> EdgeGraph:
 # -- hg -------------------------------------------------------------------
 
 
-def _hg_faces(args, out: io.StringIO) -> int:
+def _faces(args) -> tuple[dict[int, str], list[tuple[int, str]]]:
+    """Every construct as psi key -> text, and its (dimension, text) rows in
+    print order: a face of dimension d has n - d nodes, one key bit each."""
     h = _load_hypergraph(args)
+    faces = _keyed(h, _submasks, "constructs", args.max_carrier)
     n = len(h.carrier)
-    rows = sorted(
-        (n - c.node_count, print_construct(h, c))
-        for c in _constructs(h, args.max_carrier)
-    )
-    for dim, text in rows:
+    return faces, sorted((n - key.bit_count(), text) for key, text in faces.items())
+
+
+def _hg_faces(args, out: io.StringIO) -> int:
+    for dim, text in _faces(args)[1]:
         out.write(f"{dim}\t{text}\n")
     return 0
 
@@ -122,22 +118,19 @@ def _hg_fvector(args, out: io.StringIO) -> int:
 
 def _hg_constructions(args, out: io.StringIO) -> int:
     h = _load_hypergraph(args)
-    for c in enumerate_constructions(h, max_carrier=args.max_carrier):
-        out.write(print_construct(h, c) + "\n")
+    for text in sorted(_keyed(h, _bits, "constructions", args.max_carrier).values()):
+        out.write(text + "\n")
     return 0
 
 
 def _hg_hasse(args, out: io.StringIO) -> int:
-    h = _load_hypergraph(args)
-    n = len(h.carrier)
-    faces = _constructs(h, args.max_carrier)
-    text = {c: print_construct(h, c) for c in faces}
+    faces, rows = _faces(args)
+    carrier = min(faces)  # the key of the one-node face: the carrier bit alone
     out.write("digraph hasse {\n")
-    for _, node in sorted((n - c.node_count, node) for c, node in text.items()):
-        out.write(f'  "{node}";\n')
-    rows = {f'  "{text[s]}" -> "{text[t]}";\n' for s in text for t in covers(h, s)}
-    for row in sorted(rows):
-        out.write(row)
+    out.writelines(f'  "{text}";\n' for _, text in rows)
+    # a cover contracts one tree edge: its key drops one non-carrier member
+    edges = [f'  "{faces[s]}" -> "{faces[s ^ b]}";\n' for s in faces for b in _bits(s ^ carrier)]
+    out.writelines(sorted(edges))
     out.write("}\n")
     return 0
 

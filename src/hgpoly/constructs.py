@@ -7,21 +7,25 @@ vertices. One memoised mask recursion, `_trees`, builds every family:
 constructs draw Y from every non-empty subset of the region, while
 constructions, spanning partial constructions and the vertices below a
 face draw single atoms; the tamed families of a truncation round fix the
-root decorations at the top region. Three independent implementations of
-the face order are kept deliberately separate so their agreement can be
-tested: `rules` asks whether t lies in the breadth-first closure of
-`covers` from s, memoised on the hypergraph, while `v2` and `v3` decide
-on the decoration and span masks of the nodes, also memoised on the
-hypergraph. The order takes constructs only: a tree with an Omega leaf
-raises ConstructError.
+root decorations at the top region. Its node builder makes each tree a
+Construct, or for the listing commands (`_keyed`) a psi key and its text.
+Three independent implementations of the face order are kept deliberately
+separate so their agreement can be tested: `rules` asks whether t lies in
+the breadth-first closure of `covers` from s, memoised on the hypergraph,
+while `v2` and `v3` decide on the decoration and span masks of the nodes,
+also memoised on the hypergraph. The order takes constructs only: a tree
+with an Omega leaf raises ConstructError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
-from .hypergraph import GuardExceeded, Hypergraph, HypergraphError, is_connected
+from .hypergraph import (
+    GuardExceeded, Hypergraph, HypergraphError, connected_subset_masks, is_connected,
+)
 
 
 _set = object.__setattr__
@@ -134,18 +138,13 @@ def print_atom_set(h: Hypergraph, atoms) -> str:
 
 
 def print_construct(h: Hypergraph, t: Construct | Omega) -> str:
-    """The text of t under h's carrier order, memoised on h: subtrees are
-    shared across faces, so each distinct node is printed once."""
-    got = h._text_cache.get(t)
-    if got is None:
-        if isinstance(t, Omega):
-            got = "?" + print_atom_set(h, t.carried)
-        else:
-            got = print_atom_set(h, t.decoration)
-            if t.children:
-                got += "(" + ",".join(print_construct(h, c) for c in t.children) + ")"
-        h._text_cache[t] = got
-    return got
+    """The text of t under h's carrier order."""
+    if isinstance(t, Omega):
+        return "?" + print_atom_set(h, t.carried)
+    text = print_atom_set(h, t.decoration)
+    if t.children:
+        text += "(" + ",".join(print_construct(h, c) for c in t.children) + ")"
+    return text
 
 
 def _tokenize(text: str) -> list[str]:
@@ -305,23 +304,26 @@ def _bit_indices(m: int):
 
 
 def _trees(
-    h: Hypergraph, ambient: int, decorations, xmask: int, spanned: int, fill
-) -> list[Construct]:
+    h: Hypergraph, ambient: int, decorations, xmask: int, spanned: int, fill, node=None
+) -> list:
     """The one tree recursion behind every construct family. A tree over a
     region takes a root decoration from decorations(region & xmask) and a
     subtree over each component it leaves; a component holding no atom of
     xmask is a leaf chosen from fill(component). A family with fixed root
     decorations (the tamed ones) returns them from decorations(ambient).
     Children come in canonical order, by least atom of `spanned` (the
-    atoms the trees span; an Omega leaf by least carried atom). The list
-    is unsorted."""
-    memo: dict[int, list[Construct]] = {}
+    atoms the trees span; an Omega leaf by least carried atom). node(region,
+    y), called once per region and root decoration y, returns the maker of
+    each tree from its subtrees, by default Construct(h.labels(y), kids)."""
+    if node is None:
+        node = lambda region, y: partial(Construct, h.labels(y))
+    memo: dict[int, list] = {}
 
     def order(c: int) -> int:
         k = c & spanned or c
         return k & -k
 
-    def rec(region: int) -> list[Construct]:
+    def rec(region: int) -> list:
         got = memo.get(region)
         if got is not None:
             return got
@@ -331,12 +333,33 @@ def _trees(
                 rec(c) if c & xmask else fill(c)
                 for c in sorted(h.components_mask(region & ~y), key=order)
             ]
-            dec = h.labels(y)
-            got.extend(Construct(dec, combo) for combo in product(*parts))
+            got.extend(map(node(region, y), product(*parts)))
         memo[region] = got
         return got
 
     return rec(ambient)
+
+
+def _keyed(h: Hypergraph, decorations, family: str, max_carrier: int | None) -> dict[int, str]:
+    """The faces of a family over the whole carrier as psi key -> text, built
+    bottom-up with no Construct: a key has one bit per node, the index in
+    connected_subset_masks(h) of the region the node spans."""
+    _check_guard(h, max_carrier, family)
+    bit = {m: 1 << i for i, m in enumerate(connected_subset_masks(h))}
+
+    def node(region: int, y: int):
+        own, dec = bit[region], print_atom_set(h, y)
+
+        def make(kids: tuple[tuple[int, str], ...]) -> tuple[int, str]:
+            if not kids:
+                return own, dec
+            keys, texts = zip(*kids)
+            return own + sum(keys), dec + "(" + ",".join(texts) + ")"
+
+        return make
+
+    full = h.full_mask
+    return dict(_trees(h, full, decorations, full, full, None, node))
 
 
 def _constructs(h: Hypergraph, max_carrier: int | None) -> list[Construct]:

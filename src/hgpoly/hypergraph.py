@@ -48,7 +48,7 @@ class Hypergraph:
 
     __slots__ = (
         "carrier", "_index", "_edge_masks", "_full", "_comp_cache", "_covers_cache",
-        "_text_cache", "_mask_cache", "_up_cache", "_connected_subsets",
+        "_mask_cache", "_up_cache", "_connected_subsets",
     )
 
     def __init__(
@@ -91,8 +91,6 @@ class Hypergraph:
         object.__setattr__(self, "_comp_cache", {})
         # construct -> its covers, filled by constructs._up
         object.__setattr__(self, "_covers_cache", {})
-        # construct -> its text, filled by constructs.print_construct
-        object.__setattr__(self, "_text_cache", {})
         # construct node -> (decoration mask, span mask), filled by constructs._masks
         object.__setattr__(self, "_mask_cache", {})
         # construct -> the frozenset of faces above it, filled by constructs._up
@@ -123,13 +121,7 @@ class Hypergraph:
         return m
 
     def labels(self, mask: int) -> frozenset[str]:
-        # the walk of sorted_labels, inline: the tree kernel calls this per node
-        carrier, out = self.carrier, []
-        while mask:
-            bit = mask & -mask
-            out.append(carrier[bit.bit_length() - 1])
-            mask ^= bit
-        return frozenset(out)
+        return frozenset(self.sorted_labels(mask))
 
     def sorted_labels(self, atoms: Iterable[str] | int) -> tuple[str, ...]:
         """Atoms in carrier order."""

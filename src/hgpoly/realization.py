@@ -236,12 +236,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _psi_keys(h: Hypergraph, faces, bit: dict[int, int]) -> list[int]:
-    """psi(t) of each face t as the sum of bit[span] over its nodes, whose
-    spans are distinct: a bitset over the indices of connected_subset_masks(h)."""
-    return [sum(map(bit.__getitem__, _spans(h, t))) for t in faces]
-
-
 def _face_vertices(keys: list[int], at: list[int], width: int) -> list[int]:
     """The vertex bitset of each face whose psi key, the carrier left out,
     is in keys: the AND over the members i of the key of tight[i], the
@@ -307,7 +301,8 @@ def verify_isomorphism(
     subsets = connected_subset_masks(h)
     bit = {m: 1 << i for i, m in enumerate(subsets)}
     carrier = bit[h.full_mask]
-    keys = _psi_keys(h, faces, bit)
+    # psi(t) as the sum of bit[span] over the nodes of t, whose spans are distinct
+    keys = [sum(map(bit.__getitem__, _spans(h, t))) for t in faces]
     index: dict[int, int] = {}
     for i, key in enumerate(keys):
         j = index.setdefault(key, i)

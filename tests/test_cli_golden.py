@@ -227,11 +227,22 @@ SYNTAX_GOLDEN = {
 }
 
 
-# `realize --vertices` and `--verify` on the six-atom complete graph, path
-# and cycle, where the vertex coordinates grow to 3^6; the digests were
-# computed with the triangular Fraction solve, before the integer closed form
+# The six-atom complete graph, path and cycle. `realize --vertices` and
+# `--verify`, where the vertex coordinates grow to 3^6, were computed with
+# the triangular Fraction solve, before the integer closed form; the
+# listings, while they still printed Construct trees and hasse contracted
+# each face with `covers`
 SIX_ATOMS = {"K6": corpus.complete_graph, "P6": corpus.path_graph, "C6": corpus.cycle_graph}
 SIX_ATOMS_GOLDEN = {
+    ("K6", "faces"): (0, "5978727a35119da6aa852e3de7ceedfec3fcffe321aa2f91151655dc1d5749a8"),
+    ("K6", "constructions"): (0, "fa3c8a3a5114f16b50f813b198ee4190fb57249c65d638bd9d681abf6812cb48"),
+    ("K6", "hasse"): (0, "3d1b9715418120662a55a7a36c7b19e5a7b9ff3b554612eb0228e84ad73dd079"),
+    ("P6", "faces"): (0, "a495455968a070d37a18d3cd623f8d73cb765865d3fc5d768c281ad5b51e95b4"),
+    ("P6", "constructions"): (0, "385bb13aba3e744b4480ee665b1e5a9765b9808b87e213521341d747e606bc4c"),
+    ("P6", "hasse"): (0, "8eca4f2705ba4e9a8d5ef4da57a64e12843f4b6e503477b7b3493cf4918f8c9f"),
+    ("C6", "faces"): (0, "d8a56a325703bd96d559b5647dd6279709f1cb2ae980a81c6950337f8e3393b9"),
+    ("C6", "constructions"): (0, "7124c6fe1ea6cc8a6cd64a8665390a53e64001ef5d34b69a2d3e1854c255569e"),
+    ("C6", "hasse"): (0, "930bab30e04e1d5d99f9afba0a252d90cd31af94c3c48c278f282ae1c3aed81c"),
     ("K6", "vertices"): (0, "d318cda417d1ee9d99e41904682455d276ab065fc8ba2d3cc91991ef93555629"),
     ("K6", "verify"): (0, "180a14aa44ec78d5167010cd53d85d91ee03b8c672cf00a03a7591329caf891a"),
     ("P6", "vertices"): (0, "4f7c69d9416376d907866f511109402c2f88fc9c48ae821aad8f8d97cbba9d1f"),

@@ -22,7 +22,7 @@ from hgpoly import (
     validate_construct,
     vertices_below,
 )
-from hgpoly.constructs import Construct, Omega
+from hgpoly.constructs import MAX_CARRIER, Construct, Omega, _constructs
 from hgpoly import corpus
 from hgpoly.nestedsets import psi
 
@@ -295,20 +295,23 @@ def test_covers_memo_is_owned_by_its_hypergraph():
         assert got == tuple(covers(h, s))
 
 
-def test_text_memo_is_owned_by_its_hypergraph():
+def test_twins_print_alike_and_omega_prints_its_atoms():
     h, twin = corpus.hemiassociahedron(), corpus.hemiassociahedron()
     faces = enumerate_constructs(h)
-    assert h._text_cache and not twin._text_cache
     assert [print_construct(twin, t) for t in faces] == [print_construct(h, t) for t in faces]
-    leaf = Omega(frozenset({"x", "z"}))
-    assert print_construct(h, leaf) == "?{x,z}"
-    ref = weakref.ref(leaf)
-    del leaf, twin
-    gc.collect()
-    assert ref() is not None  # held by h's memo
-    del h, faces
-    gc.collect()
-    assert ref() is None
+    assert print_construct(h, Omega(frozenset({"x", "z"}))) == "?{x,z}"
+
+
+def test_siblings_share_their_root_decoration():
+    # the kernel makes a decoration's labels once per region and root
+    # decoration, so every tree with that root over that region shares them
+    h = corpus.complete_graph(4)
+    by_root: dict[frozenset[str], list[frozenset[str]]] = {}
+    for t in _constructs(h, MAX_CARRIER):
+        by_root.setdefault(t.decoration, []).append(t.decoration)
+    assert max(map(len, by_root.values())) > 1
+    for decorations in by_root.values():
+        assert all(d is decorations[0] for d in decorations)
 
 
 def test_text_follows_the_carrier_order_of_each_hypergraph():

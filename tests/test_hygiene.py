@@ -80,3 +80,29 @@ def test_every_private_function_is_referenced():
             if not any(node.name in names for other, names in reads if other is not node):
                 unreferenced.append(f"{name}: {node.name}")
     assert not unreferenced, unreferenced
+
+
+def test_every_hypergraph_slot_is_set_and_read():
+    # a slot nothing reads is a leftover memo; one __init__ never sets would
+    # raise AttributeError on first use
+    modules = _modules()
+    cls = next(
+        node for node in modules["hypergraph.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "Hypergraph"
+    )
+    (slots,) = [
+        ast.literal_eval(node.value) for node in cls.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__slots__"]
+    ]
+    init = next(node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assigned = {
+        call.args[1].value for call in ast.walk(init)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "__setattr__" and isinstance(call.args[1], ast.Constant)
+    }
+    read = {
+        sub.attr for tree in modules.values() for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    assert set(slots) - assigned == set()
+    assert set(slots) - read == set()

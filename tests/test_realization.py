@@ -11,6 +11,7 @@ from hgpoly import (
     face_vertex_set,
     hrep,
     parse_construct,
+    print_construct,
     verify_isomorphism,
     vertex_of_construction,
 )
@@ -213,7 +214,8 @@ def test_vertex_json_strings(named):
 def test_tight_facets_give_the_vertices_of_each_face(small_corpus, named):
     # a vertex lies on a face exactly when it is tight on every member of
     # the face's nested set: the AND of the tight bitsets over psi(t) minus
-    # the carrier is vertices_below(t), on every face
+    # the carrier is vertices_below(t), on every face; the listing commands'
+    # psi keys name the same faces
     cases = list(small_corpus) + [h for h in named.values() if len(h.carrier) <= 5]
     checked = 0
     for h in cases:
@@ -222,10 +224,13 @@ def test_tight_facets_give_the_vertices_of_each_face(small_corpus, named):
         bit = {m: 1 << i for i, m in enumerate(connected_subset_masks(h))}
         carrier = bit[h.full_mask]
         at = [sum(bit[m] for m in realization._vertex(h, v)[2]) for v in vertices]
-        keys = realization._psi_keys(h, faces, bit)
+        keys = [sum(map(bit.__getitem__, constructs._spans(h, t))) for t in faces]
+        keyed = constructs._keyed(h, constructs._submasks, "constructs", None)
+        assert len(keyed) == len(faces)
         sets = realization._face_vertices([k & ~carrier for k in keys], at, len(bit))
         for t, key, got in zip(faces, keys, sets):
             assert key == sum(bit[h.mask(x)] for x in psi(t))
+            assert keyed[key] == print_construct(h, t)
             want = set(constructs.vertices_below(h, t))
             assert {v for j, v in enumerate(vertices) if got >> j & 1} == want
             checked += 1
