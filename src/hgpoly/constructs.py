@@ -9,6 +9,8 @@ constructions, spanning partial constructions and the vertices below a
 face draw single atoms; the tamed families of a truncation round fix the
 root decorations at the top region. Its node builder makes each tree a
 Construct, or for the listing commands (`_keyed`) a psi key and its text.
+A Construct node is the tuple (decoration, children, node_count), compared
+and hashed by value in C, and unordered.
 Three independent implementations of the face order are kept deliberately
 separate so their agreement can be tested: `rules` asks whether t lies in
 the breadth-first closure of `covers` from s, memoised on the hypergraph,
@@ -19,16 +21,15 @@ with an Omega leaf raises ConstructError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from operator import itemgetter
 
 from .hypergraph import (
     GuardExceeded, Hypergraph, HypergraphError, connected_subset_masks, is_connected,
 )
 
-
-_set = object.__setattr__
 
 # The default enumeration guard: the most atoms a carrier may have before
 # an enumeration refuses it.
@@ -39,50 +40,43 @@ class ConstructError(ValueError):
     """A raw tree is not a construct of the given hypergraph."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Construct:
-    """A tree node; equality and the hash cover only `decoration` and
-    `children`. The hash and the span are computed on first use and kept,
-    since faces are compared and looked up far more often than built; the
-    node count is computed at construction, by a hand-written __init__
-    because enumeration and covers build nodes by the million."""
+class Construct(tuple):
+    """A tree node: the tuple (decoration, children, node_count), so
+    equality and the hash are tuple's, by value and computed in C. The node
+    count is summed at construction and the span is recomputed on each
+    read. Constructs are unordered: `<`, `<=`, `>` and `>=` raise
+    TypeError. Only this class reads the items by position."""
 
-    decoration: frozenset[str]
-    children: tuple["Construct | Omega", ...] = ()
-    node_count: int = field(init=False, repr=False, compare=False)
-    _span: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __init__(self, decoration: frozenset[str], children: tuple = ()) -> None:
+    def __new__(cls, decoration: frozenset[str], children: tuple = ()) -> Construct:
         count = 1
         for c in children:
             count += c.node_count
-        _set(self, "decoration", decoration)
-        _set(self, "children", children)
-        _set(self, "node_count", count)
-        _set(self, "_span", None)
-        _set(self, "_hash", None)
+        return tuple.__new__(cls, (decoration, children, count))
 
-    def __hash__(self) -> int:
-        got = self._hash
-        if got is None:
-            got = hash((self.decoration, self.children))
-            object.__setattr__(self, "_hash", got)
-        return got
+    decoration = property(itemgetter(0), doc="The atoms at this node.")
+    children = property(itemgetter(1), doc="The subtrees: Constructs and Omega leaves.")
+    node_count = property(itemgetter(2), doc="The number of Construct nodes in the subtree.")
 
-    def __reduce__(self):
-        # rebuild through __init__: a hash of str sets is only valid in the
-        # process that computed it
-        return Construct, (self.decoration, self.children)
+    def __getnewargs__(self):
+        return self.decoration, self.children
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(decoration={self.decoration!r}, children={self.children!r})"
+
+    # A tuple base alone would order faces by their decorations. Once any
+    # comparison is defined here CPython looks `==` up per call too: still
+    # tuple's, in C, but about three times the cost of a plain tuple's.
+    def _unordered(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     @property
     def span(self) -> frozenset[str]:
         """Union of the non-Omega decorations in the subtree."""
-        got = self._span
-        if got is None:
-            got = self.decoration.union(*(c.span for c in self.children))
-            object.__setattr__(self, "_span", got)
-        return got
+        return self.decoration.union(*(c.span for c in self.children))
 
     @property
     def is_construction(self) -> bool:

@@ -208,12 +208,6 @@ def simplex_round(base: Iterable[str], truncations: Hypergraph | Iterable) -> Ro
 # -- taming -------------------------------------------------------------
 
 
-def complements(s: RoundState) -> list[frozenset[str]]:
-    """Complements of the vertex decorations, deduped, in family order."""
-    full = frozenset(s.facet_names)
-    return list(dict.fromkeys(full - fam for fam in s.vertex_sets))
-
-
 def _check_decorations(s: RoundState) -> None:
     """The tamed enumerations grow each vertex decoration into trees: one
     over MAX_CARRIER facets raises GuardExceeded."""

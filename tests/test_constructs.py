@@ -284,6 +284,25 @@ def test_construct_equality_hash_and_cached_fields(named):
         assert copy == t and hash(copy) == hash(t) and copy.span == t.span
 
 
+def test_constructs_are_unordered_tuples(named):
+    # equality and the hash are tuple's own, done in C; the node keeps no
+    # per-instance memo; and the tuple base does not make faces orderable
+    assert Construct.__eq__ is tuple.__eq__ and Construct.__hash__ is tuple.__hash__
+    assert Construct.__slots__ == ()
+    faces = enumerate_constructs(named["hemiassociahedron"])
+    with pytest.raises(TypeError):
+        faces[0] < faces[1]
+    with pytest.raises(TypeError):
+        faces[0] >= faces[1]
+    with pytest.raises(TypeError):
+        sorted(faces)
+    for t in faces:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(t, protocol))
+            assert type(copy) is Construct and copy == t
+            assert hash(copy) == hash(t) and copy.node_count == t.node_count
+
+
 def test_covers_memo_is_owned_by_its_hypergraph():
     h, twin = corpus.hemiassociahedron(), corpus.hemiassociahedron()
     assert h == twin and h is not twin
@@ -402,21 +421,21 @@ def test_up_sets_are_boolean_intervals(small_corpus, named):
                 assert above == 2 ** (s.node_count - 1)
 
 
-class _Probe(Construct):
-    """A construct node that can be weakly referenced."""
-
-
 def test_order_memos_are_owned_by_their_hypergraph():
+    # a Construct cannot be weakly referenced, so the probe is a vertex
+    # over a fresh root decoration, and the decoration is what is watched
     h, twin = corpus.hemiassociahedron(), corpus.hemiassociahedron()
     faces = enumerate_constructs(h)
     vertex, top = faces[-1], faces[0]
-    probe = _Probe(vertex.decoration, vertex.children)
+    decoration = frozenset(list(vertex.decoration))
+    assert decoration is not vertex.decoration
+    probe = Construct(decoration, vertex.children)
     for variant in VARIANTS:
         assert leq(probe, top, h, variant)
     assert probe in h._mask_cache and probe in h._up_cache
     assert not twin._mask_cache and not twin._up_cache
-    ref = weakref.ref(probe)
-    del probe
+    ref = weakref.ref(decoration)
+    del probe, decoration
     gc.collect()
     assert ref() is not None  # held by h's memos
     del h, faces, vertex, top

@@ -1,5 +1,6 @@
-"""Leftover names in the library: every import is used and every private
-module-level function is referenced. Read with the standard `ast` only."""
+"""Leftover names in the library: every import is used, every private
+module-level function is referenced, and every public function and class
+is exported or referenced. Read with the standard `ast` only."""
 
 import ast
 from pathlib import Path
@@ -66,19 +67,33 @@ def test_every_import_is_used():
     assert not unused, unused
 
 
-def test_every_private_function_is_referenced():
-    modules = _modules()
+def _unreferenced(modules: dict[str, ast.Module], wanted) -> list[str]:
+    """The module-level definitions for which wanted(node) holds and that
+    nothing in the library reads outside their own body."""
     reads = [(node, _referenced(node)) for tree in modules.values() for node in tree.body]
-    unreferenced = []
-    for name, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
-                continue
-            if node.name.startswith("__"):
-                continue
-            # a reference from the function's own body does not count
-            if not any(node.name in names for other, names in reads if other is not node):
-                unreferenced.append(f"{name}: {node.name}")
+    return [
+        f"{name}: {node.name}"
+        for name, tree in modules.items() for node in tree.body
+        if wanted(node) and not any(node.name in names for other, names in reads if other is not node)
+    ]
+
+
+def test_every_private_function_is_referenced():
+    unreferenced = _unreferenced(_modules(), lambda node: (
+        isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+    ))
+    assert not unreferenced, unreferenced
+
+
+def test_every_public_name_is_exported_or_referenced():
+    # a public function or class the package does not re-export is API only
+    # if some other code in the library uses it
+    modules = _modules()
+    exported = set(_imported(modules["__init__.py"]))
+    unreferenced = _unreferenced(modules, lambda node: (
+        isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in exported
+    ))
     assert not unreferenced, unreferenced
 
 

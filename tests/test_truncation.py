@@ -26,7 +26,6 @@ from hgpoly.truncation import (
     RoundState,
     TruncationError,
     advance,
-    complements,
     constrs,
     make_round,
     mu_sigma,
@@ -218,8 +217,8 @@ def test_round_2_constructions():
 
 def test_round_2_taming_filters():
     s = square_round_2()
-    comps = complements(s)
-    assert set(comps) == {
+    comps = {frozenset(s.facet_names) - fam for fam in s.vertex_sets}
+    assert comps == {
         frozenset({"x", "x+y"}), frozenset({"y", "x+y"}),
         frozenset({"x", "u"}), frozenset({"y", "u"}),
         frozenset({"x", "z"}), frozenset({"y", "z"}),
@@ -302,7 +301,7 @@ def test_tamed_constructions_are_the_tamed_construct_filter():
     # root exactly a complement, every other node a singleton
     for s in _oracle_states():
         ht = s.truncations
-        comps = complements(s)
+        comps = {frozenset(s.facet_names) - fam for fam in s.vertex_sets}
         want = [
             t for t in enumerate_constructs(ht)
             if t.decoration in comps
