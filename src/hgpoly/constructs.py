@@ -448,25 +448,24 @@ def covers(h: Hypergraph, s: Construct) -> list[Construct]:
 
 def _up(h: Hypergraph, s: Construct) -> frozenset[Construct]:
     """The faces reachable from s along single-edge contractions, s
-    included: one breadth-first closure of covers, memoised on h for the
-    faces s it is asked about, with each face's covers memoised on h too."""
-    got = h._up_cache.get(s)
+    included: one closure of covers, memoised on h for the faces s it is
+    asked about. A face whose up-set is already memoised adds that up-set
+    whole and is not expanded, since up(v) lies inside up(s) for every v
+    in up(s)."""
+    memo = h._up_cache
+    got = memo.get(s)
     if got is None:
-        memo = h._covers_cache
-        seen = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                ups = memo.get(u)
-                if ups is None:
-                    ups = memo[u] = tuple(covers(h, u))
-                for v in ups:
-                    if v not in seen:
+        seen, todo = {s}, [s]
+        while todo:
+            for v in covers(h, todo.pop()):
+                if v not in seen:
+                    known = memo.get(v)
+                    if known is None:
                         seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        got = h._up_cache[s] = frozenset(seen)
+                        todo.append(v)
+                    else:
+                        seen |= known
+        got = memo[s] = frozenset(seen)
     return got
 
 

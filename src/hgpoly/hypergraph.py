@@ -47,8 +47,8 @@ class Hypergraph:
     """
 
     __slots__ = (
-        "carrier", "_index", "_edge_masks", "_full", "_comp_cache", "_covers_cache",
-        "_mask_cache", "_up_cache", "_connected_subsets",
+        "carrier", "_index", "_edge_masks", "_full", "_comp_cache", "_mask_cache",
+        "_up_cache", "_connected_subsets",
     )
 
     def __init__(
@@ -89,11 +89,10 @@ class Hypergraph:
         object.__setattr__(self, "_full", full)
         object.__setattr__(self, "_edge_masks", tuple(sorted(masks, key=self._edge_key)))
         object.__setattr__(self, "_comp_cache", {})
-        # construct -> its covers, filled by constructs._up
-        object.__setattr__(self, "_covers_cache", {})
         # construct node -> (decoration mask, span mask), filled by constructs._masks
         object.__setattr__(self, "_mask_cache", {})
-        # construct -> the frozenset of faces above it, filled by constructs._up
+        # queried construct -> the frozenset of faces above it, filled by
+        # constructs._up, the one memo of the rules order
         object.__setattr__(self, "_up_cache", {})
         # set by connected_subset_masks on first use
         object.__setattr__(self, "_connected_subsets", None)

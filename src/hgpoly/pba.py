@@ -27,6 +27,9 @@ from .truncation import RoundState, _tamed_constructs, advance, constrs, simplex
 # The default setup guard: the largest n that pba_setup builds unasked.
 MAX_N = 4
 
+# The most words rule_closure_leq may reach before it gives up.
+RULE_CLOSURE_LIMIT = 10000
+
 
 class PbaError(ValueError):
     """A setup request or a construct falls outside the encoding."""
@@ -672,14 +675,14 @@ def rule_upsteps(setup: PbaSetup, w: HoleWord) -> list[HoleWord]:
     return unique
 
 
-def rule_closure_leq(setup: PbaSetup, a: HoleWord, b: HoleWord, *, limit: int = 10000) -> bool:
+def rule_closure_leq(setup: PbaSetup, a: HoleWord, b: HoleWord) -> bool:
     """Reflexive-transitive closure of the two word order rules."""
     if a == b:
         return True
     seen = {a}
     frontier = [a]
     while frontier:
-        if len(seen) > limit:
+        if len(seen) > RULE_CLOSURE_LIMIT:
             raise PbaError("rule closure exceeded its search limit")
         nxt = []
         for w in frontier:

@@ -84,7 +84,9 @@ class RationalPoint:
 def hrep(h: Hypergraph) -> HalfSpaceSystem:
     """The defining constraint system in canonical support order: one
     at-least constraint per proper connected subset, then the carrier
-    equality (the largest support comes last)."""
+    equality (the largest support comes last). A disconnected h bounds no
+    polytope and raises HypergraphError."""
+    _check_guard(h, None, "half-spaces")
     constraints = []
     for m in connected_subset_masks(h):
         support = h.labels(m)

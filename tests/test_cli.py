@@ -75,6 +75,14 @@ def test_hrep(capsys, pentagon_file):
     assert status == 0 and out == PENTAGON_HREP
 
 
+def test_hrep_refuses_a_disconnected_input(capsys, tmp_path):
+    path = tmp_path / "two-points.json"
+    path.write_text(json.dumps({"format": 1, "carrier": ["x", "y"], "hyperedges": [["x"], ["y"]]}))
+    assert run(capsys, "hg", "realize", "--hrep", str(path)) == (
+        2, "", "error: half-spaces require a connected hypergraph\n"
+    )
+
+
 def test_vertices_json(capsys, pentagon_file):
     status, out, _ = run(capsys, "hg", "realize", "--vertices", pentagon_file)
     blob = json.loads(out)

@@ -303,15 +303,20 @@ def test_constructs_are_unordered_tuples(named):
             assert hash(copy) == hash(t) and copy.node_count == t.node_count
 
 
-def test_covers_memo_is_owned_by_its_hypergraph():
+def test_up_memo_is_owned_by_its_hypergraph_and_holds_closures():
     h, twin = corpus.hemiassociahedron(), corpus.hemiassociahedron()
     assert h == twin and h is not twin
     faces = enumerate_constructs(h)
     assert leq(faces[-1], faces[0], h, "rules")
-    assert h._covers_cache and not twin._covers_cache
-    assert set(h._covers_cache) <= set(faces)
-    for s, got in h._covers_cache.items():
-        assert got == tuple(covers(h, s))
+    assert h._up_cache and not twin._up_cache
+    assert set(h._up_cache) <= set(faces)
+    for s, got in h._up_cache.items():
+        # a plain breadth-first closure of covers, with no memo
+        seen, frontier = {s}, [s]
+        while frontier:
+            frontier = [v for u in frontier for v in covers(h, u) if v not in seen]
+            seen.update(frontier)
+        assert got == seen
 
 
 def test_twins_print_alike_and_omega_prints_its_atoms():
@@ -406,6 +411,19 @@ def test_order_and_covers_refuse_partial_constructs(small_corpus, named):
                         covers(h, p)
                     checked += 1
     assert checked == 6551
+
+
+def test_order_and_covers_name_an_atom_outside_the_carrier(named):
+    # x(y(w)) on the pentagon: w is no atom of h, on either side of leq
+    h = named["pentagon"]
+    bad = Construct(frozenset("x"), (Construct(frozenset("y"), (Construct(frozenset("w")),)),))
+    top = Construct(frozenset(h.carrier))
+    with pytest.raises(ConstructError, match="'w'"):
+        covers(h, bad)
+    for variant in VARIANTS:
+        for s, t in ((bad, top), (top, bad)):
+            with pytest.raises(ConstructError, match="'w'"):
+                leq(s, t, h, variant)
 
 
 def test_up_sets_are_boolean_intervals(small_corpus, named):

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from hgpoly import constructs, truncation
+from hgpoly import constructs, pba, truncation
 from hgpoly.constructs import leq, parse_construct
 from hgpoly.hypergraph import Hypergraph, restrict
 from hgpoly.nestedsets import psi
@@ -382,6 +382,16 @@ def test_rule_closure_gap_is_real(pba2, pba3):
     octagon = parse_word(".1(.1.2).2; .1={x1,x2}; .2={x3,x4}")
     assert word_leq(pba3, edge, octagon)
     assert not rule_closure_leq(pba3, edge, octagon)
+
+
+def test_rule_closure_stops_at_its_limit(pba2, monkeypatch):
+    # (x1x2)x3 reaches the all-hole top in two rule steps, not one
+    lo, hi = parse_word("(x1x2)x3"), parse_word(".1.1.1; .1={x1,x2,x3}")
+    assert hi not in rule_upsteps(pba2, lo)
+    assert rule_closure_leq(pba2, lo, hi)
+    monkeypatch.setattr(pba, "RULE_CLOSURE_LIMIT", 1)
+    with pytest.raises(PbaError, match="search limit"):
+        rule_closure_leq(pba2, lo, hi)
 
 
 # -- census ---------------------------------------------------------------

@@ -42,6 +42,13 @@ def test_segment_hrep():
     assert hrep(h).to_text() == "x >= 3\ny >= 3\nx + y == 9\n"
 
 
+def test_hrep_refuses_a_disconnected_hypergraph():
+    # {x} and {y} alone bound no polytope: there is no carrier equality
+    h = Hypergraph(["x", "y"], [["x"], ["y"]])
+    with pytest.raises(HypergraphError, match="require a connected hypergraph"):
+        hrep(h)
+
+
 def test_hexagon_hrep_census(named):
     sys = hrep(named["hexagon"])
     kinds = [c.kind for c in sys.constraints]
