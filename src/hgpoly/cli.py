@@ -34,7 +34,6 @@ from .realization import (
     vertices_to_json_dict,
 )
 from .truncation import (
-    _tamed_constructs,
     advance,
     constrs,
     next_round,
@@ -42,6 +41,7 @@ from .truncation import (
     round_state_to_json_dict,
     simplex_round,
     tamed_constructions,
+    tamed_constructs,
 )
 from .verification import CHECKS, VerificationFailure
 
@@ -212,7 +212,7 @@ def _trunc_round(args, out: io.StringIO) -> int:
         "format": 1,
         "state": round_state_to_json_dict(new),
         "tamed": {
-            "constructs": len(_tamed_constructs(new)),
+            "constructs": len(tamed_constructs(new)),
             "constructions": len(tamed_constructions(new)),
             "constrs": len(constrs(new)),
         },

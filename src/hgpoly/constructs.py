@@ -269,10 +269,6 @@ def _check_guard(h: Hypergraph, max_carrier: int | None, family: str) -> None:
         raise HypergraphError(f"{family} require a connected hypergraph")
 
 
-def _sort_key(h: Hypergraph):
-    return lambda t: (t.node_count, print_construct(h, t))
-
-
 def _submasks(m: int):
     """Every non-empty submask of m, largest first."""
     y = m
@@ -356,44 +352,35 @@ def _keyed(h: Hypergraph, decorations, family: str, max_carrier: int | None) -> 
     return dict(_trees(h, full, decorations, full, full, None, node))
 
 
-def _constructs(h: Hypergraph, max_carrier: int | None) -> list[Construct]:
-    """enumerate_constructs without the sort, for callers that only count
-    or index the faces."""
+def enumerate_constructs(
+    h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER
+) -> list[Construct]:
+    """All constructs of h, each once, in the kernel's order, the same on
+    every call."""
     _check_guard(h, max_carrier, "constructs")
     full = h.full_mask
     return _trees(h, full, _submasks, full, full, None)
 
 
-def enumerate_constructs(
+def enumerate_constructions(
     h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER
 ) -> list[Construct]:
-    """All constructs of h, each once, by node count and then text."""
-    return sorted(_constructs(h, max_carrier), key=_sort_key(h))
-
-
-def _constructions(h: Hypergraph, max_carrier: int | None) -> list[Construct]:
-    """enumerate_constructions without the sort."""
+    """All constructions (every decoration a singleton), each once, in the
+    kernel's order, the same on every call."""
     _check_guard(h, max_carrier, "constructions")
     full = h.full_mask
     return _trees(h, full, _bits, full, full, None)
 
 
-def enumerate_constructions(
-    h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER
-) -> list[Construct]:
-    """All constructions (every decoration a singleton), in text order."""
-    return sorted(_constructions(h, max_carrier), key=_sort_key(h))
-
-
 # -- the face order, three ways ----------------------------------------
 
 
-def _masks(h: Hypergraph, node: Construct) -> tuple[int, int]:
+def _masks(h: Hypergraph, node: Construct, memo: dict) -> tuple[int, int]:
     """The decoration and span of a construct node as masks over h's
-    carrier, memoised on h, so each distinct node is converted once. The
-    face order takes constructs only: an Omega leaf anywhere below node
-    raises ConstructError."""
-    got = h._mask_cache.get(node)
+    carrier, memoised in memo (h._mask_cache from leq, a per-call dict
+    elsewhere), so each distinct node is converted once. The face order
+    takes constructs only: an Omega leaf below node raises ConstructError."""
+    got = memo.get(node)
     if got is None:
         if not isinstance(node, Construct):
             raise ConstructError("Omega leaf: the face order compares constructs only")
@@ -403,14 +390,15 @@ def _masks(h: Hypergraph, node: Construct) -> tuple[int, int]:
             raise ConstructError(str(err)) from None
         span = dec
         for c in node.children:
-            span |= _masks(h, c)[1]
-        got = h._mask_cache[node] = (dec, span)
+            span |= _masks(h, c, memo)[1]
+        got = memo[node] = (dec, span)
     return got
 
 
 def _spans(h: Hypergraph, t: Construct) -> list[int]:
     """psi(t) as masks: the span of each node of t, in preorder."""
-    return [_masks(h, node)[1] for node in t.nodes()]
+    memo: dict = {}
+    return [_masks(h, node, memo)[1] for node in t.nodes()]
 
 
 def covers(h: Hypergraph, s: Construct) -> list[Construct]:
@@ -418,8 +406,8 @@ def covers(h: Hypergraph, s: Construct) -> list[Construct]:
     (merge a child's decoration into its parent's). Their order is
     deterministic but unspecified. Distinct edges drop distinct spans from
     psi(s), so no cover repeats."""
-    _masks(h, s)  # rejects an Omega leaf and memoises every span below s
-    spans = h._mask_cache
+    spans: dict = {}
+    _masks(h, s, spans)  # rejects an Omega leaf and records every span below s
 
     def lowest(c: Construct) -> int:
         m = spans[c][1]
@@ -542,8 +530,8 @@ def leq(s: Construct, t: Construct, h: Hypergraph, variant: str = "v2") -> bool:
     # a miss here memoises every node below s or t, so the variants index
     # h._mask_cache directly
     masks = h._mask_cache
-    dec, span = masks.get(s) or _masks(h, s)
-    x, tspan = masks.get(t) or _masks(h, t)
+    dec, span = masks.get(s) or _masks(h, s, masks)
+    x, tspan = masks.get(t) or _masks(h, t, masks)
     if span != tspan:
         raise ConstructError("constructs of different carriers are incomparable")
     if variant == "rules":
@@ -599,17 +587,18 @@ def rewrite_step(h: Hypergraph, p: Construct | Omega, x: str, target) -> Constru
 
 def spanning_partial_constructions(h: Hypergraph, x) -> list[Construct]:
     """All rewriting normal forms from the bare Omega over the carrier:
-    the partial constructions spanning exactly x."""
+    the partial constructions spanning exactly x, each once, in the
+    kernel's order, the same on every call."""
     xmask = h.mask(x)
     if xmask == 0:
         raise HypergraphError("x must be non-empty")
-    states = _trees(h, h.full_mask, _bits, xmask, xmask, lambda c: (Omega(h.labels(c)),))
-    return sorted(states, key=_sort_key(h))
+    return _trees(h, h.full_mask, _bits, xmask, xmask, lambda c: (Omega(h.labels(c)),))
 
 
 def vertices_below(h: Hypergraph, t: Construct) -> list[Construct]:
-    """All constructions V with V <= t, built by replacing every node of t
-    with a spanning partial construction and grafting recursively."""
+    """All constructions V <= t, each once, in the kernel's order, the same
+    on every call: every node of t becomes a spanning partial construction,
+    grafted recursively."""
 
     def rec(node: Construct) -> tuple[int, list[Construct]]:
         # the span of node as a mask, and the constructions below node
@@ -620,4 +609,4 @@ def vertices_below(h: Hypergraph, t: Construct) -> list[Construct]:
             ambient |= m
         return ambient, _trees(h, ambient, _bits, dec, ambient, below.__getitem__)
 
-    return sorted(rec(t)[1], key=_sort_key(h))
+    return rec(t)[1]

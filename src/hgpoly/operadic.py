@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .constructs import (
-    MAX_CARRIER,
     Construct,
-    _constructions,
     _spans,
+    enumerate_constructions,
     validate_construct,
     vertices_below,
 )
@@ -339,7 +338,7 @@ def classify_edge(g: EdgeGraph, e: Construct) -> EdgeClassification:
     endpoints, the vertices below it, split that node. If the min-path
     between u and v is all solid, the edge is beta, oriented toward the
     endpoint in which the lower-level atom sits above the higher-level
-    one; a dashed crossing makes it theta.
+    one; a dashed crossing makes it theta. The endpoints come in kernel order.
     """
     h = g.hypergraph
     e = validate_construct(h, e)
@@ -552,7 +551,7 @@ def _word(g: EdgeGraph, v: Construct) -> str:
 
 def decomposition_words(g: EdgeGraph) -> list[str]:
     """All full decomposition words, one per construction, sorted."""
-    return sorted(_word(g, v) for v in _constructions(g.hypergraph, MAX_CARRIER))
+    return sorted(_word(g, v) for v in enumerate_constructions(g.hypergraph))
 
 
 def skeleton_dot(g: EdgeGraph) -> str:
@@ -563,7 +562,7 @@ def skeleton_dot(g: EdgeGraph) -> str:
     # one node: record (word, atom of the node's parent, atom of the node)
     words = []
     edges: dict[frozenset[int], list[tuple[str, str, str]]] = {}
-    for v in _constructions(h, MAX_CARRIER):
+    for v in enumerate_constructions(h):
         word = _word(g, v)
         words.append(word)
         spans = _spans(h, v)

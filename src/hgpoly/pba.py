@@ -21,7 +21,7 @@ from .constructs import (
 )
 from .hypergraph import Hypergraph, InvariantError, restrict
 from .nestedsets import psi
-from .truncation import RoundState, _tamed_constructs, advance, constrs, simplex_round
+from .truncation import RoundState, advance, constrs, simplex_round, tamed_constructs
 
 
 # The default setup guard: the largest n that pba_setup builds unasked.
@@ -586,11 +586,11 @@ def decode(setup: PbaSetup, w: HoleWord) -> Construct:
 
 
 def face_constructs(setup: PbaSetup) -> list[Construct]:
-    """Every tamed construct of the round-two state, one per face, in no
-    particular order: the root decorations are fixed at the top region,
-    each holding the complement of a vertex decoration (a prefix chain),
-    so a root is the complement of a proper chain of letter sets."""
-    return _tamed_constructs(setup.state)
+    """Every tamed construct of the round-two state, one per face, in the
+    kernel's order, the same on every call. Each root holds the complement
+    of a vertex decoration (a prefix chain), so it is the complement of a
+    proper chain of letter sets."""
+    return tamed_constructs(setup.state)
 
 
 def face_words(setup: PbaSetup) -> list[HoleWord]:

@@ -20,10 +20,10 @@ from .constructs import (
     _bit_indices,
     _bits,
     _check_guard,
-    _constructions,
-    _constructs,
     _spans,
     _submasks,
+    enumerate_constructions,
+    enumerate_constructs,
     print_construct,
     vertices_below,
 )
@@ -270,7 +270,7 @@ def verify_isomorphism(
     s must be the faces keyed by key(s) minus one non-carrier member, and
     vertices_below the top face must give every vertex."""
     report = VerificationReport(h)
-    faces = _constructs(h, max_carrier)
+    faces = enumerate_constructs(h, max_carrier=max_carrier)
     n = len(h.carrier)
     # n nodes partition n atoms, so every decoration is a singleton
     constructions = [c for c in faces if c.node_count == n]
@@ -379,6 +379,6 @@ def verify_isomorphism(
 def vertices_to_json_dict(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> dict:
     """JSON export: construction text -> integer coordinates as strings."""
     out = {}
-    for v in _constructions(h, max_carrier):
+    for v in enumerate_constructions(h, max_carrier=max_carrier):
         out[print_construct(h, v)] = [str(c) for c in _vertex(h, v)[0]]
     return {"format": 1, "carrier": list(h.carrier), "vertices": out}

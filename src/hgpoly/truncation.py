@@ -17,7 +17,6 @@ from .constructs import (
     _bit_indices,
     _bits,
     _check_size,
-    _sort_key,
     _spans,
     _submasks,
     _trees,
@@ -216,10 +215,10 @@ def _check_decorations(s: RoundState) -> None:
 
 
 def _tamed(s: RoundState, grow, decorations) -> list[Construct]:
-    """One unsorted `_trees` run: the top region takes the roots grow(c,
-    fam) gives for each vertex decoration fam and its complement c, once
-    each in that order; every region below, which lies inside a vertex
-    decoration and so under _check_decorations, draws from decorations."""
+    """One `_trees` run: the top region takes the roots grow(c, fam) gives
+    for each vertex decoration fam and its complement c, once each in that
+    order; every region below, which lies inside a vertex decoration and so
+    under _check_decorations, draws from decorations."""
     _check_decorations(s)
     ht = s.truncations
     full = ht.full_mask
@@ -229,25 +228,19 @@ def _tamed(s: RoundState, grow, decorations) -> list[Construct]:
     return _trees(ht, full, lambda m: roots if m == full else decorations(m), full, full, None)
 
 
-def _tamed_constructs(s: RoundState) -> list[Construct]:
-    """tamed_constructs without the sort, for callers that only count or
-    index the faces."""
-    return _tamed(s, lambda c, fam: (c | y for y in (*_submasks(fam), 0)), _submasks)
-
-
 def tamed_constructs(s: RoundState) -> list[Construct]:
     """Constructs of the truncation hypergraph whose root contains the
-    complement of some vertex decoration, by node count and then text.
-    The roots are each complement grown by every subset of its
-    decoration; a decoration over MAX_CARRIER facets raises
-    GuardExceeded."""
-    return sorted(_tamed_constructs(s), key=_sort_key(s.truncations))
+    complement of some vertex decoration, each once, in the kernel's
+    order, the same on every call. The roots are each complement grown by
+    every subset of its decoration; a decoration over MAX_CARRIER facets
+    raises GuardExceeded."""
+    return _tamed(s, lambda c, fam: (c | y for y in (*_submasks(fam), 0)), _submasks)
 
 
 def tamed_constructions(s: RoundState) -> list[Construct]:
     """Tamed constructs whose root is exactly a complement and whose
-    other nodes are singletons, under the same guard as tamed_constructs.
-    The order is unspecified."""
+    other nodes are singletons, each once, in the kernel's order, the same
+    on every call, under the same guard as tamed_constructs."""
     return _tamed(s, lambda c, fam: (c,), _bits)
 
 

@@ -4,6 +4,7 @@ statuses with their distinct messages, and byte-identical reruns."""
 import argparse
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -132,6 +133,51 @@ def test_op_graph_and_words(capsys, t4_file):
     assert '"x" -- "y" [style=dashed];' in out
     status, out, _ = run(capsys, "op", "words", "--tree", t4_file)
     assert status == 0 and len(out.splitlines()) == 5
+
+
+TRACED = ("enumerate_constructs", "enumerate_constructions", "tamed_constructs")
+
+
+def _count_calls(monkeypatch) -> dict[str, int]:
+    """Wrap each traced enumerator wherever an hgpoly module binds it, the
+    way the benchmark's tracer installs its layers, and count its calls."""
+    calls = dict.fromkeys(TRACED, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, module in list(sys.modules.items()):
+        if key == "hgpoly" or key.startswith("hgpoly."):
+            for name in TRACED:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
+    return calls
+
+
+def test_commands_reach_the_traced_enumerators(capsys, monkeypatch, tmp_path,
+                                               pentagon_file, t4_file):
+    # the benchmark traces the public enumerators by name: a command that
+    # reaches its faces another way would read zero calls on that layer
+    ht1, ht2, state1 = (tmp_path / name for name in ("ht1.json", "ht2.json", "s1.json"))
+    ht1.write_text(json.dumps(SQUARE_HT1))
+    ht2.write_text(json.dumps(SQUARE_HT2))
+    state1.write_text(run(capsys, "trunc", "init", "--truncations", str(ht1))[1])
+    calls = _count_calls(monkeypatch)
+    for argv, enumerator in [
+        (["op", "words", "--tree", t4_file], "enumerate_constructions"),
+        (["op", "classify", "--tree", t4_file], "enumerate_constructions"),
+        (["hg", "realize", "--vertices", pentagon_file], "enumerate_constructions"),
+        (["hg", "realize", "--verify", pentagon_file], "enumerate_constructs"),
+        (["trunc", "round", "--state", str(state1), "--truncations", str(ht2)],
+         "tamed_constructs"),
+        (["pba", "census", "3"], "tamed_constructs"),
+    ]:
+        calls.update(dict.fromkeys(TRACED, 0))
+        assert run(capsys, *argv)[0] == 0, argv
+        assert calls[enumerator] == 1, (argv, calls)
 
 
 def test_trunc_rounds(capsys, tmp_path):

@@ -458,24 +458,24 @@ def test_skeleton_dot_output():
 
 
 def test_skeleton_dot_runs_the_kernel_once(monkeypatch):
-    # the vertices come from one unsorted run of the kernel and the edges
+    # the vertices come from one run of the kernel and the edges
     # are read off their nested sets: no construct is enumerated, split
     # into its vertices or printed
     g = build_edge_graph(parse_tree("a(b(c,d),e(f))"))
     want = skeleton_dot(g)
     calls = []
-    real = operadic._constructions
+    real = operadic.enumerate_constructions
 
-    def counting(h, max_carrier):
+    def counting(h, **kwargs):
         calls.append(h)
-        return real(h, max_carrier)
+        return real(h, **kwargs)
 
     def refused(*args, **kwargs):
         raise AssertionError("skeleton_dot enumerated, split or printed a construct")
 
-    monkeypatch.setattr(operadic, "_constructions", counting)
+    monkeypatch.setattr(operadic, "enumerate_constructions", counting)
     for module in (operadic, constructs):
-        for name in ("_constructs", "enumerate_constructions", "vertices_below", "print_construct"):
+        for name in ("enumerate_constructs", "vertices_below", "print_construct"):
             monkeypatch.setattr(module, name, refused, raising=False)
     assert skeleton_dot(g) == want
     assert calls == [g.hypergraph]
@@ -534,8 +534,8 @@ def test_skeleton_dot_matches_classify_edge_on_every_small_tree():
 
 def test_skeleton_edge_without_two_vertices_breaks_an_invariant(monkeypatch, capsys, tmp_path):
     # dropping one vertex leaves its edges with one vertex each
-    real = operadic._constructions
-    monkeypatch.setattr(operadic, "_constructions", lambda h, max_carrier: real(h, max_carrier)[1:])
+    real = operadic.enumerate_constructions
+    monkeypatch.setattr(operadic, "enumerate_constructions", lambda h, **kw: real(h, **kw)[1:])
     g = build_edge_graph(parse_tree("a(b(c,d),e(f))"))
     message = "a skeleton edge should have 2 vertices, found 1"
     with pytest.raises(InvariantError, match=message):
