@@ -14,9 +14,11 @@ and hashed by value in C, and unordered.
 Three independent implementations of the face order are kept deliberately
 separate so their agreement can be tested: `rules` asks whether t lies in
 the breadth-first closure of `covers` from s, memoised on the hypergraph,
-while `v2` and `v3` decide on the decoration and span masks of the nodes,
-also memoised on the hypergraph. The order takes constructs only: a tree
-with an Omega leaf raises ConstructError.
+while `v2` and `v3` recurse over mask records (decoration, span, child
+records), one per distinct node, also memoised on the hypergraph, so below
+the roots they hash no node. `covers` and psi take spans from one pass that
+hashes no node either. The order takes constructs only: a tree with an
+Omega leaf raises ConstructError.
 """
 
 from __future__ import annotations
@@ -375,11 +377,13 @@ def enumerate_constructions(
 # -- the face order, three ways ----------------------------------------
 
 
-def _masks(h: Hypergraph, node: Construct, memo: dict) -> tuple[int, int]:
-    """The decoration and span of a construct node as masks over h's
-    carrier, memoised in memo (h._mask_cache from leq, a per-call dict
-    elsewhere), so each distinct node is converted once. The face order
-    takes constructs only: an Omega leaf below node raises ConstructError."""
+def _masks(h: Hypergraph, node: Construct) -> tuple[int, int, tuple]:
+    """The mask record (decoration mask, span mask, child records) of a
+    construct node over h's carrier, memoised on h._mask_cache for leq, so
+    each distinct node is converted once. The face order takes constructs
+    only: an Omega leaf below node, or an atom outside the carrier, raises
+    ConstructError."""
+    memo = h._mask_cache
     got = memo.get(node)
     if got is None:
         if not isinstance(node, Construct):
@@ -388,17 +392,37 @@ def _masks(h: Hypergraph, node: Construct, memo: dict) -> tuple[int, int]:
             dec = h.mask(node.decoration)
         except HypergraphError as err:
             raise ConstructError(str(err)) from None
-        span = dec
-        for c in node.children:
-            span |= _masks(h, c, memo)[1]
-        got = memo[node] = (dec, span)
+        kids, span = tuple(map(partial(_masks, h), node.children)), dec
+        for kid in kids:
+            span |= kid[1]
+        got = memo[node] = (dec, span, kids)
     return got
+
+
+def _span_pass(h: Hypergraph, node: Construct, nodes: list, spans: list) -> int:
+    """Append the nodes of node's subtree to nodes in preorder and their
+    span masks to spans, and return node's span, hashing no node. Raises
+    ConstructError where _masks does."""
+    if not isinstance(node, Construct):
+        raise ConstructError("Omega leaf: the face order compares constructs only")
+    try:
+        span = h.mask(node.decoration)
+    except HypergraphError as err:
+        raise ConstructError(str(err)) from None
+    i = len(spans)
+    nodes.append(node)
+    spans.append(span)
+    for c in node.children:
+        span |= _span_pass(h, c, nodes, spans)
+    spans[i] = span
+    return span
 
 
 def _spans(h: Hypergraph, t: Construct) -> list[int]:
     """psi(t) as masks: the span of each node of t, in preorder."""
-    memo: dict = {}
-    return [_masks(h, node, memo)[1] for node in t.nodes()]
+    spans: list[int] = []
+    _span_pass(h, t, [], spans)
+    return spans
 
 
 def covers(h: Hypergraph, s: Construct) -> list[Construct]:
@@ -406,12 +430,9 @@ def covers(h: Hypergraph, s: Construct) -> list[Construct]:
     (merge a child's decoration into its parent's). Their order is
     deterministic but unspecified. Distinct edges drop distinct spans from
     psi(s), so no cover repeats."""
-    spans: dict = {}
-    _masks(h, s, spans)  # rejects an Omega leaf and records every span below s
-
-    def lowest(c: Construct) -> int:
-        m = spans[c][1]
-        return m & -m
+    nodes, spans = [], []
+    _span_pass(h, s, nodes, spans)  # rejects an Omega leaf
+    low = {id(node): m & -m for node, m in zip(nodes, spans)}  # s keeps its nodes alive
 
     def rec(node: Construct) -> list[Construct]:
         kids = node.children
@@ -423,7 +444,7 @@ def covers(h: Hypergraph, s: Construct) -> list[Construct]:
                 continue
             # the merged node's children keep their spans, so they go in
             # canonical order by lowest atom
-            merged = tuple(sorted(before + after + grand, key=lowest))
+            merged = tuple(sorted(before + after + grand, key=lambda c: low[id(c)]))
             results.append(Construct(node.decoration | child.decoration, merged))
             # a contraction inside a child keeps the child's span, hence its
             # place among the children
@@ -457,50 +478,48 @@ def _up(h: Hypergraph, s: Construct) -> frozenset[Construct]:
     return got
 
 
-def _leq_v2(h: Hypergraph, s: Construct, dec: int, x: int, kids: tuple[Construct, ...]) -> bool:
-    # direct two-clause recursion on the pair: s, with decoration mask dec,
-    # against the face with root decoration mask x and children kids
-    if dec & ~x:
+def _leq_v2(s: tuple, x: int, kids) -> bool:
+    # direct two-clause recursion on the pair: the record s against the
+    # face with root decoration mask x and child records kids
+    if s[0] & ~x:
         return False
-    if not s.children:
-        return True
-    masks = h._mask_cache
-    spans = [(masks[c][1], c) for c in kids]
-    for child in s.children:
-        cdec, k = masks[child]
-        inside = tuple(c for m, c in spans if not m & ~k)
+    for child in s[2]:
+        k = child[1]
+        inside = []
+        for c in kids:
+            if not c[1] & ~k:
+                inside.append(c)
         inter = k & x
         if inter:
-            if not _leq_v2(h, child, cdec, inter, inside):
+            if not _leq_v2(child, inter, inside):
                 return False
         else:
             # the whole component sits beside the larger decoration
             if len(inside) != 1:
                 return False
-            tdec, span = masks[inside[0]]
-            if span != k or not _leq_v2(h, child, cdec, tdec, inside[0].children):
+            tdec, span, grand = inside[0]
+            if span != k or not _leq_v2(child, tdec, grand):
                 return False
     return True
 
 
-def _leq_v3(h: Hypergraph, s: Construct, dec: int, span: int, t: Construct, x: int) -> bool:
-    # cut s (decoration mask dec, span mask span) along the decoration mask
-    # x of t's root; the cut prefix must be a spanning partial construct of
-    # x and the hanging subtrees must sit below t's children component by
-    # component
+def _leq_v3(s: tuple, t: tuple) -> bool:
+    # cut the record s along the decoration mask x of t's root; the cut
+    # prefix must be a spanning partial construct of x and the hanging
+    # subtrees must sit below t's children component by component
+    (dec, span, _), x = s, t[0]
     if x == span:
         return True  # one-node maximum of this component
     if dec & ~x or not dec & x:
         return False
-    masks = h._mask_cache
-    hung: dict[int, tuple[Construct, int]] = {}
+    hung: dict[int, tuple] = {}
     hanging = 0
     stack = [s]
     while stack:
-        for child in stack.pop().children:
-            cdec, cspan = masks[child]
+        for child in stack.pop()[2]:
+            cdec, cspan, _ = child
             if not cspan & x:
-                hung[cspan] = child, cdec
+                hung[cspan] = child
                 hanging |= cspan
             elif cdec & ~x or not cdec & x:
                 return False
@@ -510,14 +529,12 @@ def _leq_v3(h: Hypergraph, s: Construct, dec: int, span: int, t: Construct, x: i
     if span & ~hanging != x:
         return False
     below = {}
-    for c in t.children:
-        cdec, cspan = masks[c]
-        below[cspan] = c, cdec
+    for c in t[2]:
+        below[c[1]] = c
     if hung.keys() != below.keys():
         return False
-    for k, (c, cdec) in hung.items():
-        u, udec = below[k]
-        if not _leq_v3(h, c, cdec, k, u, udec):
+    for k, c in hung.items():
+        if not _leq_v3(c, below[k]):
             return False
     return True
 
@@ -525,21 +542,20 @@ def _leq_v3(h: Hypergraph, s: Construct, dec: int, span: int, t: Construct, x: i
 def leq(s: Construct, t: Construct, h: Hypergraph, variant: str = "v2") -> bool:
     """Face order: s is a face of t. Variants are independent
     implementations that must agree: `rules` asks whether t is in the
-    memoised contraction closure of s, `v2` and `v3` decide on masks.
-    Both must be constructs; an Omega leaf raises ConstructError."""
-    # a miss here memoises every node below s or t, so the variants index
-    # h._mask_cache directly
+    memoised contraction closure of s, `v2` and `v3` decide on the mask
+    records of s and t. Both must be constructs; an Omega leaf raises
+    ConstructError."""
+    # the only memo lookups: v2 and v3 recurse over the records below
     masks = h._mask_cache
-    dec, span = masks.get(s) or _masks(h, s, masks)
-    x, tspan = masks.get(t) or _masks(h, t, masks)
-    if span != tspan:
+    srec, trec = masks.get(s) or _masks(h, s), masks.get(t) or _masks(h, t)
+    if srec[1] != trec[1]:
         raise ConstructError("constructs of different carriers are incomparable")
     if variant == "rules":
         return t in _up(h, s)
     if variant == "v2":
-        return _leq_v2(h, s, dec, x, t.children)
+        return _leq_v2(srec, trec[0], trec[2])
     if variant == "v3":
-        return _leq_v3(h, s, dec, span, t, x)
+        return _leq_v3(srec, trec)
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -89,7 +89,7 @@ class Hypergraph:
         object.__setattr__(self, "_full", full)
         object.__setattr__(self, "_edge_masks", tuple(sorted(masks, key=self._edge_key)))
         object.__setattr__(self, "_comp_cache", {})
-        # construct node -> (decoration mask, span mask), kept for leq only
+        # construct node -> mask record (decoration, span, child records), for leq only
         object.__setattr__(self, "_mask_cache", {})
         # queried construct -> the frozenset of faces above it, filled by
         # constructs._up, the one memo of the rules order

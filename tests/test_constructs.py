@@ -28,7 +28,7 @@ from hgpoly import (
     verify_isomorphism,
     vertices_below,
 )
-from hgpoly.constructs import Construct, Omega
+from hgpoly.constructs import Construct, Omega, _spans
 from hgpoly import corpus
 from hgpoly.nestedsets import psi
 
@@ -435,6 +435,67 @@ def test_order_and_covers_name_an_atom_outside_the_carrier(named):
         for s, t in ((bad, top), (top, bad)):
             with pytest.raises(ConstructError, match="'w'"):
                 leq(s, t, h, variant)
+
+
+def test_mask_records_and_spans_mirror_the_tree(small_corpus, named):
+    # leq's memoised record of a node is (decoration mask, span mask, the
+    # children's records in the children's order), and the span pass
+    # behind psi and covers reads the same spans in preorder; each
+    # hypergraph is a fresh copy, so the shared fixtures' memos stay as
+    # the other tests leave them
+    cases = list(small_corpus) + [h for h in named.values() if len(h.carrier) <= 5]
+    checked = 0
+    for h in (Hypergraph(g.carrier, g.hyperedges) for g in cases):
+        for t in enumerate_constructs(h):
+            assert leq(t, t, h)
+            records = h._mask_cache
+            for n in t.nodes():
+                dec, span, kids = records[n]
+                assert dec == h.mask(n.decoration) and span == h.mask(n.span)
+                assert kids == tuple(records[c] for c in n.children)
+                checked += 1
+            assert _spans(h, t) == [h.mask(n.span) for n in t.nodes()]
+    assert checked == 29396
+    h = named["2-simplex"]
+    (p,) = spanning_partial_constructions(h, ["x"])
+    with pytest.raises(ConstructError, match="Omega"):
+        _spans(h, p)
+    h = named["pentagon"]
+    bad = Construct(frozenset("x"), (Construct(frozenset("y"), (Construct(frozenset("w")),)),))
+    with pytest.raises(ConstructError, match="'w'"):
+        _spans(h, bad)
+
+
+class _CountingDict(dict):
+    """A dict that counts the lookups made through get and []."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_leq_v2_and_v3_look_up_only_s_and_t():
+    # once the records are built, v2 and v3 recurse over them: each call
+    # reads the memo for s and for t and nothing below
+    for h in (corpus.hemiassociahedron(), corpus.complete_graph(4)):
+        memo = _CountingDict()
+        object.__setattr__(h, "_mask_cache", memo)
+        faces = enumerate_constructs(h)
+        for s in faces:
+            for t in faces:
+                leq(s, t, h, "v2")
+        for variant in ("v2", "v3"):
+            memo.lookups = 0
+            for s in faces:
+                for t in faces:
+                    leq(s, t, h, variant)
+            assert memo.lookups == 2 * len(faces) ** 2, variant
 
 
 def test_up_sets_are_boolean_intervals(small_corpus, named):
