@@ -10,6 +10,7 @@ at the public boundary.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,6 +35,10 @@ class RealizationError(InvariantError):
     """A geometric invariant failed on actual coordinates."""
 
 
+def _row(labels: tuple[str, ...], rhs: int, kind: str) -> str:
+    return f"{' + '.join(labels)} {'==' if kind == 'equality' else '>='} {rhs}"
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     support: frozenset[str]
@@ -41,32 +46,33 @@ class LinearConstraint:
     kind: str  # "equality" | "at-least"
 
     def text(self, h: Hypergraph) -> str:
-        left = " + ".join(h.sorted_labels(self.support))
-        op = "==" if self.kind == "equality" else ">="
-        return f"{left} {op} {self.rhs}"
+        return _row(h.sorted_labels(self.support), self.rhs, self.kind)
 
 
 @dataclass(frozen=True)
 class HalfSpaceSystem:
+    """One half-space per connected subset mask, in the order of masks; text
+    and JSON are printed straight from the masks."""
+
     ambient: Hypergraph
-    constraints: tuple[LinearConstraint, ...]
+    masks: tuple[int, ...]
+
+    def _rows(self):
+        h = self.ambient
+        for m in self.masks:
+            kind = "equality" if m == h.full_mask else "at-least"
+            yield h.sorted_labels(m), 3 ** m.bit_count(), kind
+
+    @property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        return tuple(LinearConstraint(frozenset(s), rhs, kind) for s, rhs, kind in self._rows())
 
     def to_text(self) -> str:
-        return "\n".join(c.text(self.ambient) for c in self.constraints) + "\n"
+        return "".join(_row(*row) + "\n" for row in self._rows())
 
     def to_json_dict(self) -> dict:
-        return {
-            "format": 1,
-            "carrier": list(self.ambient.carrier),
-            "constraints": [
-                {
-                    "support": list(self.ambient.sorted_labels(c.support)),
-                    "rhs": str(c.rhs),
-                    "kind": c.kind,
-                }
-                for c in self.constraints
-            ],
-        }
+        rows = [{"support": list(s), "rhs": str(r), "kind": k} for s, r, k in self._rows()]
+        return {"format": 1, "carrier": list(self.ambient.carrier), "constraints": rows}
 
 
 @dataclass(frozen=True)
@@ -87,68 +93,108 @@ def hrep(h: Hypergraph) -> HalfSpaceSystem:
     equality (the largest support comes last). A disconnected h bounds no
     polytope and raises HypergraphError."""
     _check_guard(h, None, "half-spaces")
-    constraints = []
-    for m in connected_subset_masks(h):
-        support = h.labels(m)
-        kind = "equality" if m == h.full_mask else "at-least"
-        constraints.append(LinearConstraint(support, 3 ** len(support), kind))
-    return HalfSpaceSystem(h, tuple(constraints))
+    return HalfSpaceSystem(h, connected_subset_masks(h))
 
 
-def _vertex(h: Hypergraph, v: Construct) -> tuple[tuple[int, ...], set[int], set[int]]:
+def _closed_form(h: Hypergraph, v: Construct) -> tuple[list[int], list[int]]:
     """The vertex v names, in closed form: a node's atom gets 3^|span| minus
     3^|child span| summed over its children. Returns the integer coordinates
-    in carrier order, psi(v) as masks and the proper connected subsets the
-    vertex is tight on; it must be strict on every other one."""
-    if not v.is_construction:
-        raise RealizationError(f"{print_construct(h, v)} is not a construction")
-    coords = [0] * len(h.carrier)
-    family: set[int] = set()
+    in carrier order and psi(v) as span masks."""
+    coords, spans = [0] * len(h.carrier), []
 
     def rec(node: Construct) -> int:
+        if not isinstance(node, Construct) or len(node.decoration) != 1:
+            raise RealizationError(f"{print_construct(h, v)} is not a construction")
         bit = span = h.mask(node.decoration)
         below = 0
-        for c in node.children:
-            m = rec(c)
+        for m in map(rec, node.children):
             span |= m
             below += 3 ** m.bit_count()
         coords[bit.bit_length() - 1] = 3 ** span.bit_count() - below
-        family.add(span)
+        spans.append(span)
         return span
 
     # one node per atom and a root spanning the carrier: each atom once
-    full = h.full_mask
-    if rec(v) != full or v.node_count != len(coords):
+    if rec(v) != h.full_mask or v.node_count != len(coords):
         raise RealizationError(f"{print_construct(h, v)} does not span the carrier exactly once")
-    tight: set[int] = set()
-    # the subsets come by size, so m minus its lowest atom is mostly one
-    # already summed
-    sums = {0: 0}
-    for m in connected_subset_masks(h):
-        low = m & -m
+    return coords, spans
+
+
+def _solve(
+    h: Hypergraph, vs: list[Construct], report: VerificationReport | None = None
+) -> tuple[list[list[int]], list[int] | None]:
+    """The vertices of the constructions vs, checked on every connected subset
+    m: strict where m is not in psi(v), tight where it is (Postnikov 2009).
+    One int per atom holds a lane per vertex, with a guard bit: a sum over m
+    is one addition, its compare with 3^|m| one subtraction (Lamport 1975;
+    Knuth, TAOCP 4A 7.1.3). The first vertex failing strictness raises, or
+    all go to report, each at its first failing subset. Returns coordinates,
+    and the tight subsets of each vertex but the carrier, or None if psi's."""
+    subsets, count, n = connected_subset_masks(h), len(vs), len(h.carrier)
+    coords, held = [], {m: array("I") for m in subsets}  # m -> the vertices whose psi holds m
+    for j, v in enumerate(vs):
+        c, spans = _closed_form(h, v)
+        coords.append(c)
+        for m in spans:
+            held[m].append(j)
+    # lanes hold x + shift >= 0 and sums below top; shift > 0 only if the closed form broke
+    shift = max(0, -min(map(min, coords)))
+    top = max(3**n, max(map(sum, coords))) + shift * n
+    nb = (top.bit_length() + 8) // 8  # a guard bit above top, in whole bytes
+    size = count * nb
+
+    def decode(bits: int) -> list[int]:  # the lanes whose guard bit is set
+        return [j for j, x in enumerate(bits.to_bytes(size, "little")[nb - 1 :: nb]) if x]
+
+    cols = [
+        int.from_bytes(b"".join([(x + shift).to_bytes(nb, "little") for x in col]), "little")
+        for col in zip(*coords)
+    ]
+    ones = int.from_bytes(b"\1".ljust(nb, b"\0") * count, "little")
+    guards = ones << 8 * nb - 1
+    strict, loose, sums = {}, {}, {0: 0}
+    for m in subsets:  # by size, so m minus its lowest atom is mostly summed
+        k, low = m.bit_count(), m & -m
         rest = sums.get(m ^ low)
         if rest is None:
-            rest = sum(map(coords.__getitem__, _bit_indices(m ^ low)))
-        total = sums[m] = rest + coords[low.bit_length() - 1]
-        bound = 3 ** m.bit_count()
-        if total <= bound and m not in family:
-            raise RealizationError(
-                f"vertex of {print_construct(h, v)} fails strictness on "
-                f"{sorted(h.labels(m))}: sum is {total}, bound {bound}"
-            )
-        if total == bound:
-            tight.add(m)
-    tight.discard(full)
-    return tuple(coords), family, tight
+            rest = sum(map(cols.__getitem__, _bit_indices(m ^ low)))
+        total = sums[m] = rest + cols[low.bit_length() - 1]
+        above = (total | guards) - ones * (3**k + shift * k)
+        ge, gt = above & guards, (above - ones) & guards
+        lanes = bytearray(size)
+        for j in held[m]:
+            lanes[j * nb + nb - 1] = 0x80
+        psi = int.from_bytes(lanes, "little")
+        fail = (guards ^ gt) & ~psi  # at or below the bound, m not in psi
+        if fail:
+            for j in decode(fail):
+                if j not in strict:
+                    got = sum(coords[j][i] for i in _bit_indices(m))
+                    where = f"{sorted(h.labels(m))}: sum is {got}, bound {3**k}"
+                    strict[j] = f"vertex of {print_construct(h, vs[j])} fails strictness on {where}"
+        if m != h.full_mask and ge ^ gt != psi:
+            loose[m] = decode(ge ^ gt)  # its tight lanes, not those of psi
+    for j in sorted(strict):
+        if report is None:
+            raise RealizationError(strict[j])
+        report.add("strictness", strict[j])
+    if strict or not loose:
+        return coords, None
+    tight = [0] * count
+    for i, m in enumerate(subsets[:-1]):  # the carrier comes last
+        for j in loose.get(m, held[m]):
+            tight[j] |= 1 << i
+    return coords, tight
 
 
 def vertex_of_construction(h: Hypergraph, v: Construct) -> RationalPoint:
     """The vertex of the construction v, with Fraction coordinates."""
-    return RationalPoint(h.carrier, tuple(map(Fraction, _vertex(h, v)[0])))
+    return RationalPoint(h.carrier, tuple(map(Fraction, _solve(h, [v])[0][0])))
 
 
 def face_vertex_set(h: Hypergraph, t: Construct) -> frozenset[RationalPoint]:
-    return frozenset(vertex_of_construction(h, v) for v in vertices_below(h, t))
+    points = _solve(h, vertices_below(h, t))[0]
+    return frozenset(RationalPoint(h.carrier, tuple(map(Fraction, p))) for p in points)
 
 
 def f_vector(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> tuple[int, ...]:
@@ -226,33 +272,12 @@ class VerificationReport:
             bucket.append(witness)
 
     def summary(self) -> str:
-        lines = [
-            f"carrier {len(self.hypergraph.carrier)} atoms: "
-            + ("PASS" if self.ok else "FAIL")
-        ]
-        for key in sorted(self.stats):
-            lines.append(f"  {key}: {self.stats[key]}")
+        lines = [f"carrier {len(self.hypergraph.carrier)} atoms: {'PASS' if self.ok else 'FAIL'}"]
+        lines += (f"  {key}: {self.stats[key]}" for key in sorted(self.stats))
         for kind in sorted(self.failures):
             lines.append(f"  {kind}:")
             lines.extend(f"    {w}" for w in self.failures[kind])
         return "\n".join(lines)
-
-
-def _face_vertices(keys: list[int], at: list[int], width: int) -> list[int]:
-    """The vertex bitset of each face whose psi key, the carrier left out,
-    is in keys: the AND over the members i of the key of tight[i], the
-    vertices j whose tight facets at[j] hold i; width counts the subsets."""
-    tight = [0] * width
-    for j, own in enumerate(at):
-        for i in _bit_indices(own):
-            tight[i] |= 1 << j
-    out = []
-    for key in keys:
-        bits = (1 << len(at)) - 1
-        for i in _bit_indices(key):
-            bits &= tight[i]
-        out.append(bits)
-    return out
 
 
 def verify_isomorphism(
@@ -275,58 +300,44 @@ def verify_isomorphism(
     # n nodes partition n atoms, so every decoration is a singleton
     constructions = [c for c in faces if c.node_count == n]
 
-    solved = {}
-    for v in constructions:
-        try:
-            solved[v] = _vertex(h, v)
-        except RealizationError as err:
-            report.add("strictness", str(err))
+    points, tight = _solve(h, constructions, report)
     if not report.ok:
         return report
-
-    seen_points: dict[tuple[int, ...], Construct] = {}
-    for v, (p, family, on) in solved.items():
-        other = seen_points.get(p)
-        if other is not None:
-            report.add(
-                "distinct-points",
-                f"{print_construct(h, v)} and {print_construct(h, other)} coincide",
-            )
-        seen_points[p] = v
-        named = family - {h.full_mask}
-        if on != named or len(on) != n - 1:
-            report.add(
-                "simplicity",
-                f"{print_construct(h, v)} lies on {len(on)} facets, named {len(named)}",
-            )
 
     subsets = connected_subset_masks(h)
     bit = {m: 1 << i for i, m in enumerate(subsets)}
     carrier = bit[h.full_mask]
     # psi(t) as the sum of bit[span] over the nodes of t, whose spans are distinct
     keys = [sum(map(bit.__getitem__, _spans(h, t))) for t in faces]
+    # the tight facets of each vertex, as a key without the carrier
+    named = [key & ~carrier for t, key in zip(faces, keys) if t.node_count == n]
+    at = named if tight is None else tight
+
+    seen_points: dict[tuple[int, ...], Construct] = {}
+    for v, p, own, want in zip(constructions, map(tuple, points), at, named):
+        other = seen_points.get(p)
+        if other is not None:
+            witness = f"{print_construct(h, v)} and {print_construct(h, other)} coincide"
+            report.add("distinct-points", witness)
+        seen_points[p] = v
+        if own != want:
+            witness = f"{print_construct(h, v)} lies on {own.bit_count()} facets, named {n - 1}"
+            report.add("simplicity", witness)
     index: dict[int, int] = {}
     for i, key in enumerate(keys):
         j = index.setdefault(key, i)
         if j != i:
-            report.add(
-                "injectivity",
-                f"{print_construct(h, faces[i])} and {print_construct(h, faces[j])} "
-                "share a nested set",
-            )
+            pair = f"{print_construct(h, faces[i])} and {print_construct(h, faces[j])}"
+            report.add("injectivity", f"{pair} share a nested set")
 
-    # the tight facets of each vertex as a key without the carrier; the
-    # faces at a vertex are the subsets of its tight facets
-    at = [sum(map(bit.__getitem__, on)) for _, _, on in solved.values()]
+    # the faces at a vertex are the subsets of its tight facets
     reached = bytearray(len(faces))
-    for v, own in zip(solved, at):
+    for v, own in zip(constructions, at):
         for sub in (*_submasks(own), 0):
             i = index.get(sub | carrier)
             if i is None:
-                report.add(
-                    "order-isomorphism",
-                    f"{sub.bit_count()} tight facets of {print_construct(h, v)} name no face",
-                )
+                witness = f"{sub.bit_count()} tight facets of {print_construct(h, v)} name no face"
+                report.add("order-isomorphism", witness)
             else:
                 reached[i] = 1
     for i, r in enumerate(reached):
@@ -340,35 +351,33 @@ def verify_isomorphism(
         got = {face_at.get(u) for u in ups}
         want = {index.get(key ^ b) for b in _bits(key & ~carrier)}
         if None in want or got != want or len(ups) != len(want):
-            report.add(
-                "order-isomorphism",
-                f"covers of {print_construct(h, s)} are not its nested set minus one member",
-            )
+            witness = f"covers of {print_construct(h, s)} are not its nested set minus one member"
+            report.add("order-isomorphism", witness)
 
     top = next(t for t in faces if t.node_count == 1)
-    if set(vertices_below(h, top)) != solved.keys():
+    if set(vertices_below(h, top)) != set(constructions):
         report.add("order-isomorphism", f"{print_construct(h, top)} misses a vertex")
 
-    dim = affine_dimension(p for p, _, _ in solved.values())
+    dim = affine_dimension(points)
     if dim != n - 1:
         report.add("dimension", f"affine hull has dimension {dim}, expected {n - 1}")
 
+    # a facet is keyed by the carrier and one subset, and holds the vertices tight on it
+    on = [0] * len(subsets)
+    for j, own in enumerate(at):
+        for i in _bit_indices(own):
+            on[i] |= 1 << j
     facets = [i for i, t in enumerate(faces) if t.node_count == 2]
-    sets = _face_vertices([keys[i] & ~carrier for i in facets], at, len(subsets))
-    below = dict(zip(facets, sets))
+    below = {i: on[(keys[i] & ~carrier).bit_length() - 1] for i in facets}
     proper = len(subsets) - 1
     if len(facets) != proper:
-        report.add(
-            "facet-census",
-            f"{len(facets)} two-node constructs vs {proper} connected subsets",
-        )
+        witness = f"{len(facets)} two-node constructs vs {proper} connected subsets"
+        report.add("facet-census", witness)
     for k, a in enumerate(facets):
         for b in facets[k + 1 :]:
             if not below[a] & ~below[b] or not below[b] & ~below[a]:
-                report.add(
-                    "facet-census",
-                    f"facet {print_construct(h, faces[a])} nested in {print_construct(h, faces[b])}",
-                )
+                pair = f"{print_construct(h, faces[a])} nested in {print_construct(h, faces[b])}"
+                report.add("facet-census", f"facet {pair}")
 
     report.stats.update(
         constructs=len(faces), vertices=len(constructions), facets=len(facets), dimension=dim
@@ -378,7 +387,6 @@ def verify_isomorphism(
 
 def vertices_to_json_dict(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> dict:
     """JSON export: construction text -> integer coordinates as strings."""
-    out = {}
-    for v in enumerate_constructions(h, max_carrier=max_carrier):
-        out[print_construct(h, v)] = [str(c) for c in _vertex(h, v)[0]]
+    vs = enumerate_constructions(h, max_carrier=max_carrier)
+    out = {print_construct(h, v): list(map(str, c)) for v, c in zip(vs, _solve(h, vs)[0])}
     return {"format": 1, "carrier": list(h.carrier), "vertices": out}

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from hgpoly import cli, corpus
+from hgpoly import Hypergraph, cli, corpus
 from hgpoly.operadic import parse_tree
 
 COMMANDS = {
@@ -259,6 +259,22 @@ def test_realize_on_six_atoms_matches_golden(capsys, tmp_path, name, command):
     status = cli.main(COMMANDS[command] + [str(path)])
     out = capsys.readouterr().out
     assert (status, hashlib.sha256(out.encode()).hexdigest()) == SIX_ATOMS_GOLDEN[name, command]
+
+
+# Twelve atoms labelled in reverse, a path with one three-atom edge: the
+# 253 rows of `realize --hrep` print their atoms in carrier order. Taken
+# while each row still went through a LinearConstraint
+TWELVE_ATOMS_HREP = "ff4f169959e1e3af5daa559cd6d1eaf2e7f039be30a2a1528029e1976725ec1c"
+
+
+def test_hrep_on_twelve_atoms_matches_golden(capsys, tmp_path):
+    atoms = list("lkjihgfedcba")
+    edges = [[a] for a in atoms] + [atoms[i : i + 2] for i in range(11)] + [["l", "g", "a"]]
+    path = tmp_path / "twelve.json"
+    path.write_text(json.dumps(Hypergraph(atoms, edges).to_json_dict()))
+    assert cli.main(["hg", "realize", "--hrep", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == (253, TWELVE_ATOMS_HREP)
 
 
 def _argv(template, inputs):

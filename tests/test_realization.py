@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hgpoly import constructs, corpus, realization
 from hgpoly.constructs import Construct, enumerate_constructions, enumerate_constructs
 from hgpoly.nestedsets import psi
 from hgpoly.hypergraph import connected_subset_masks
-from hgpoly.realization import affine_dimension, vertices_to_json_dict
+from hgpoly.realization import LinearConstraint, affine_dimension, vertices_to_json_dict
 
 from _helpers import face_counts_by_dimension
 
@@ -110,6 +111,10 @@ def test_trees_that_do_not_span_the_carrier_once_are_refused(named, tree):
 
 def test_a_tree_over_other_atoms_is_refused(named):
     tree = _tree("x", _tree("y", _tree("z", _tree("w"))))
+    with pytest.raises(HypergraphError, match="'w' not in carrier"):
+        vertex_of_construction(named["pentagon"], tree)
+    # not a construction either: the message naming the tree cannot be printed
+    tree = _tree("w", Construct(frozenset({"x", "y"})))
     with pytest.raises(HypergraphError, match="'w' not in carrier"):
         vertex_of_construction(named["pentagon"], tree)
 
@@ -230,16 +235,17 @@ def test_tight_facets_give_the_vertices_of_each_face(small_corpus, named):
         vertices = [v for v in faces if v.is_construction]
         bit = {m: 1 << i for i, m in enumerate(connected_subset_masks(h))}
         carrier = bit[h.full_mask]
-        at = [sum(bit[m] for m in realization._vertex(h, v)[2]) for v in vertices]
+        points = [vertex_of_construction(h, v).coords for v in vertices]
+        at = [_plain_tight(h, p) for p in points]
         keys = [sum(map(bit.__getitem__, constructs._spans(h, t))) for t in faces]
         keyed = constructs._keyed(h, constructs._submasks, "constructs", None)
         assert len(keyed) == len(faces)
-        sets = realization._face_vertices([k & ~carrier for k in keys], at, len(bit))
-        for t, key, got in zip(faces, keys, sets):
+        for t, key in zip(faces, keys):
             assert key == sum(bit[h.mask(x)] for x in psi(t))
             assert keyed[key] == print_construct(h, t)
             want = set(constructs.vertices_below(h, t))
-            assert {v for j, v in enumerate(vertices) if got >> j & 1} == want
+            members = key & ~carrier
+            assert {v for v, own in zip(vertices, at) if own & members == members} == want
             checked += 1
     assert checked == 9527
 
@@ -272,3 +278,247 @@ def test_verify_isomorphism_catches_a_missing_cover(monkeypatch):
     report = verify_isomorphism(h)
     assert not report.ok
     assert "order-isomorphism" in report.failures
+
+
+# -- the vertex solve against plain sums ------------------------------------
+
+
+def _plain_sums(h, coords):
+    """The sum of one vertex's coordinates over each connected subset, in
+    the order of connected_subset_masks, added one atom at a time."""
+    return [
+        sum(c for i, c in enumerate(coords) if m >> i & 1) for m in connected_subset_masks(h)
+    ]
+
+
+def _plain_tight(h, coords):
+    """The subsets but the carrier on which the vertex is tight, as a
+    bitset over the indices of connected_subset_masks."""
+    subsets = connected_subset_masks(h)
+    return sum(
+        1 << i
+        for i, (m, total) in enumerate(zip(subsets, _plain_sums(h, coords)))
+        if m != h.full_mask and total == 3 ** m.bit_count()
+    )
+
+
+def _plain_check(h, vs, points):
+    """What the solve must report on these coordinates: the strictness
+    witness of each failing vertex at its first failing subset, and the
+    tight subsets of each vertex, or None when they are psi minus the
+    carrier."""
+    subsets = connected_subset_masks(h)
+    bit = {m: 1 << i for i, m in enumerate(subsets)}
+    strict, tight, named = [], [], []
+    for v, p in zip(vs, points):
+        family = {h.mask(x) for x in psi(v)}
+        for m, total in zip(subsets, _plain_sums(h, p)):
+            bound = 3 ** m.bit_count()
+            if total <= bound and m not in family:
+                strict.append(
+                    f"vertex of {print_construct(h, v)} fails strictness on "
+                    f"{sorted(h.labels(m))}: sum is {total}, bound {bound}"
+                )
+                break
+        tight.append(_plain_tight(h, p))
+        named.append(sum(bit[m] for m in family if m != h.full_mask))
+    return strict, None if strict or tight == named else tight
+
+
+def _closed_form_by_labels(h, v):
+    """The closed form again, over label sets: a node's atom gets 3^|span|
+    minus 3^|child span| summed over its children."""
+    coords = [0] * len(h.carrier)
+    for node in v.nodes():
+        (atom,) = node.decoration
+        below = sum(3 ** len(c.span) for c in node.children)
+        coords[h.carrier.index(atom)] = 3 ** len(node.span) - below
+    return coords
+
+
+class _Witnesses:
+    """Collects every strictness witness the solve reports, uncapped."""
+
+    def __init__(self):
+        self.strict = []
+
+    def add(self, kind, witness):
+        assert kind == "strictness"
+        self.strict.append(witness)
+
+
+def _solve(h, vs):
+    report = _Witnesses()
+    points, tight = realization._solve(h, vs, report)
+    return points, report.strict, tight
+
+
+def _solve_cases(small_corpus, named):
+    # four atoms fill a lane of one byte, the guard in bit 7: 3^4 = 81 takes
+    # 7 bits; nine atoms take two bytes a lane (3^9 = 19,683 takes 15 bits)
+    assert (3**4).bit_length() + 1 == 8 and (3**9).bit_length() + 1 == 16
+    cases = [*small_corpus, *named.values(), _path(9)]
+    assert {4, 9} <= {len(h.carrier) for h in cases}
+    return cases
+
+
+def test_solve_matches_plain_sums(small_corpus, named):
+    for h in _solve_cases(small_corpus, named):
+        vs = enumerate_constructions(h, max_carrier=None)
+        points, strict, tight = _solve(h, vs)
+        assert points == [_closed_form_by_labels(h, v) for v in vs], h
+        assert _plain_check(h, vs, points) == (strict, tight) == ([], None), h
+
+
+def _perturbed(monkeypatch, deltas):
+    """Monkeypatch the closed form to add deltas[k % len(deltas)] to
+    coordinate k % n of the k-th vertex solved."""
+    real, calls = realization._closed_form, itertools.count()
+
+    def closed_form(h, v):
+        coords, spans = real(h, v)
+        k = next(calls)
+        coords[k % len(coords)] += deltas[k % len(deltas)]
+        return coords, spans
+
+    monkeypatch.setattr(realization, "_closed_form", closed_form)
+
+
+@pytest.mark.parametrize(
+    "deltas",
+    [(0, -4, 1, 0, -3, 6, -1, -40), (0, 1, 0, 2, 120)],
+    ids=["below-the-bound-and-negative", "above-the-bound"],
+)
+def test_solve_matches_plain_sums_on_broken_coordinates(monkeypatch, small_corpus, named, deltas):
+    # the solve must find what plain sums find on any integer coordinates:
+    # ties, sums below the bound, negative coordinates, vertices failing on
+    # many subsets, and sums too wide for a lane sized by 3^n
+    _perturbed(monkeypatch, deltas)
+    kinds = set()
+    for h in _solve_cases(small_corpus, named):
+        vs = enumerate_constructions(h, max_carrier=None)
+        points, strict, tight = _solve(h, vs)
+        assert (strict, tight) == _plain_check(h, vs, points), h
+        kinds.add("strictness" if strict else "simplicity" if tight else "none")
+    assert kinds >= ({"strictness"} if min(deltas) < 0 else {"simplicity"})
+
+
+# The witnesses below were taken from the per-vertex solve this one
+# replaced, with the same coordinate changed
+
+
+def _shifted(monkeypatch, change):
+    real = realization._closed_form
+
+    def closed_form(h, v):
+        coords, spans = real(h, v)
+        change(h, v, coords)
+        return coords, spans
+
+    monkeypatch.setattr(realization, "_closed_form", closed_form)
+
+
+def _lower_u_under_y(h, v, coords):
+    if print_construct(h, v).startswith("y"):
+        coords[-1] -= 4
+
+
+UNDER_BOUND = "vertex of y(x(u(z))) fails strictness on ['u']: sum is 2, bound 3"
+
+
+def test_strictness_witnesses_are_the_first_failing_vertex_and_subset(monkeypatch, named):
+    h = named["3-permutohedron"]
+    _shifted(monkeypatch, _lower_u_under_y)
+    assert verify_isomorphism(h).summary() == (
+        "carrier 4 atoms: FAIL\n  strictness:\n"
+        "    vertex of y(z(u(x))) fails strictness on ['u']: sum is 2, bound 3\n"
+        f"    {UNDER_BOUND}"
+    )
+    # enumerate_constructions lists y(x(u(z))) first, and so do vertices_below
+    with pytest.raises(RealizationError) as err:
+        vertices_to_json_dict(h)
+    assert str(err.value) == UNDER_BOUND
+    with pytest.raises(RealizationError) as err:
+        face_vertex_set(h, parse_construct(h, "{x,y,z,u}"))
+    assert str(err.value) == UNDER_BOUND
+    with pytest.raises(RealizationError) as err:
+        vertex_of_construction(h, parse_construct(h, "y(z(u(x)))"))
+    assert str(err.value) == "vertex of y(z(u(x))) fails strictness on ['u']: sum is 2, bound 3"
+
+
+def test_simplicity_witnesses(monkeypatch, named):
+    h = named["pentagon"]
+    _shifted(monkeypatch, lambda h, v, coords: coords.__setitem__(0, coords[0] + 1))
+    assert verify_isomorphism(h).summary() == "\n".join([
+        "carrier 3 atoms: FAIL",
+        "  constructs: 11",
+        "  dimension: 2",
+        "  facets: 5",
+        "  vertices: 5",
+        "  facet-census:",
+        "    facet {y,z}(x) nested in {x,z}(y)",
+        "    facet {y,z}(x) nested in z({x,y})",
+        "    facet {y,z}(x) nested in {x,y}(z)",
+        "    facet {y,z}(x) nested in x({y,z})",
+        "    facet {x,z}(y) nested in z({x,y})",
+        "    facet z({x,y}) nested in {x,y}(z)",
+        "    facet z({x,y}) nested in x({y,z})",
+        "  order-isomorphism:",
+        "    {y,z}(x) holds no vertex",
+        "    z({x,y}) holds no vertex",
+        "    z(y(x)) holds no vertex",
+        "    z(x(y)) holds no vertex",
+        "    y(x,z) holds no vertex",
+        "  simplicity:",
+        "    z(y(x)) lies on 0 facets, named 2",
+        "    z(x(y)) lies on 1 facets, named 2",
+        "    y(x,z) lies on 1 facets, named 2",
+    ])
+    # the export checks strictness only
+    assert vertices_to_json_dict(h)["vertices"]["z(y(x))"] == ["4", "6", "18"]
+
+
+def test_distinct_points_witness(monkeypatch):
+    # both vertices of the segment move to (6, 6)
+    h = corpus.simplex(2)
+    _shifted(monkeypatch, lambda h, v, coords: coords.__setitem__(coords.index(3), 6))
+    assert verify_isomorphism(h).summary() == "\n".join([
+        "carrier 2 atoms: FAIL",
+        "  constructs: 3",
+        "  dimension: 0",
+        "  facets: 2",
+        "  vertices: 2",
+        "  dimension:",
+        "    affine hull has dimension 0, expected 1",
+        "  distinct-points:",
+        "    x(y) and y(x) coincide",
+        "  facet-census:",
+        "    facet y(x) nested in x(y)",
+        "  order-isomorphism:",
+        "    y(x) holds no vertex",
+        "    x(y) holds no vertex",
+        "  simplicity:",
+        "    y(x) lies on 0 facets, named 1",
+        "    x(y) lies on 0 facets, named 1",
+    ])
+
+
+# -- hrep against constraints built label by label --------------------------
+
+
+def test_hrep_rows_are_the_connected_subsets(small_corpus, named):
+    for h in [*small_corpus, *named.values()]:
+        want = tuple(
+            LinearConstraint(
+                h.labels(m), 3 ** len(h.labels(m)),
+                "equality" if m == h.full_mask else "at-least",
+            )
+            for m in connected_subset_masks(h)
+        )
+        system = hrep(h)
+        assert system.constraints == want, h
+        assert system.to_text() == "".join(c.text(h) + "\n" for c in want), h
+        assert system.to_json_dict()["constraints"] == [
+            {"support": list(h.sorted_labels(c.support)), "rhs": str(c.rhs), "kind": c.kind}
+            for c in want
+        ], h
