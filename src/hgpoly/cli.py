@@ -5,17 +5,19 @@ files, `trunc` on truncation round states, `pba` on the words-with-holes
 polytopes, and `corpus verify` runs the acceptance checklist.  Exit
 status 0 on success, 1 when a verification fails (the report is still
 printed) or an invariant breaks (one `error:` line on stderr, nothing on
-stdout), 2 on any input error.  Output is buffered and flushed once,
-and identical inputs produce byte-identical output.
+stdout), 2 on any input error.  A handler writes stdout only after its
+last check that can raise; identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
+from collections.abc import Iterable
 from functools import cache
+from itertools import islice
+from typing import TextIO
 
 from .constructs import MAX_CARRIER, _bits, _keyed, _submasks, parse_construct, print_construct
 from .hypergraph import GuardExceeded, Hypergraph, InvariantError
@@ -28,6 +30,7 @@ from .operadic import (
 )
 from .pba import MAX_N, census, decode, encode, parse_word, pba_setup, word_text
 from .realization import (
+    MAX_HREP_CARRIER,
     f_vector,
     hrep,
     verify_isomorphism,
@@ -46,7 +49,7 @@ from .truncation import (
 from .verification import CHECKS, VerificationFailure
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Input error reported with exit status 2."""
 
 
@@ -73,9 +76,16 @@ def _load_hypergraph(args) -> Hypergraph:
     )
 
 
-def _dump_json(out: io.StringIO, data) -> None:
-    json.dump(data, out, indent=2, sort_keys=True)
+def _dump_json(out: TextIO, data) -> None:
+    _write_rows(out, json.JSONEncoder(indent=2, sort_keys=True).iterencode(data))
     out.write("\n")
+
+
+def _write_rows(out: TextIO, rows: Iterable[str]) -> None:
+    """Write rows in joined chunks: a write per row costs more than the row."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, 1024)):  # a row may be empty
+        out.write("".join(chunk))
 
 
 def _load_edge_graph(args) -> EdgeGraph:
@@ -94,56 +104,57 @@ def _load_edge_graph(args) -> EdgeGraph:
 # -- hg -------------------------------------------------------------------
 
 
-def _faces(args) -> tuple[dict[int, str], list[tuple[int, str]]]:
-    """Every construct as psi key -> text, and its (dimension, text) rows in
-    print order: a face of dimension d has n - d nodes, one key bit each."""
+def _faces(args) -> tuple[int, dict[int, str], list[tuple[int, str]]]:
+    """The carrier size n, every construct as psi key -> text, and the (key,
+    text) pairs in text order. A face of dimension d has n - d nodes."""
     h = _load_hypergraph(args)
     faces = _keyed(h, _submasks, "constructs", args.max_carrier)
-    n = len(h.carrier)
-    return faces, sorted((n - key.bit_count(), text) for key, text in faces.items())
+    return len(h.carrier), faces, sorted(faces.items(), key=lambda kv: kv[1])
 
 
-def _hg_faces(args, out: io.StringIO) -> int:
-    for dim, text in _faces(args)[1]:
-        out.write(f"{dim}\t{text}\n")
+def _hg_faces(args, out: TextIO) -> int:
+    n, _, by_text = _faces(args)
+    by_dim = sorted(by_text, key=lambda kv: kv[0].bit_count(), reverse=True)  # dimension, then text
+    _write_rows(out, (f"{n - key.bit_count()}\t{text}\n" for key, text in by_dim))
     return 0
 
 
-def _hg_fvector(args, out: io.StringIO) -> int:
+def _hg_fvector(args, out: TextIO) -> int:
     h = _load_hypergraph(args)
-    out.write(" ".join(str(c) for c in f_vector(h, max_carrier=args.max_carrier)))
-    out.write("\n")
+    out.write(" ".join(str(c) for c in f_vector(h, max_carrier=args.max_carrier)) + "\n")
     return 0
 
 
-def _hg_constructions(args, out: io.StringIO) -> int:
-    h = _load_hypergraph(args)
-    for text in sorted(_keyed(h, _bits, "constructions", args.max_carrier).values()):
-        out.write(text + "\n")
+def _hg_constructions(args, out: TextIO) -> int:
+    texts = _keyed(_load_hypergraph(args), _bits, "constructions", args.max_carrier).values()
+    _write_rows(out, (t + "\n" for t in sorted(texts)))
     return 0
 
 
-def _hg_hasse(args, out: io.StringIO) -> int:
-    faces, rows = _faces(args)
+def _hg_hasse(args, out: TextIO) -> int:
+    _, faces, by_text = _faces(args)
     carrier = min(faces)  # the key of the one-node face: the carrier bit alone
     out.write("digraph hasse {\n")
-    out.writelines(f'  "{text}";\n' for _, text in rows)
-    # a cover contracts one tree edge: its key drops one non-carrier member
-    edges = [f'  "{faces[s]}" -> "{faces[s ^ b]}";\n' for s in faces for b in _bits(s ^ carrier)]
-    out.writelines(sorted(edges))
+    by_dim = sorted(by_text, key=lambda kv: kv[0].bit_count(), reverse=True)  # as hg faces
+    _write_rows(out, (f'  "{t}";\n' for _, t in by_dim))
+    # a cover drops one non-carrier key member. Rows of s share `  "s" -> "` and no
+    # text prefixes another (labels hold none of `{}(),`): face by face is one sort.
+    _write_rows(out, ("".join(sorted(f'  "{text}" -> "{faces[s ^ b]}";\n' for b in _bits(s ^ carrier)))
+                      for s, text in by_text))
     out.write("}\n")
     return 0
 
 
-def _hg_realize(args, out: io.StringIO) -> int:
+def _hg_realize(args, out: TextIO) -> int:
     h = _load_hypergraph(args)
     if args.hrep:
-        out.write(hrep(h).to_text())
+        out.write(hrep(h, max_carrier=args.max_carrier or MAX_HREP_CARRIER).to_text())
         return 0
+    max_carrier = args.max_carrier or MAX_CARRIER
     if args.vertices:
-        _dump_json(out, vertices_to_json_dict(h, max_carrier=args.max_carrier))
+        _dump_json(out, vertices_to_json_dict(h, max_carrier=max_carrier))
         return 0
-    report = verify_isomorphism(h, max_carrier=args.max_carrier)
+    report = verify_isomorphism(h, max_carrier=max_carrier)
     out.write(report.summary() + "\n")
     return 0 if report.ok else 1
 
@@ -151,43 +162,40 @@ def _hg_realize(args, out: io.StringIO) -> int:
 # -- op -------------------------------------------------------------------
 
 
-def _op_graph(args, out: io.StringIO) -> int:
+def _op_graph(args, out: TextIO) -> int:
     g = _load_edge_graph(args)
     out.write("graph edges {\n")
-    for name in sorted(g.vertex_names):
-        out.write(f'  "{name}" [label="{name} (level {g.level[name]})"];\n')
+    _write_rows(out, (f'  "{v}" [label="{v} (level {g.level[v]})"];\n' for v in sorted(g.vertex_names)))
     rows = []
     for kind, pairs in (("solid", g.solid), ("dashed", g.dashed)):
         for pair in pairs:
             a, b = sorted(pair)
             rows.append(f'  "{a}" -- "{b}" [style={kind}];\n')
-    for row in sorted(rows):
-        out.write(row)
+    out.writelines(sorted(rows))
     out.write("}\n")
     return 0
 
 
-def _op_classify(args, out: io.StringIO) -> int:
+def _op_classify(args, out: TextIO) -> int:
     out.write(skeleton_dot(_load_edge_graph(args)))
     return 0
 
 
-def _op_words(args, out: io.StringIO) -> int:
-    for word in decomposition_words(_load_edge_graph(args)):
-        out.write(word + "\n")
+def _op_words(args, out: TextIO) -> int:
+    _write_rows(out, (word + "\n" for word in decomposition_words(_load_edge_graph(args))))
     return 0
 
 
 # -- trunc ----------------------------------------------------------------
 
 
-def _trunc_init(args, out: io.StringIO) -> int:
+def _trunc_init(args, out: TextIO) -> int:
     ht = Hypergraph.from_json_dict(_load_json(args.truncations))
     _dump_json(out, round_state_to_json_dict(simplex_round(ht.carrier, ht)))
     return 0
 
 
-def _trunc_round(args, out: io.StringIO) -> int:
+def _trunc_round(args, out: TextIO) -> int:
     data = _load_json(args.state)
     # the outputs of `pba setup` and `trunc round --truncations` wrap a state
     if isinstance(data, dict) and "round" not in data and isinstance(data.get("state"), dict):
@@ -223,7 +231,7 @@ def _trunc_round(args, out: io.StringIO) -> int:
 # -- pba ------------------------------------------------------------------
 
 
-def _pba_setup(args, out: io.StringIO) -> int:
+def _pba_setup(args, out: TextIO) -> int:
     setup = pba_setup(args.n, max_n=args.max_n)
     _dump_json(out, {
         "format": 1,
@@ -234,7 +242,7 @@ def _pba_setup(args, out: io.StringIO) -> int:
     return 0
 
 
-def _pba_encode(args, out: io.StringIO) -> int:
+def _pba_encode(args, out: TextIO) -> int:
     setup = pba_setup(args.n, max_n=args.max_n)
     t = parse_construct(setup.hypergraph, args.face)
     w = encode(setup, t)
@@ -242,54 +250,50 @@ def _pba_encode(args, out: io.StringIO) -> int:
     return 0
 
 
-def _pba_decode(args, out: io.StringIO) -> int:
+def _pba_decode(args, out: TextIO) -> int:
     setup = pba_setup(args.n, max_n=args.max_n)
     t = decode(setup, parse_word(args.word))
     out.write(print_construct(setup.hypergraph, t) + "\n")
     return 0
 
 
-def _pba_census(args, out: io.StringIO) -> int:
+def _pba_census(args, out: TextIO) -> int:
     setup = pba_setup(args.n, max_n=args.max_n)
     c = census(setup)
-    out.write(f"vertices {c.vertices}\n")
-    out.write(f"edges {c.edges}\n")
-    out.write(f"facets {c.facets}\n")
-    out.write(f"faces {c.faces}\n")
-    for sizes, count in sorted(c.facet_profiles):
-        out.write("profile %s %d\n" % (",".join(map(str, sizes)), count))
+    out.write(f"vertices {c.vertices}\nedges {c.edges}\nfacets {c.facets}\nfaces {c.faces}\n")
+    _write_rows(out, ("profile %s %d\n" % (",".join(map(str, sizes)), count)
+                      for sizes, count in sorted(c.facet_profiles)))
     return 0
 
 
 # -- corpus ---------------------------------------------------------------
 
 
-def _corpus_verify(args, out: io.StringIO) -> int:
-    failed = 0
+def _corpus_verify(args, out: TextIO) -> int:
+    lines, failed = [], 0
     for name, fn in CHECKS:
         try:
             fn()
         except VerificationFailure as exc:
             failed += 1
-            out.write(f"FAIL {name}: {exc}\n")
+            lines.append(f"FAIL {name}: {exc}\n")
         else:
-            out.write(f"ok   {name}\n")
-    if failed:
-        out.write(f"{failed} of {len(CHECKS)} checks failed\n")
-        return 1
-    out.write(f"all {len(CHECKS)} checks passed\n")
-    return 0
+            lines.append(f"ok   {name}\n")
+    lines.append(f"{failed} of {len(CHECKS)} checks failed\n" if failed else
+                 f"all {len(CHECKS)} checks passed\n")
+    out.write("".join(lines))  # after the last check: an InvariantError leaves stdout empty
+    return 1 if failed else 0
 
 
 # -- wiring ---------------------------------------------------------------
 
 
-def _add_hg_common(p: argparse.ArgumentParser) -> None:
+def _add_hg_common(p: argparse.ArgumentParser, default: str = str(MAX_CARRIER)) -> None:
     p.add_argument("input", help="hypergraph JSON file")
     p.add_argument("--atomize", action="store_true",
                    help="add missing singleton hyperedges on load")
     p.add_argument("--max-carrier", type=_positive, default=MAX_CARRIER,
-                   help=f"enumeration guard (default {MAX_CARRIER})")
+                   help=f"enumeration guard (default {default})")
 
 
 def _add_op_common(p: argparse.ArgumentParser) -> None:
@@ -330,14 +334,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_hg_common(p)
     p.set_defaults(handler=_hg_hasse)
     p = hg_cmds.add_parser("realize", help="exact half-space realization")
-    _add_hg_common(p)
+    _add_hg_common(p, f"{MAX_CARRIER}, or {MAX_HREP_CARRIER} with --hrep")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--hrep", action="store_true", help="print the half-spaces")
     mode.add_argument("--vertices", action="store_true",
                       help="print exact vertex coordinates as JSON")
     mode.add_argument("--verify", action="store_true",
                       help="check the face order against the geometry")
-    p.set_defaults(handler=_hg_realize)
+    p.set_defaults(handler=_hg_realize, max_carrier=None)  # resolved by the mode
 
     op = groups.add_parser("op", help="operadic trees and coherence diagrams")
     op_cmds = op.add_subparsers(dest="command", required=True)
@@ -392,12 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    out = io.StringIO()
     try:
-        status = args.handler(args, out)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        status = args.handler(args, sys.stdout)  # read per call: capsys and redirect_stdout swap it
     except GuardExceeded as exc:
         print(f"error: guard exceeded: {exc}", file=sys.stderr)
         return 2
@@ -407,7 +407,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: invariant broken: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(out.getvalue())
     sys.stdout.flush()
     return status
 

@@ -31,8 +31,8 @@ def _ordered_carrier(carrier: Iterable[str]) -> tuple[str, ...]:
     if len(set(items)) != len(items):
         raise HypergraphError("duplicate atoms in carrier")
     for a in items:
-        if not isinstance(a, str) or not a:
-            raise HypergraphError("atom labels must be non-empty strings")
+        if not isinstance(a, str) or not a or any(ch in "{}()," for ch in a):  # else faces print alike
+            raise HypergraphError(f"atom label {a!r} is not a non-empty string free of {{ }} ( ) ,")
     return items
 
 
@@ -40,6 +40,7 @@ class Hypergraph:
     """Immutable atomic hypergraph.
 
     Invariants:
+      - atom labels are non-empty strings holding none of `{ } ( ) ,`
       - every hyperedge is a non-empty subset of the carrier
       - the union of the hyperedges is the carrier
       - every singleton is a hyperedge (atomicity)

@@ -227,7 +227,7 @@ def _parse_letter_or_hole(text: str, i: int):
 
 
 def parse_word(text: str) -> HoleWord:
-    """Parse the word grammar: letters x1..， holes .1.., parentheses
+    """Parse the word grammar: letters x1.., holes .1.., parentheses
     ( ) and standard brackets [ ], then `; .1={x2,x3}` hole entries.
     UTF-8 middle dots and subscripts are accepted."""
     parts = _normalize_symbols(text).split(";")

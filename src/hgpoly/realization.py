@@ -30,6 +30,8 @@ from .constructs import (
 )
 from .hypergraph import Hypergraph, InvariantError, connected_subset_masks
 
+MAX_HREP_CARRIER = 16  # hrep prints the connected subsets: at most 2^16 - 1 rows
+
 
 class RealizationError(InvariantError):
     """A geometric invariant failed on actual coordinates."""
@@ -87,12 +89,12 @@ class RationalPoint:
         return sum((self[a] for a in atoms), Fraction(0))
 
 
-def hrep(h: Hypergraph) -> HalfSpaceSystem:
+def hrep(h: Hypergraph, *, max_carrier: int | None = MAX_HREP_CARRIER) -> HalfSpaceSystem:
     """The defining constraint system in canonical support order: one
     at-least constraint per proper connected subset, then the carrier
-    equality (the largest support comes last). A disconnected h bounds no
-    polytope and raises HypergraphError."""
-    _check_guard(h, None, "half-spaces")
+    equality (the largest support comes last). Raises GuardExceeded past
+    max_carrier atoms and HypergraphError on a disconnected h (no polytope)."""
+    _check_guard(h, max_carrier, "half-spaces")
     return HalfSpaceSystem(h, connected_subset_masks(h))
 
 

@@ -3,6 +3,7 @@ statuses with their distinct messages, and byte-identical reruns."""
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 
@@ -81,6 +82,35 @@ def test_hrep_refuses_a_disconnected_input(capsys, tmp_path):
     path.write_text(json.dumps({"format": 1, "carrier": ["x", "y"], "hyperedges": [["x"], ["y"]]}))
     assert run(capsys, "hg", "realize", "--hrep", str(path)) == (
         2, "", "error: half-spaces require a connected hypergraph\n"
+    )
+
+
+def test_hrep_guard_defaults_to_16_atoms(capsys, tmp_path):
+    atoms = [f"a{i}" for i in range(17)]
+    path = tmp_path / "path17.json"
+    path.write_text(json.dumps({
+        "format": 1, "carrier": atoms,
+        "hyperedges": [[a] for a in atoms] + [list(p) for p in zip(atoms, atoms[1:])],
+    }))
+    assert run(capsys, "hg", "realize", "--hrep", str(path)) == (
+        2, "",
+        "error: guard exceeded: carrier has 17 atoms, guard is 16; "
+        "raise the guard explicitly to enumerate\n",
+    )
+    status, out, err = run(capsys, "hg", "realize", "--hrep", str(path), "--max-carrier", "17")
+    assert (status, err) == (0, "")
+    assert len(out.splitlines()) == 17 * 18 // 2  # a path's connected subsets are its intervals
+
+
+@pytest.mark.parametrize("command", ["faces", "hasse"])
+def test_labels_holding_construct_syntax_are_refused(capsys, tmp_path, command):
+    # `(` over `(((` and `(((` over `(` would both print as `((((()`
+    path = tmp_path / "parens.json"
+    path.write_text(json.dumps({
+        "format": 1, "carrier": ["(", "((("], "hyperedges": [["("], ["((("], ["(", "((("]],
+    }))
+    assert run(capsys, "hg", command, str(path)) == (
+        2, "", "error: atom label '(' is not a non-empty string free of { } ( ) ,\n"
     )
 
 
@@ -400,6 +430,19 @@ def test_verify_wiring(capsys, monkeypatch):
     ]
 
 
+def test_verify_prints_nothing_when_a_check_breaks_an_invariant(capsys, monkeypatch):
+    def fine():
+        pass
+
+    def broken():
+        raise InvariantError("normal form is neither type I nor type II")
+
+    monkeypatch.setattr(cli, "CHECKS", (("fine", fine), ("broken", broken)))
+    assert run(capsys, "corpus", "verify") == (
+        1, "", "error: invariant broken: normal form is neither type I nor type II\n"
+    )
+
+
 @pytest.mark.parametrize("error", [InvariantError, RealizationError])
 def test_invariant_break_exits_1_with_one_line(capsys, monkeypatch, pentagon_file, error):
     def broken(h, **_):
@@ -409,6 +452,23 @@ def test_invariant_break_exits_1_with_one_line(capsys, monkeypatch, pentagon_fil
     status, out, err = run(capsys, "hg", "fvector", pentagon_file)
     assert (status, out) == (1, "")
     assert err == "error: invariant broken: normal form is neither type I nor type II\n"
+
+
+def test_an_unencodable_row_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "accent.json"
+    path.write_text(json.dumps({"format": 1, "carrier": ["é", "b"],
+                                "hyperedges": [["é"], ["b"], ["é", "b"]]}))
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    assert cli.main(["hg", "faces", str(path)]) == 2
+    assert raw.getvalue() == b""
+    assert capsys.readouterr().err.startswith("error: 'ascii' codec can't encode character")
+
+
+def test_rows_are_written_past_empty_ones():
+    out = io.StringIO()
+    cli._write_rows(out, ["a\n", *[""] * 3000, "b\n"])
+    assert out.getvalue() == "a\nb\n"
 
 
 def test_other_runtime_errors_are_not_swallowed(capsys, monkeypatch, pentagon_file):

@@ -38,6 +38,12 @@ def test_rejects_duplicate_atoms():
         Hypergraph(["x", "x", "y"], [["x"], ["y"]])
 
 
+@pytest.mark.parametrize("label", ["{", "}", "(", ")", ",", "a(b", "x,y"])
+def test_rejects_labels_holding_construct_syntax(label):
+    with pytest.raises(HypergraphError, match="free of { } \\( \\) ,"):
+        Hypergraph([label, "z"], [[label], ["z"], [label, "z"]])
+
+
 def test_atomize_fills_singletons():
     h = Hypergraph("xyz", [["x", "y", "z"]], atomize=True)
     assert frozenset({"x"}) in h.hyperedges

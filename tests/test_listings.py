@@ -32,6 +32,15 @@ def _seeded_six_atoms(seed: int) -> Hypergraph:
     return Hypergraph(atoms, edges)
 
 
+# labels holding `"`, a space and `!`: each sorts below every character of
+# the syntax, and `"` also closes a text inside a hasse row
+QUOTED = Hypergraph(
+    ["a", "a b", "a!", 'a"', 'b"c'],
+    [["a"], ["a b"], ["a!"], ['a"'], ['b"c'], ["a", "a b"], ["a b", "a!"], ["a!", 'a"'],
+     ['a"', 'b"c'], ["a", "a!", 'b"c']],
+)
+
+
 def _oracle(h: Hypergraph, command: str) -> str:
     """The listing rebuilt from Construct trees: faces by dimension and
     text, constructions in text order, and the hasse rows from `covers`."""
@@ -57,7 +66,7 @@ def _run(capsys, tmp_path, h: Hypergraph, command: str) -> tuple[int, str, str]:
 
 @pytest.mark.parametrize("command", LISTINGS)
 def test_listings_equal_their_construct_oracle(capsys, tmp_path, small_corpus, named, command):
-    for h in [*small_corpus, *named.values(), *map(_seeded_six_atoms, range(4))]:
+    for h in [*small_corpus, *named.values(), *map(_seeded_six_atoms, range(4)), QUOTED]:
         assert _run(capsys, tmp_path, h, command) == (0, _oracle(h, command), ""), h
 
 
