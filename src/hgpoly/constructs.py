@@ -8,7 +8,7 @@ constructs draw Y from every non-empty subset of the region, while
 constructions, spanning partial constructions and the vertices below a
 face draw single atoms; the tamed families of a truncation round fix the
 root decorations at the top region. Its node builder makes each tree a
-Construct, or for the listing commands (`_keyed`) a psi key and its text.
+Construct, a psi key and its text (`_keyed`), or span masks (next_round).
 A Construct node is the tuple (decoration, children, node_count), compared
 and hashed by value in C, and unordered.
 Three independent implementations of the face order are kept deliberately
@@ -23,6 +23,7 @@ Omega leaf raises ConstructError.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -144,28 +145,17 @@ def print_construct(h: Hypergraph, t: Construct | Omega) -> str:
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    buf = ""
-    for ch in text:
-        if ch.isspace():
-            if buf:
-                tokens.append(buf)
-                buf = ""
-        elif ch in "{}(),":
-            if buf:
-                tokens.append(buf)
-                buf = ""
-            tokens.append(ch)
-        else:
-            buf += ch
-    if buf:
-        tokens.append(buf)
-    return tokens
+    """The delimiters `{ } ( ) ,` and the labels between them, with the
+    whitespace around a delimiter and at the ends dropped and the whitespace
+    inside a label kept."""
+    return [tok for tok in map(str.strip, re.split(r"([{}(),])", text)) if tok]
 
 
 def parse_construct(h: Hypergraph, text: str) -> Construct:
     """Parse construct text `{x,y}(z(u),v)`; singleton braces are
-    optional and whitespace is ignored. The result is validated against h."""
+    optional, and whitespace is ignored around `{ } ( ) ,` and at the ends
+    but belongs to the label it sits inside, as in `a b`. The result is
+    validated against h."""
     tokens = _tokenize(text)
     pos = 0
 

@@ -176,6 +176,10 @@ class EdgeGraph:
             out[v].append(u)
         return {a: tuple(sorted(ns, key=order.__getitem__)) for a, ns in out.items()}
 
+    @cached_property
+    def _parent_of(self) -> dict[str, str]:
+        return {c: p for p, c in self.tree.edges()}
+
 
 def build_edge_graph(
     t: OperadicTree, names: dict[str, str] | None = None
@@ -526,7 +530,7 @@ def construction_to_word(g: EdgeGraph, v: Construct) -> str:
 
 def _word(g: EdgeGraph, v: Construct) -> str:
     """construction_to_word on a construction the kernel built."""
-    parent_of = {c: p for p, c in g.tree.edges()}
+    parent_of = g._parent_of
 
     def rec(node: Construct) -> tuple[str, frozenset[str]]:
         (atom,) = node.decoration

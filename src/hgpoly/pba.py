@@ -8,19 +8,23 @@ standing for an unordered bag of letters.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import factorial
+from operator import or_
 from typing import Iterable, Sequence
 
 from .constructs import (
     Construct,
     ConstructError,
+    _bit_indices,
+    _submasks,
     leq,
     make_node,
     validate_construct,
 )
 from .hypergraph import Hypergraph, InvariantError, restrict
 from .nestedsets import psi
+from .realization import _face_polynomials
 from .truncation import RoundState, advance, constrs, simplex_round, tamed_constructs
 
 
@@ -410,20 +414,15 @@ def pba_setup(n: int, *, max_n: int = MAX_N) -> PbaSetup:
     complete = [[a] for a in letters] + [list(p) for p in combinations(letters, 2)]
     round1 = simplex_round(letters, complete)
 
-    ys = {t.children[0].decoration for t in constrs(round1)}
-    proper = {
-        frozenset(c)
-        for k in range(1, n + 1)
-        for c in combinations(letters, k)
-    }
-    if ys != proper:
+    # letter i is bit i, so one name per proper non-empty letter mask
+    name = {m: _name(round1.truncations.labels(m)) for m in range(1, (1 << n + 1) - 1)}
+    ys = {round1.truncations.mask(t.children[0].decoration) for t in constrs(round1)}
+    if ys != name.keys():
         raise InvariantError("round-one constrs are not the proper non-empty subsets")
 
-    edges = [[_name(c)] for c in proper]
-    for c in proper:
-        for extra in letters:
-            if extra not in c and len(c) < n:
-                edges.append([_name(c), _name(set(c) | {extra})])
+    bits = [1 << i for i in range(n + 1)]
+    edges = [[c] for c in name.values()]
+    edges += [[c, name[m | b]] for m, c in name.items() if m.bit_count() < n for b in bits if not m & b]
     if n == 1:
         # two facets and no subset pair: close the carrier to stay connected
         edges.append([letters[0], letters[1]])
@@ -432,8 +431,8 @@ def pba_setup(n: int, *, max_n: int = MAX_N) -> PbaSetup:
         raise InvariantError("round-one constructions do not count the orderings")
 
     expected = {
-        frozenset(_name(order[: k + 1]) for k in range(n))
-        for order in permutations(letters)
+        frozenset(map(name.__getitem__, accumulate(order[:n], or_)))
+        for order in permutations(bits)
     }
     if set(state.vertex_sets) != expected:
         raise InvariantError("round-two vertex decorations are not the prefix chains")
@@ -711,21 +710,32 @@ class PbaCensus:
 def census(setup: PbaSetup) -> PbaCensus:
     """Face counts by dimension plus facet counts keyed by the sorted
     letter-block sizes of their words (for three dimensions: pentagons
-    (1,1,1,1), rectangles (1,1,2), dodecagons (1,3), octagons (2,2))."""
-    faces = face_constructs(setup)
-    by_nodes: dict[int, int] = {}
+    (1,1,1,1), rectangles (1,1,2), dodecagons (1,3), octagons (2,2)),
+    counted without building a face. A face's root is the complement of a
+    proper chain Y of letter sets (a sub-chain of a vertex decoration), and
+    its children are constructs over the runs of Y (its components: sets of
+    consecutive sizes), so the faces number the sum over Y of z * prod F(R)
+    over the runs R, F being f_vector's face polynomial. Facets are the
+    2-node faces, one per single-run chain; the block sizes of
+    standardize(setup.letters, Y) are the size steps of Y up to n + 1."""
+    ht, n = setup.hypergraph, setup.n
+    term = _face_polynomials(ht)[1]
+    size = [len(setup.letters_of(name)) for name in ht.carrier]
+    terms: dict[tuple[int, ...], list[int]] = {}  # runs are paths: their lengths fix term(y)
+    by_nodes = [0] * (n + 2)
     profiles: dict[tuple[int, ...], int] = {}
-    for t in faces:
-        count = t.node_count
-        by_nodes[count] = by_nodes.get(count, 0) + 1
-        if count == 2:
-            w = encode(setup, t)
-            profile = tuple(sorted(hi - lo + 1 for lo, hi in _block_list(w.tokens)))
+    for y in {0}.union(*(_submasks(ht.mask(fam)) for fam in setup.state.vertex_sets)):
+        runs = ht.components_mask(y)
+        shape = tuple(sorted(map(int.bit_count, runs)))
+        if shape not in terms:
+            terms[shape] = term(y)
+        for k, a in enumerate(terms[shape]):
+            by_nodes[k] += a
+        if len(runs) == 1:
+            sizes = [0, *sorted(size[i] for i in _bit_indices(y)), n + 1]
+            profile = tuple(sorted(b - a for a, b in zip(sizes, sizes[1:])))
             profiles[profile] = profiles.get(profile, 0) + 1
     return PbaCensus(
-        vertices=by_nodes.get(setup.n + 1, 0),
-        edges=by_nodes.get(setup.n, 0),
-        facets=by_nodes.get(2, 0),
-        faces=len(faces),
+        vertices=by_nodes[n + 1], edges=by_nodes[n], facets=by_nodes[2], faces=sum(by_nodes),
         facet_profiles=tuple(sorted(profiles.items())),
     )

@@ -199,36 +199,44 @@ def face_vertex_set(h: Hypergraph, t: Construct) -> frozenset[RationalPoint]:
     return frozenset(RationalPoint(h.carrier, tuple(map(Fraction, p))) for p in points)
 
 
-def f_vector(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> tuple[int, ...]:
-    """Face counts by dimension, vertices first, top last, counted without
-    building a face. F(S) = sum over non-empty Y in S of z times the product
-    of F(C) over the components C of S - Y is the face polynomial of the
-    nestohedron (Postnikov 2009): its z^k coefficient counts the constructs
-    over S with k nodes, and a face of dimension d has n - d nodes."""
-    _check_guard(h, max_carrier, "constructs")
+def _face_polynomials(h: Hypergraph):
+    """The face polynomial (Postnikov 2009) as two functions of a mask on one
+    memo, coefficients lowest first: poly(S) = F(S), whose z^k coefficient
+    counts the constructs over S with k nodes, sums term(S - Y) over the
+    non-empty Y in S; term(R) = z * prod of F(C) over the components of R."""
     memo: dict[int, list[int]] = {}
+
+    def term(rest: int) -> list[int]:
+        out = [0, 1]
+        for c in h.components_mask(rest):
+            factor = poly(c)
+            prod = [0] * (len(out) + len(factor) - 1)
+            for i, a in enumerate(out):
+                if a:
+                    for j, b in enumerate(factor):
+                        prod[i + j] += a * b
+            out = prod
+        return out
 
     def poly(region: int) -> list[int]:
         got = memo.get(region)
         if got is None:
             got = [0] * (region.bit_count() + 1)
             for y in _submasks(region):
-                term = [0, 1]
-                for c in h.components_mask(region & ~y):
-                    factor = poly(c)
-                    prod = [0] * (len(term) + len(factor) - 1)
-                    for i, a in enumerate(term):
-                        if a:
-                            for j, b in enumerate(factor):
-                                prod[i + j] += a * b
-                    term = prod
-                for k, a in enumerate(term):
+                for k, a in enumerate(term(region & ~y)):
                     got[k] += a
             memo[region] = got
         return got
 
+    return poly, term
+
+
+def f_vector(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> tuple[int, ...]:
+    """Face counts by dimension, vertices first, top last, counted without
+    building a face: a face of dimension d has n - d nodes."""
+    _check_guard(h, max_carrier, "constructs")
     n = len(h.carrier)
-    top = poly(h.full_mask)
+    top = _face_polynomials(h)[0](h.full_mask)
     return tuple(top[n - d] for d in range(n))
 
 

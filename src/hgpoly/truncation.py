@@ -214,18 +214,18 @@ def _check_decorations(s: RoundState) -> None:
         _check_size(len(fam), MAX_CARRIER, "vertex decoration", "facets")
 
 
-def _tamed(s: RoundState, grow, decorations) -> list[Construct]:
+def _tamed(s: RoundState, grow, decorations, node=None) -> list:
     """One `_trees` run: the top region takes the roots grow(c, fam) gives
     for each vertex decoration fam and its complement c, once each in that
     order; every region below, which lies inside a vertex decoration and so
-    under _check_decorations, draws from decorations."""
+    under _check_decorations, draws from decorations; node goes to _trees."""
     _check_decorations(s)
     ht = s.truncations
     full = ht.full_mask
     roots = dict.fromkeys(
         r for fam in map(ht.mask, s.vertex_sets) for r in grow(full & ~fam, fam) if r
     )
-    return _trees(ht, full, lambda m: roots if m == full else decorations(m), full, full, None)
+    return _trees(ht, full, lambda m: roots if m == full else decorations(m), full, full, None, node)
 
 
 def tamed_constructs(s: RoundState) -> list[Construct]:
@@ -242,6 +242,13 @@ def tamed_constructions(s: RoundState) -> list[Construct]:
     other nodes are singletons, each once, in the kernel's order, the same
     on every call, under the same guard as tamed_constructs."""
     return _tamed(s, lambda c, fam: (c,), _bits)
+
+
+def _span_node(region: int, y: int):
+    """A _trees node builder: each tree as its span masks in preorder, as
+    _spans lists them (a tree with no Omega leaf spans its region)."""
+    own = (region,)
+    return lambda kids: own + sum(kids, ())
 
 
 def constrs(s: RoundState) -> list[Construct]:
@@ -289,9 +296,9 @@ def _flattening(s: RoundState):
     return flat
 
 
-def _family(ht: Hypergraph, flat, t: Construct) -> frozenset[str]:
-    """The flattened nested set of t minus the carrier, read off its span masks."""
-    return frozenset(flat(span) for span in _spans(ht, t) if span != ht.full_mask)
+def _family(ht: Hypergraph, flat, spans) -> frozenset[str]:
+    """The flattened nested set of a tree minus the carrier, from its span masks."""
+    return frozenset(flat(span) for span in spans if span != ht.full_mask)
 
 
 def vertex_family(s: RoundState, construction: Construct) -> frozenset[str]:
@@ -299,7 +306,7 @@ def vertex_family(s: RoundState, construction: Construct) -> frozenset[str]:
     carrier, as facet names."""
     for name in sorted(construction.span):
         s.facet(name)  # a name outside the facets raises TruncationError
-    return _family(s.truncations, _flattening(s), construction)
+    return _family(s.truncations, _flattening(s), _spans(s.truncations, construction))
 
 
 # -- advancing ----------------------------------------------------------
@@ -336,11 +343,12 @@ def next_round(s: RoundState) -> RoundTransition:
     new = [n for n in images if n not in ht._index]
     facets = s.facets + tuple(_sum(s, images[n]) for n in new)
 
-    # the vertex decoration of each tamed construction
+    # tamed_constructions' decorations off span masks; a failure reruns it to print one
     families: dict[frozenset[str], None] = {}
-    for t in tamed_constructions(s):
-        fam = _family(ht, flat, t)
+    for i, spans in enumerate(_tamed(s, lambda c, fam: (c,), _bits, _span_node)):
+        fam = _family(ht, flat, spans)
         if not images.keys() >= fam:
+            t = tamed_constructions(s)[i]
             raise TruncationError(
                 f"decoration of {print_construct(ht, t)} leaves the new facet set"
             )

@@ -13,6 +13,7 @@ from hgpoly.constructs import (
     covers,
     enumerate_constructions,
     enumerate_constructs,
+    parse_construct,
     print_construct,
 )
 
@@ -68,6 +69,16 @@ def _run(capsys, tmp_path, h: Hypergraph, command: str) -> tuple[int, str, str]:
 def test_listings_equal_their_construct_oracle(capsys, tmp_path, small_corpus, named, command):
     for h in [*small_corpus, *named.values(), *map(_seeded_six_atoms, range(4)), QUOTED]:
         assert _run(capsys, tmp_path, h, command) == (0, _oracle(h, command), ""), h
+
+
+SPACED = Hypergraph(["a b", "c"], [["a b"], ["c"], ["a b", "c"]])
+
+
+@pytest.mark.parametrize("h", [SPACED, QUOTED], ids=["spaced", "quoted"])
+def test_printed_faces_parse_back(h):
+    # a space inside a label belongs to it, not to the construct syntax
+    for c in enumerate_constructs(h):
+        assert parse_construct(h, print_construct(h, c)) == c
 
 
 def test_listings_build_no_construct(capsys, tmp_path, monkeypatch, small_corpus, named):

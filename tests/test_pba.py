@@ -4,6 +4,7 @@ bijection, the word order, and the frozen three-dimensional census."""
 import gc
 import random
 import weakref
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -15,6 +16,7 @@ from hgpoly.nestedsets import psi
 from hgpoly.pba import (
     HoleWord,
     HoleWordError,
+    PbaCensus,
     PbaError,
     census,
     decode,
@@ -70,17 +72,19 @@ def test_setup_counts(pba2, pba3):
 
 def test_setup_enumerates_round_one_once(monkeypatch):
     # the (n+1)! count is read off the advanced state's decorations, one
-    # per round-one tamed construction, so only next_round enumerates them
-    calls = []
-    real = truncation.tamed_constructions
+    # per round-one tamed construction, so only next_round enumerates them,
+    # in one kernel run over round one's whole carrier
+    runs = []
+    real = truncation._trees
 
-    def counting(s):
-        calls.append(s.round_index)
-        return real(s)
+    def counting(h, ambient, *args):
+        runs.append((h, ambient))
+        return real(h, ambient, *args)
 
-    monkeypatch.setattr(truncation, "tamed_constructions", counting)
+    monkeypatch.setattr(truncation, "_trees", counting)
     setup = pba_setup(3)
-    assert calls == [1]
+    ht1 = setup.round1.truncations
+    assert runs == [(ht1, ht1.full_mask)]
     assert len(setup.state.vertex_sets) == 24
 
 
@@ -413,6 +417,31 @@ def test_census_n3(pba3):
         (2, 2): 6,         # octagons
     }
     assert c.vertices - c.edges + c.facets == 2
+
+
+def _enumerated_census(setup) -> PbaCensus:
+    """The census by enumeration: the node counts of every face, and the
+    block sizes of the word encode gives each 2-node face."""
+    faces = face_constructs(setup)
+    by_nodes = Counter(t.node_count for t in faces)
+    profiles = Counter(
+        tuple(sorted(hi - lo + 1 for lo, hi in pba._block_list(encode(setup, t).tokens)))
+        for t in faces
+        if t.node_count == 2
+    )
+    return PbaCensus(
+        vertices=by_nodes[setup.n + 1],
+        edges=by_nodes[setup.n],
+        facets=by_nodes[2],
+        faces=len(faces),
+        facet_profiles=tuple(sorted(profiles.items())),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_census_counts_what_enumeration_builds(n):
+    setup = pba_setup(n)
+    assert census(setup) == _enumerated_census(setup)
 
 
 def test_fully_determined_words_are_permuted_letters(pba3):

@@ -3,6 +3,7 @@ degenerate truncation choices, and the loud failure modes."""
 
 import json
 import random
+import re
 
 import pytest
 
@@ -436,6 +437,24 @@ def test_a_shared_vertex_decoration_fails_the_round_check(monkeypatch):
     h = hemiassociahedron()
     with pytest.raises(VerificationFailure, match="do not biject"):
         _round_properties_hold(simplex_round(h.carrier, h))
+
+
+def test_a_decoration_leaving_the_facets_names_its_construction(monkeypatch):
+    # every span of a tamed construction flattens to a new facet, so force
+    # the third decoration of the pass off the facet set: the error names
+    # the third tamed construction, in the kernel's order
+    s = square_round_1()
+    real, calls = truncation._family, []
+
+    def leaving(ht, flat, spans):
+        calls.append(spans)
+        fam = real(ht, flat, spans)
+        return fam | {"nowhere"} if len(calls) == 3 else fam
+
+    monkeypatch.setattr(truncation, "_family", leaving)
+    third = print_construct(s.truncations, tamed_constructions(s)[2])
+    with pytest.raises(TruncationError, match=rf"^decoration of {re.escape(third)} leaves"):
+        next_round(s)
 
 
 # -- degenerate truncation choices --------------------------------------
