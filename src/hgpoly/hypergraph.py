@@ -33,6 +33,8 @@ def _ordered_carrier(carrier: Iterable[str]) -> tuple[str, ...]:
     for a in items:
         if not isinstance(a, str) or not a or any(ch in "{}()," for ch in a):  # else faces print alike
             raise HypergraphError(f"atom label {a!r} is not a non-empty string free of {{ }} ( ) ,")
+        if a != a.strip() or not a.isprintable():  # else faces do not read back
+            raise HypergraphError(f"atom label {a!r} is padded or holds an unprintable character")
     return items
 
 
@@ -40,7 +42,7 @@ class Hypergraph:
     """Immutable atomic hypergraph.
 
     Invariants:
-      - atom labels are non-empty strings holding none of `{ } ( ) ,`
+      - atom labels are printable, unpadded non-empty strings holding none of `{ } ( ) ,`
       - every hyperedge is a non-empty subset of the carrier
       - the union of the hyperedges is the carrier
       - every singleton is a hyperedge (atomicity)
@@ -192,6 +194,8 @@ class Hypergraph:
     def from_json_dict(cls, data: dict, *, atomize: bool = False) -> "Hypergraph":
         if not isinstance(data, dict):
             raise HypergraphError("hypergraph JSON must be an object")
+        if data.get("format", 1) != 1:
+            raise HypergraphError("unsupported format version")
         if "carrier" not in data or "hyperedges" not in data:
             raise HypergraphError("hypergraph JSON needs 'carrier' and 'hyperedges'")
         carrier, edges = data["carrier"], data["hyperedges"]

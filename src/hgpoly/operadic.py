@@ -518,9 +518,18 @@ def word_to_construction(g: EdgeGraph, word: str) -> Construct:
     return validate_construct(h, built)
 
 
+def _check_letters(g: EdgeGraph) -> None:
+    """Words spell tree labels as the letters word_to_construction reads:
+    one character each, a letter or a digit."""
+    bad = sorted(x for x in g.tree.labels if len(x) != 1 or not x.isalnum())
+    if bad:
+        raise WordError(f"tree label {bad[0]!r} is not a word letter (one letter or digit)")
+
+
 def construction_to_word(g: EdgeGraph, v: Construct) -> str:
     """Encode a construction as its decomposition word, parent-side
     block on the left, outermost parentheses dropped."""
+    _check_letters(g)
     h = g.hypergraph
     v = validate_construct(h, v)
     if not v.is_construction:
@@ -555,12 +564,14 @@ def _word(g: EdgeGraph, v: Construct) -> str:
 
 def decomposition_words(g: EdgeGraph) -> list[str]:
     """All full decomposition words, one per construction, sorted."""
+    _check_letters(g)
     return sorted(_word(g, v) for v in enumerate_constructions(g.hypergraph))
 
 
 def skeleton_dot(g: EdgeGraph) -> str:
     """Polytope vertex-edge skeleton as DOT: beta edges directed and
     solid, theta edges undirected and dashed, vertices labeled by words."""
+    _check_letters(g)
     h = g.hypergraph
     # an edge is the nested set of either of its vertices less the span of
     # one node: record (word, atom of the node's parent, atom of the node)

@@ -17,6 +17,7 @@ from .constructs import (
     Construct,
     ConstructError,
     _bit_indices,
+    _spans,
     _submasks,
     leq,
     make_node,
@@ -91,49 +92,42 @@ def _block_list(tokens: Sequence) -> list[tuple[int, int]]:
     return blocks
 
 
-def _zone_runs(tokens: Sequence) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive gaps, one per connected component of
-    the named chain; gap g sits between blocks g-1 and g (0-based)."""
-    blocks = _block_list(tokens)
-    runs: list[tuple[int, int]] = []
-    g = 1
-    while g < len(blocks):
-        h = g
-        while h + 1 < len(blocks) and blocks[h][0] == blocks[h][1] \
-                and not isinstance(tokens[blocks[h][0]], int):
-            h += 1
-        runs.append((g, h))
-        g = h + 1
-    return runs
-
-
-def _range_of_gaps(tokens: Sequence, lo_gap: int, hi_gap: int) -> tuple[int, int]:
-    blocks = _block_list(tokens)
-    return (blocks[lo_gap - 1][1], blocks[hi_gap][0])
-
-
-def _zone_ranges(tokens: Sequence) -> list[tuple[int, int]]:
-    return [_range_of_gaps(tokens, a, b) for a, b in _zone_runs(tokens)]
+def _zones(tokens: Sequence) -> list[tuple[int, list[int]]]:
+    """The zones of a word, as (first gap, cut points). Gap g sits between
+    blocks g-1 and g (0-based, see _block_list); a zone is a maximal run of
+    consecutive gaps with only determined letters between them, one per
+    connected component of the named chain. Its cut points are the last
+    token of the block before its first gap, then the first token of the
+    block after each gap, so its gaps lo..hi span the tokens
+    cuts[lo-first]..cuts[hi-first+1]."""
+    zones: list[tuple[int, list[int]]] = []
+    for g, (start, end) in enumerate(_block_list(tokens)):
+        if g:
+            zones[-1][1].append(start)
+        if not g or isinstance(tokens[start], int):  # a hole ends the zone before it
+            zones.append((g + 1, [end]))
+    if len(zones[-1][1]) == 1:  # the last block opened a zone with no gap
+        zones.pop()
+    return zones
 
 
 def _std_ranges(tokens: Sequence) -> frozenset:
     """The standard brackets: one per zone, except a zone covering the
     whole word (which happens only for fully determined words)."""
     whole = (0, len(tokens) - 1)
-    return frozenset(r for r in _zone_ranges(tokens) if r != whole)
+    return frozenset((cuts[0], cuts[-1]) for _, cuts in _zones(tokens)) - {whole}
 
 
 def _node_ranges(tokens: Sequence) -> dict[tuple[int, int], tuple[int, int]]:
     """Every legal parenthesis position: gap intervals inside a single
     zone, mapped from token range to gap interval."""
-    out: dict[tuple[int, int], tuple[int, int]] = {}
     whole = (0, len(tokens) - 1)
-    for a, b in _zone_runs(tokens):
-        for lo in range(a, b + 1):
-            for hi in range(lo, b + 1):
-                r = _range_of_gaps(tokens, lo, hi)
-                if r != whole:
-                    out[r] = (lo, hi)
+    out = {
+        (cuts[i], cuts[j]): (first + i, first + j - 1)
+        for first, cuts in _zones(tokens)
+        for i, j in combinations(range(len(cuts)), 2)
+    }
+    out.pop(whole, None)
     return out
 
 
@@ -460,23 +454,14 @@ def encode(setup: PbaSetup, t: Construct) -> HoleWord:
     t = validate_construct(ht, t)
     chain = _chain_of(setup, frozenset(ht.carrier) - t.decoration)
     skeleton = standardize(setup.letters, chain)
-    tokens = skeleton.tokens
-
-    gap_name = {setup.name_of(s): g for g, s in enumerate(chain, start=1)}
-    whole = (0, len(tokens) - 1)
+    blocks = _block_list(skeleton.tokens)
+    gap = {ht._index[setup.name_of(s)]: g for g, s in enumerate(chain, start=1)}  # atom -> gap
     parens = set(skeleton.parens)
-
-    def walk(node: Construct) -> None:
-        gaps = [gap_name[name] for name in node.span]
-        r = _range_of_gaps(tokens, min(gaps), max(gaps))
-        if r != whole:
-            parens.add(r)
-        for child in node.children:
-            walk(child)
-
-    for child in t.children:
-        walk(child)
-    return HoleWord(tokens, frozenset(parens), skeleton.hole_map)
+    for span in _spans(ht, t)[1:]:  # the nodes below the root, each over a gap interval
+        gaps = [gap[i] for i in _bit_indices(span)]
+        parens.add((blocks[min(gaps) - 1][1], blocks[max(gaps)][0]))
+    parens.discard((0, len(skeleton.tokens) - 1))
+    return HoleWord(skeleton.tokens, frozenset(parens), skeleton.hole_map)
 
 
 def encode_via_order(setup: PbaSetup, t: Construct, order: Sequence[str]) -> HoleWord:
@@ -499,9 +484,6 @@ def encode_via_order(setup: PbaSetup, t: Construct, order: Sequence[str]) -> Hol
         # fully determined: the single child already spans the chain
         re_rooted = validate_construct(path, t.children[0])
 
-    prefix_gap = {
-        setup.name_of(order[: k + 1]): k + 1 for k in range(setup.n)
-    }
     blocks = []
     current: list[str] = []
     for k, letter in enumerate(order):
@@ -510,21 +492,14 @@ def encode_via_order(setup: PbaSetup, t: Construct, order: Sequence[str]) -> Hol
             blocks.append(frozenset(current))
             current = []
     skeleton = standardize_blocks(blocks)
-    tokens = skeleton.tokens
-    whole = (0, len(tokens) - 1)
+    # path atom -> its prefix length: the gap after that prefix's last letter
+    gap = [len(setup.letters_of(name)) for name in path.carrier]
     parens = set(skeleton.parens)
-
-    def walk(node: Construct) -> None:
-        gaps = [prefix_gap[name] for name in node.span]
-        r = (min(gaps) - 1, max(gaps))
-        if r != whole:
-            parens.add(r)
-        for child in node.children:
-            walk(child)
-
-    for child in re_rooted.children:
-        walk(child)
-    return HoleWord(tokens, frozenset(parens), skeleton.hole_map)
+    for span in _spans(path, re_rooted)[1:]:
+        gaps = [gap[i] for i in _bit_indices(span)]
+        parens.add((min(gaps) - 1, max(gaps)))
+    parens.discard((0, setup.n))
+    return HoleWord(skeleton.tokens, frozenset(parens), skeleton.hole_map)
 
 
 def decode(setup: PbaSetup, w: HoleWord) -> Construct:
@@ -545,8 +520,8 @@ def decode(setup: PbaSetup, w: HoleWord) -> Construct:
 
     legal = _node_ranges(tokens)
     children = []
-    for zone_lo, zone_hi in _zone_runs(tokens):
-        zone_range = _range_of_gaps(tokens, zone_lo, zone_hi)
+    for first, cuts in _zones(tokens):
+        zone_range = (cuts[0], cuts[-1])
         inside = [
             r
             for r in w.parens
@@ -555,23 +530,21 @@ def decode(setup: PbaSetup, w: HoleWord) -> Construct:
         inside.sort(key=lambda r: (r[1] - r[0], r))
 
         def build(r: tuple[int, int], pool: list) -> Construct:
-            lo, hi = legal[r] if r in legal else (zone_lo, zone_hi)
+            lo, hi = legal.get(r, (first, first + len(cuts) - 2))  # a zone over the whole word
             here = [s for s in pool if r[0] <= s[0] and s[1] <= r[1] and s != r]
             top = [
                 s
                 for s in here
                 if not any(u != s and u[0] <= s[0] and s[1] <= u[1] for u in here)
             ]
-            kids = [build(s, here) for s in top]
-            taken: set[str] = set()
-            for kid in kids:
-                taken |= kid.span
-            dec = frozenset(gap_atoms[g - 1] for g in range(lo, hi + 1)) - taken
+            kids = tuple(build(s, here) for s in top)
+            taken = {g for s in top for g in range(legal[s][0], legal[s][1] + 1)}
+            dec = frozenset(gap_atoms[g - 1] for g in range(lo, hi + 1) if g not in taken)
             if not dec:
                 raise HoleWordError(
                     f"parentheses at tokens {r} leave an empty decoration"
                 )
-            return Construct(dec, tuple(kids))
+            return Construct(dec, kids)
 
         children.append(build(zone_range, inside))
 
@@ -665,13 +638,7 @@ def rule_upsteps(setup: PbaSetup, w: HoleWord) -> list[HoleWord]:
                 continue
             ups.append(HoleWord(merged_tokens, candidate, tuple(hole_sets)))
 
-    seen: set[HoleWord] = set()
-    unique = []
-    for u in ups:
-        if u not in seen:
-            seen.add(u)
-            unique.append(u)
-    return unique
+    return list(dict.fromkeys(ups))
 
 
 def rule_closure_leq(setup: PbaSetup, a: HoleWord, b: HoleWord) -> bool:

@@ -92,10 +92,10 @@ def mu_sigma(parts: Iterable[Multiset]) -> Multiset:
     parts = list(parts)
     if not parts:
         raise TruncationError("cannot flatten an empty family")
-    total = parts[0]
-    for p in parts[1:]:
-        total = total.add(p)
-    return total
+    base = parts[0].base
+    if any(p.base != base for p in parts):
+        raise TruncationError("cannot add formal sums over different bases")
+    return Multiset(base, tuple(map(sum, zip(*(p.counts for p in parts)))))
 
 
 # -- round state --------------------------------------------------------
@@ -421,6 +421,8 @@ def round_state_from_json_dict(data: dict) -> RoundState:
     the type of every field; raises TruncationError on the first bad one."""
     if not isinstance(data, dict):
         raise TruncationError("round JSON must be an object")
+    if data.get("format", 1) != 1:
+        raise TruncationError("unsupported format version")
     needed = {"base", "round", "facets", "vertex_hypergraph", "truncation_hypergraph"}
     missing = needed - set(data)
     if missing:

@@ -114,6 +114,24 @@ def test_labels_holding_construct_syntax_are_refused(capsys, tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("label", [" a", "a ", "a\nb", "a\tb"])
+def test_labels_that_do_not_read_back_are_refused(capsys, tmp_path, label):
+    # `a\nb` over `c` would print the face `a\nb(c)` over two rows
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps({
+        "format": 1, "carrier": [label, "c"], "hyperedges": [[label], ["c"], [label, "c"]],
+    }))
+    assert run(capsys, "hg", "faces", str(path)) == (
+        2, "", f"error: atom label {label!r} is padded or holds an unprintable character\n"
+    )
+
+
+def test_hypergraph_format_2_is_refused(capsys, tmp_path):
+    path = tmp_path / "format2.json"
+    path.write_text(json.dumps({**corpus.path_graph(3).to_json_dict(), "format": 2}))
+    assert run(capsys, "hg", "faces", str(path)) == (2, "", "error: unsupported format version\n")
+
+
 def test_vertices_json(capsys, pentagon_file):
     status, out, _ = run(capsys, "hg", "realize", "--vertices", pentagon_file)
     blob = json.loads(out)
@@ -163,6 +181,18 @@ def test_op_graph_and_words(capsys, t4_file):
     assert '"x" -- "y" [style=dashed];' in out
     status, out, _ = run(capsys, "op", "words", "--tree", t4_file)
     assert status == 0 and len(out.splitlines()) == 5
+
+
+def test_word_commands_refuse_labels_that_are_not_letters(capsys, tmp_path):
+    # `ab` over `cd` and `e` once printed `(abcd)e` and `(abe)cd`, words
+    # that spell a five-node tree
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"format": 1, "label": "ab", "children": [{"label": "cd"}, {"label": "e"}]}))
+    for command in ("words", "classify"):
+        assert run(capsys, "op", command, "--tree", str(path)) == (
+            2, "", "error: tree label 'ab' is not a word letter (one letter or digit)\n"
+        )
+    assert run(capsys, "op", "graph", "--tree", str(path))[0] == 0
 
 
 TRACED = ("enumerate_constructs", "enumerate_constructions", "tamed_constructs")
@@ -236,6 +266,17 @@ def test_trunc_rounds(capsys, tmp_path):
     assert status == 0
     assert blob["state"]["round"] == 2
     assert blob["tamed"] == {"constructs": 27, "constructions": 8, "constrs": 6}
+
+
+def test_trunc_round_refuses_state_format_2(capsys, tmp_path):
+    ht1 = tmp_path / "ht1.json"
+    ht1.write_text(json.dumps(SQUARE_HT1))
+    state = json.loads(run(capsys, "trunc", "init", "--truncations", str(ht1))[1])
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**state, "format": 2}))
+    assert run(capsys, "trunc", "round", "--state", str(path)) == (
+        2, "", "error: unsupported format version\n"
+    )
 
 
 def test_trunc_round_takes_the_state_of_pba_setup(capsys, tmp_path):

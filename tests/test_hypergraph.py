@@ -44,6 +44,21 @@ def test_rejects_labels_holding_construct_syntax(label):
         Hypergraph([label, "z"], [[label], ["z"], [label, "z"]])
 
 
+@pytest.mark.parametrize("label", [" a", "a ", "a\nb", "a\tb"])
+def test_rejects_labels_that_do_not_read_back(label):
+    # construct text drops a label's outer whitespace, and a newline or tab
+    # would split a printed face over two rows or fields
+    with pytest.raises(HypergraphError, match="padded or holds an unprintable character"):
+        Hypergraph([label, "c"], [[label], ["c"], [label, "c"]])
+
+
+def test_rejects_a_format_other_than_1():
+    data = Hypergraph("xyz", XYZ).to_json_dict()
+    assert Hypergraph.from_json_dict({k: v for k, v in data.items() if k != "format"}).carrier == ("x", "y", "z")
+    with pytest.raises(HypergraphError, match="unsupported format version"):
+        Hypergraph.from_json_dict({**data, "format": 2})
+
+
 def test_atomize_fills_singletons():
     h = Hypergraph("xyz", [["x", "y", "z"]], atomize=True)
     assert frozenset({"x"}) in h.hyperedges

@@ -252,6 +252,16 @@ def test_decode_accepts_the_outer_parentheses():
     assert construction_to_word(g, v) == "ab"
 
 
+@pytest.mark.parametrize("tree", ["ab(cd,e)", "a(b,-)"])
+def test_words_need_one_letter_or_digit_per_label(tree):
+    g = build_edge_graph(parse_tree(tree))
+    (v, *_) = enumerate_constructions(g.hypergraph)
+    for spell in (lambda: construction_to_word(g, v), lambda: decomposition_words(g),
+                  lambda: operadic.skeleton_dot(g)):
+        with pytest.raises(WordError, match="is not a word letter"):
+            spell()
+
+
 def test_non_adjacent_merge_is_rejected_with_the_parenthesis():
     g = build_edge_graph(parse_tree("a(b(c(d)))"))
     with pytest.raises(WordError, match=r"\(ac\)"):

@@ -136,6 +136,39 @@ def test_standardize_ten_letter_example():
     )
 
 
+def _layout_by_gaps(tokens):
+    """The standard brackets and the legal ranges, gap by gap: gap g sits
+    between blocks g-1 and g, a zone runs on while the block after a gap
+    is a single letter, and gaps lo..hi span the tokens from the end of
+    block lo-1 to the start of block hi."""
+    blocks = pba._block_list(tokens)
+    zones, g = [], 1
+    while g < len(blocks):
+        h = g
+        while h + 1 < len(blocks) and blocks[h][0] == blocks[h][1] \
+                and not isinstance(tokens[blocks[h][0]], int):
+            h += 1
+        zones.append((g, h))
+        g = h + 1
+    whole = (0, len(tokens) - 1)
+    std = {(blocks[a - 1][1], blocks[b][0]) for a, b in zones} - {whole}
+    legal = {
+        (blocks[lo - 1][1], blocks[hi][0]): (lo, hi)
+        for a, b in zones for lo in range(a, b + 1) for hi in range(lo, b + 1)
+    }
+    legal.pop(whole, None)
+    return std, legal
+
+
+def test_zones_place_the_brackets_of_the_gap_definitions(pba2, pba3):
+    words = [w for setup in (pba_setup(1), pba2, pba3) for w in face_words(setup)]
+    merged = [u for w in face_words(pba3) for u in rule_upsteps(pba3, w)]
+    for tokens in {w.tokens for w in words + merged} | {standardize_blocks(TEN_LETTER_BLOCKS).tokens}:
+        std, legal = _layout_by_gaps(tokens)
+        assert pba._std_ranges(tokens) == std
+        assert pba._node_ranges(tokens) == legal
+
+
 def test_standardize_degenerate_chains():
     letters = ("x1", "x2", "x3", "x4")
     top = standardize(letters, [])

@@ -124,8 +124,16 @@ def test_mu_sigma_flattens():
     assert mu_sigma([x, xy]).text() == "2x+y"
     assert mu_sigma([x]).text() == "x"
     assert mu_sigma([x, Multiset.from_json_dict(BASE, {"x": 2, "y": 1})]).text() == "3x+y"
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="empty family"):
         mu_sigma([])
+
+
+def test_mu_sigma_refuses_mixed_bases():
+    x = Multiset.unit(BASE, "x")
+    with pytest.raises(TruncationError, match="different bases"):
+        mu_sigma([x, Multiset.unit(("x", "y"), "x")])
+    with pytest.raises(TruncationError, match="different bases"):
+        mu_sigma([x, x, Multiset.unit(tuple(reversed(BASE)), "x")])
 
 
 # -- round 1 ------------------------------------------------------------
