@@ -3,6 +3,8 @@
 The corpus backs the cross-checking tests: every connected atomic
 hypergraph on up to 4 atoms (one per isomorphism class), every rooted
 tree shape up to 6 nodes, plus the named examples used throughout.
+Each call builds fresh hypergraphs, so no two callers share the memos a
+hypergraph carries; only the isomorphism search is cached, once per size.
 """
 
 from __future__ import annotations
@@ -78,35 +80,29 @@ def hemiassociahedron() -> Hypergraph:
     )
 
 
-NAMED: dict[str, Hypergraph] = {}
-
-
-def _register() -> None:
-    NAMED.update(
-        {
-            "2-simplex": simplex(3),
-            "3-simplex": simplex(4),
-            "pentagon": path_graph(3),
-            "hexagon": complete_graph(3),
-            "3-associahedron": path_graph(4),
-            "3-permutohedron": complete_graph(4),
-            "3-cyclohedron": cycle_graph(4),
-            "vertex-truncated-2-simplex": vertex_truncated_2_simplex(),
-            "edge-truncated-3-simplex": edge_truncated_3_simplex(),
-            "vertex-truncated-3-simplex": vertex_truncated_3_simplex(),
-            "hemiassociahedron": hemiassociahedron(),
-            "4-associahedron": path_graph(5),
-        }
-    )
-
-
-_register()
+def named_corpus() -> dict[str, Hypergraph]:
+    """The named examples, built fresh on each call, so no two callers
+    share a hypergraph or the memos it carries."""
+    return {
+        "2-simplex": simplex(3),
+        "3-simplex": simplex(4),
+        "pentagon": path_graph(3),
+        "hexagon": complete_graph(3),
+        "3-associahedron": path_graph(4),
+        "3-permutohedron": complete_graph(4),
+        "3-cyclohedron": cycle_graph(4),
+        "vertex-truncated-2-simplex": vertex_truncated_2_simplex(),
+        "edge-truncated-3-simplex": edge_truncated_3_simplex(),
+        "vertex-truncated-3-simplex": vertex_truncated_3_simplex(),
+        "hemiassociahedron": hemiassociahedron(),
+        "4-associahedron": path_graph(5),
+    }
 
 
 @lru_cache(maxsize=None)
-def all_connected_atomic(n_atoms: int) -> tuple[Hypergraph, ...]:
-    """One representative per isomorphism class of connected atomic
-    hypergraphs on n_atoms atoms, built once per size."""
+def _classes(n_atoms: int) -> tuple[tuple[tuple[str, ...], ...], ...]:
+    """The hyperedges of one representative per isomorphism class of
+    connected atomic hypergraphs on n_atoms atoms, searched once per size."""
     atoms = _atoms(n_atoms)
     idx = {a: i for i, a in enumerate(atoms)}
     candidates = [
@@ -132,31 +128,33 @@ def all_connected_atomic(n_atoms: int) -> tuple[Hypergraph, ...]:
         return best
 
     seen: set[tuple[int, ...]] = set()
-    out: list[Hypergraph] = []
+    out: list[tuple[tuple[str, ...], ...]] = []
     for bits in range(1 << len(candidates)):
         family = frozenset(
             candidates[i] for i in range(len(candidates)) if bits >> i & 1
         )
-        edges = [[a] for a in atoms] + [sorted(s, key=idx.__getitem__) for s in family]
-        h = Hypergraph(atoms, edges)
-        if not is_connected(h):
+        edges = [(a,) for a in atoms] + [tuple(sorted(s, key=idx.__getitem__)) for s in family]
+        if not is_connected(Hypergraph(atoms, edges)):
             continue
         key = canon(family)
         if key in seen:
             continue
         seen.add(key)
-        out.append(h)
+        out.append(tuple(edges))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+def all_connected_atomic(n_atoms: int) -> tuple[Hypergraph, ...]:
+    """One representative per isomorphism class of connected atomic
+    hypergraphs on n_atoms atoms, built fresh on each call."""
+    atoms = _atoms(n_atoms)
+    return tuple(Hypergraph(atoms, edges) for edges in _classes(n_atoms))
+
+
 def small_corpus() -> tuple[Hypergraph, ...]:
-    """Isomorph-free connected atomic hypergraphs with at most 4 atoms."""
+    """Isomorph-free connected atomic hypergraphs with at most 4 atoms,
+    built fresh on each call."""
     return tuple(h for n in range(1, 5) for h in all_connected_atomic(n))
-
-
-def named_corpus() -> dict[str, Hypergraph]:
-    return dict(NAMED)
 
 
 @lru_cache(maxsize=None)

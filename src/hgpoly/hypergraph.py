@@ -194,7 +194,7 @@ class Hypergraph:
     def from_json_dict(cls, data: dict, *, atomize: bool = False) -> "Hypergraph":
         if not isinstance(data, dict):
             raise HypergraphError("hypergraph JSON must be an object")
-        if data.get("format", 1) != 1:
+        if not _is_format_1(data):
             raise HypergraphError("unsupported format version")
         if "carrier" not in data or "hyperedges" not in data:
             raise HypergraphError("hypergraph JSON needs 'carrier' and 'hyperedges'")
@@ -211,6 +211,12 @@ class Hypergraph:
             "carrier": list(self.carrier),
             "hyperedges": [list(self.sorted_labels(m)) for m in self._edge_masks],
         }
+
+
+def _is_format_1(data: dict) -> bool:
+    """A JSON object's "format" is absent or the integer 1, not true or 1.0."""
+    version = data.get("format", 1)
+    return isinstance(version, int) and not isinstance(version, bool) and version == 1
 
 
 def _is_label_list(value) -> bool:

@@ -2,9 +2,12 @@
 
 psi sends a construct to the family of its subtree unions; the family
 determines the tree (Hasse diagram of reverse inclusion) and the original
-decorations (member minus union of its children). Three checkable
-characterizations of which decorated trees are constructs, and the graph
-specialization (tubings), live here too.
+decorations (member minus union of its children). One builder, `_tree_of`,
+turns a nested set of span masks into that tree: `unpsi` calls it on a
+checked label family, and `pba.decode` reads a word with holes as its
+nested set and calls it too. Three checkable characterizations of which
+decorated trees are constructs, and the graph specialization (tubings),
+live here too.
 """
 
 from __future__ import annotations
@@ -76,6 +79,18 @@ def condition_c_graph(h: Hypergraph, members) -> bool:
     return True
 
 
+def _tree_of(h: Hypergraph, spans) -> Construct:
+    """The tree of a laminar family of span masks that holds the carrier:
+    each member's children are the largest members inside it, in canonical
+    (lowest atom) order, and its decoration is what they leave of it."""
+    tops: dict[int, Construct] = {}  # the members built so far with no parent yet
+    for m in sorted(set(spans), key=int.bit_count):
+        kids = sorted((r for r in tops if not r & ~m), key=lambda r: r & -r)
+        # laminar: the children are disjoint, so their sum is their union
+        tops[m] = Construct(h.labels(m & ~sum(kids)), tuple(map(tops.pop, kids)))
+    return tops[h.full_mask]
+
+
 def unpsi(h: Hypergraph, family) -> Construct:
     """The unique construct whose psi is the given family."""
     members = {frozenset(s) for s in family}
@@ -95,17 +110,7 @@ def unpsi(h: Hypergraph, family) -> Construct:
         raise NestedSetError(
             "C", witness, f"antichain {{{pretty}}} has a connected union"
         )
-
-    def children_of(s: frozenset[str]) -> list[frozenset[str]]:
-        below = [m for m in members if m < s]
-        return [m for m in below if not any(m < other for other in below)]
-
-    def build(s: frozenset[str]) -> Construct:
-        kids = children_of(s)
-        decoration = s.difference(*kids) if kids else s
-        return Construct(decoration, tuple(build(k) for k in kids))
-
-    return validate_construct(h, build(carrier))
+    return validate_construct(h, _tree_of(h, {h.mask(s) for s in members}))
 
 
 def check_tree_characterization(h: Hypergraph, t: Construct, variant: str) -> bool:

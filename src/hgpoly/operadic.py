@@ -26,7 +26,7 @@ from .constructs import (
     validate_construct,
     vertices_below,
 )
-from .hypergraph import Hypergraph, InvariantError, components
+from .hypergraph import Hypergraph, InvariantError, _is_format_1, components
 
 
 class OperadicTreeError(ValueError):
@@ -87,7 +87,7 @@ class OperadicTree:
 def tree_from_json_dict(data: dict) -> OperadicTree:
     if not isinstance(data, dict):
         raise OperadicTreeError("tree JSON must be an object")
-    if data.get("format", 1) != 1:
+    if not _is_format_1(data):
         raise OperadicTreeError("unsupported format version")
 
     def rec(node) -> OperadicTree:
@@ -370,7 +370,7 @@ def subtree_component_correspondence(g: EdgeGraph, k) -> OperadicTree:
         raise OperadicTreeError("empty vertex set")
     if not h.connected_mask(h.mask(atoms)):
         raise OperadicTreeError("vertex set is not connected in the edge graph")
-    parent_of = {c: p for p, c in g.tree.edges()}
+    parent_of = g._parent_of
     picked = {g.edge_of[a] for a in atoms}  # child endpoints of kept edges
     nodes = picked | {parent_of[c] for c in picked}
     children: dict[str, list[str]] = {n: [] for n in nodes}

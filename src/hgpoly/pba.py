@@ -24,7 +24,7 @@ from .constructs import (
     validate_construct,
 )
 from .hypergraph import Hypergraph, InvariantError, restrict
-from .nestedsets import psi
+from .nestedsets import _tree_of, psi
 from .realization import _face_polynomials
 from .truncation import RoundState, advance, constrs, simplex_round, tamed_constructs
 
@@ -503,53 +503,24 @@ def encode_via_order(setup: PbaSetup, t: Construct, order: Sequence[str]) -> Hol
 
 
 def decode(setup: PbaSetup, w: HoleWord) -> Construct:
-    """Inverse of encode: the blocks name a chain, the zones name the
-    components, and the parentheses inside each zone rebuild a tree."""
+    """Inverse of encode, reading the word as its nested set: the blocks
+    name a chain, whose names are the gap atoms; each zone (a component)
+    and each parenthesis is the mask of the gap atoms it spans, the carrier
+    holds them all, and nestedsets._tree_of builds the tree."""
     validate_word(setup.letters, w)
     ht = setup.hypergraph
     tokens = w.tokens
-    blocks = _block_list(tokens)
-
+    at = [0]  # at[g]: the mask of gap atoms 1..g
     union: set[str] = set()
-    gap_atoms: list[str] = []
-    for lo, hi in blocks[:-1]:
+    for lo, _ in _block_list(tokens)[:-1]:
         tok = tokens[lo]
         union |= w.hole_map[tok - 1] if isinstance(tok, int) else {tok}
-        gap_atoms.append(setup.name_of(union))
-    root = frozenset(ht.carrier) - set(gap_atoms)
-
-    legal = _node_ranges(tokens)
-    children = []
-    for first, cuts in _zones(tokens):
-        zone_range = (cuts[0], cuts[-1])
-        inside = [
-            r
-            for r in w.parens
-            if zone_range[0] <= r[0] and r[1] <= zone_range[1] and r != zone_range
-        ]
-        inside.sort(key=lambda r: (r[1] - r[0], r))
-
-        def build(r: tuple[int, int], pool: list) -> Construct:
-            lo, hi = legal.get(r, (first, first + len(cuts) - 2))  # a zone over the whole word
-            here = [s for s in pool if r[0] <= s[0] and s[1] <= r[1] and s != r]
-            top = [
-                s
-                for s in here
-                if not any(u != s and u[0] <= s[0] and s[1] <= u[1] for u in here)
-            ]
-            kids = tuple(build(s, here) for s in top)
-            taken = {g for s in top for g in range(legal[s][0], legal[s][1] + 1)}
-            dec = frozenset(gap_atoms[g - 1] for g in range(lo, hi + 1) if g not in taken)
-            if not dec:
-                raise HoleWordError(
-                    f"parentheses at tokens {r} leave an empty decoration"
-                )
-            return Construct(dec, kids)
-
-        children.append(build(zone_range, inside))
-
+        at.append(at[-1] | 1 << ht._index[setup.name_of(union)])
+    gaps = [(first, first + len(cuts) - 2) for first, cuts in _zones(tokens)]
+    gaps += map(_node_ranges(tokens).__getitem__, w.parens)
+    spans = {ht.full_mask, *(at[hi] & ~at[lo - 1] for lo, hi in gaps)}
     try:
-        return validate_construct(ht, Construct(root, tuple(children)))
+        return validate_construct(ht, _tree_of(ht, spans))
     except ConstructError as exc:
         raise HoleWordError(f"word does not name a construct: {exc}") from exc
 

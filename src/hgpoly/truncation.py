@@ -22,7 +22,7 @@ from .constructs import (
     _trees,
     print_construct,
 )
-from .hypergraph import Hypergraph, HypergraphError, _is_label_list
+from .hypergraph import Hypergraph, HypergraphError, _is_format_1, _is_label_list
 
 
 class TruncationError(ValueError):
@@ -421,7 +421,7 @@ def round_state_from_json_dict(data: dict) -> RoundState:
     the type of every field; raises TruncationError on the first bad one."""
     if not isinstance(data, dict):
         raise TruncationError("round JSON must be an object")
-    if data.get("format", 1) != 1:
+    if not _is_format_1(data):
         raise TruncationError("unsupported format version")
     needed = {"base", "round", "facets", "vertex_hypergraph", "truncation_hypergraph"}
     missing = needed - set(data)

@@ -190,8 +190,9 @@ def check_nested_sets() -> None:
             m = psi(t)
             need(len(m) == t.node_count, "psi image has the wrong size")
             need(unpsi(h, m) == t, "unpsi(psi(t)) != t")
+    named = corpus.named_corpus()
     for key in ("pentagon", "hexagon", "3-simplex", "hemiassociahedron"):
-        h = corpus.named_corpus()[key]
+        h = named[key]
         faces = enumerate_constructs(h)
         for s in faces:
             for t in faces:

@@ -127,9 +127,20 @@ def test_labels_that_do_not_read_back_are_refused(capsys, tmp_path, label):
 
 
 def test_hypergraph_format_2_is_refused(capsys, tmp_path):
+    # true and 1.0 equal 1 in Python but are not format 1
     path = tmp_path / "format2.json"
-    path.write_text(json.dumps({**corpus.path_graph(3).to_json_dict(), "format": 2}))
-    assert run(capsys, "hg", "faces", str(path)) == (2, "", "error: unsupported format version\n")
+    for version in (2, True, 1.0):
+        path.write_text(json.dumps({**corpus.path_graph(3).to_json_dict(), "format": version}))
+        assert run(capsys, "hg", "faces", str(path)) == (2, "", "error: unsupported format version\n")
+
+
+def test_operadic_tree_format_2_is_refused(capsys, tmp_path):
+    path = tmp_path / "tree.json"
+    for version in (2, True, 1.0):
+        path.write_text(json.dumps({"format": version, "label": "a", "children": [{"label": "b"}]}))
+        assert run(capsys, "op", "words", "--tree", str(path)) == (
+            2, "", "error: unsupported format version\n"
+        )
 
 
 def test_vertices_json(capsys, pentagon_file):
@@ -273,10 +284,11 @@ def test_trunc_round_refuses_state_format_2(capsys, tmp_path):
     ht1.write_text(json.dumps(SQUARE_HT1))
     state = json.loads(run(capsys, "trunc", "init", "--truncations", str(ht1))[1])
     path = tmp_path / "state.json"
-    path.write_text(json.dumps({**state, "format": 2}))
-    assert run(capsys, "trunc", "round", "--state", str(path)) == (
-        2, "", "error: unsupported format version\n"
-    )
+    for version in (2, True, 1.0):
+        path.write_text(json.dumps({**state, "format": version}))
+        assert run(capsys, "trunc", "round", "--state", str(path)) == (
+            2, "", "error: unsupported format version\n"
+        )
 
 
 def test_trunc_round_takes_the_state_of_pba_setup(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Leftover names in the library: every import is used, every private
 module-level function is referenced, and every public function and class
-is exported or referenced. Read with the standard `ast` only."""
+is exported or referenced, and no module runs a call at import. Read with
+the standard `ast` only."""
 
 import ast
 from pathlib import Path
@@ -121,3 +122,14 @@ def test_every_hypergraph_slot_is_set_and_read():
     }
     assert set(slots) - assigned == set()
     assert set(slots) - read == set()
+
+
+def test_no_module_runs_a_call_at_import():
+    # a bare call at module level fills shared state at import time, as a
+    # registry filled on import once did; build such state on each call
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items() for node in tree.body
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+    ]
+    assert not calls, calls

@@ -55,8 +55,9 @@ def test_rejects_labels_that_do_not_read_back(label):
 def test_rejects_a_format_other_than_1():
     data = Hypergraph("xyz", XYZ).to_json_dict()
     assert Hypergraph.from_json_dict({k: v for k, v in data.items() if k != "format"}).carrier == ("x", "y", "z")
-    with pytest.raises(HypergraphError, match="unsupported format version"):
-        Hypergraph.from_json_dict({**data, "format": 2})
+    for version in (2, True, 1.0, "1"):
+        with pytest.raises(HypergraphError, match="unsupported format version"):
+            Hypergraph.from_json_dict({**data, "format": version})
 
 
 def test_atomize_fills_singletons():

@@ -347,6 +347,50 @@ def test_encode_decode_bijection_exhaustive(pba2, pba3):
             assert decode(setup, w) == t
 
 
+def test_decode_inverts_encode_on_every_legal_parenthesis_set(pba2, pba3):
+    # every subset of the legal parentheses over every face skeleton that
+    # holds the standard brackets: an accepted word comes back from encode,
+    # and its nested set is the carrier plus the chain names over each zone
+    # and each parenthesis; a refused word fails validate_word alone with
+    # the same message
+    accepted = refused = 0
+    for setup in (pba_setup(1), pba2, pba3):
+        carrier = frozenset(setup.hypergraph.carrier)
+        for tokens, hole_map in dict.fromkeys((w.tokens, w.hole_map) for w in face_words(setup)):
+            blocks = [
+                hole_map[tokens[lo] - 1] if isinstance(tokens[lo], int) else {tokens[lo]}
+                for lo, _ in pba._block_list(tokens)
+            ]
+            # gap g sits between blocks g-1 and g and is named by the letters before it
+            names = {g: setup.name_of(set().union(*blocks[:g])) for g in range(1, len(blocks))}
+            zones: list[set] = []
+            for g in names:
+                if g == 1 or len(blocks[g - 1]) > 1:  # a hole ends the zone before it
+                    zones.append(set())
+                zones[-1].add(names[g])
+            std, legal = pba._std_ranges(tokens), pba._node_ranges(tokens)
+            free = sorted(legal.keys() - std)
+            for k in range(len(free) + 1):
+                for extra in combinations(free, k):
+                    w = HoleWord(tokens, std | frozenset(extra), hole_map)
+                    try:
+                        t = decode(setup, w)
+                    except HoleWordError as exc:
+                        with pytest.raises(HoleWordError) as alone:
+                            validate_word(setup.letters, w)
+                        assert str(alone.value) == str(exc)
+                        refused += 1
+                        continue
+                    assert encode(setup, t) == w
+                    spans = [legal[r] for r in w.parens]
+                    expected = {carrier, *map(frozenset, zones)} | {
+                        frozenset(names[g] for g in range(lo, hi + 1)) for lo, hi in spans
+                    }
+                    assert psi(t) == expected
+                    accepted += 1
+    assert (accepted, refused) == (391, 534)
+
+
 # -- order ----------------------------------------------------------------
 
 
