@@ -8,17 +8,19 @@ constructs draw Y from every non-empty subset of the region, while
 constructions, spanning partial constructions and the vertices below a
 face draw single atoms; the tamed families of a truncation round fix the
 root decorations at the top region. Its node builder makes each tree a
-Construct, a psi key and its text (`_keyed`), or span masks (next_round).
-A Construct node is the tuple (decoration, children, node_count), compared
-and hashed by value in C, and unordered.
+Construct, a mask record (`_record`), a psi key with a text or record and
+vertex coordinates (`_keyed_node`), or span masks (next_round).
+Inside the library a face is its mask record, the plain tuple (decoration
+mask, span mask, child records) with children by lowest atom. A Construct,
+the tuple (decoration, children, node_count) over labels and unordered, is
+built only at the boundary: by the public enumerators and `parse_construct`,
+and by `covers` and `vertices_below`, which read their argument's record.
 Three independent implementations of the face order are kept deliberately
 separate so their agreement can be tested: `rules` asks whether t lies in
-the breadth-first closure of `covers` from s, memoised on the hypergraph,
-while `v2` and `v3` recurse over mask records (decoration, span, child
-records), one per distinct node, also memoised on the hypergraph, so below
-the roots they hash no node. `covers` and psi take spans from one pass that
-hashes no node either. The order takes constructs only: a tree with an
-Omega leaf raises ConstructError.
+the breadth-first closure of the record `_covers` from s, memoised on the
+hypergraph, while `v2` and `v3` recurse over the records of s and t, which
+`leq` looks up in one memo on the hypergraph. The order takes constructs
+only: a tree with an Omega leaf raises ConstructError.
 """
 
 from __future__ import annotations
@@ -319,29 +321,56 @@ def _trees(
         memo[region] = got
         return got
 
-    return rec(ambient)
+    top = rec(ambient)
+    memo.clear()  # rec refers to itself: the memo would wait for a collection
+    return top
+
+
+def _text(h: Hypergraph):
+    """A head for _keyed_node: each tree as its text."""
+
+    def head(region: int, y: int):
+        dec = print_atom_set(h, y)
+        return lambda kids: dec + "(" + ",".join(kids) + ")" if kids else dec
+
+    return head
+
+
+def _keyed_node(h: Hypergraph, head):
+    """A _trees node builder: each tree as (head, psi key, packed vertex
+    coordinates), head(region, y) making a tree's head from its children's.
+    The key has one bit per node, the index in connected_subset_masks(h) of
+    its span. A one-atom node y over a region puts in y's lane 3^|region|
+    minus 3^|C| summed over the components C that y leaves: the closed form,
+    computed once per (region, y). On a construction the lanes are its vertex."""
+    bit = {m: 1 << i for i, m in enumerate(connected_subset_masks(h))}
+    width = (3 ** len(h.carrier)).bit_length()
+
+    def node(region: int, y: int):
+        own, make, here = bit[region], head(region, y), 0
+        if not y & y - 1:
+            below = sum(3 ** c.bit_count() for c in h.components_mask(region & ~y))
+            here = 3 ** region.bit_count() - below << width * (y.bit_length() - 1)
+
+        def tree(kids: tuple) -> tuple:
+            if len(kids) == 1:  # the commonest shape, and on a complete graph the only one
+                ((first, key, lanes),) = kids
+                return make((first,)), own + key, here + lanes
+            firsts, keys, lanes = zip(*kids) if kids else ((), (), ())
+            return make(firsts), own + sum(keys), here + sum(lanes)
+
+        return tree
+
+    return node
 
 
 def _keyed(h: Hypergraph, decorations, family: str, max_carrier: int | None) -> dict[int, str]:
     """The faces of a family over the whole carrier as psi key -> text, built
-    bottom-up with no Construct: a key has one bit per node, the index in
-    connected_subset_masks(h) of the region the node spans."""
+    bottom-up with no Construct."""
     _check_guard(h, max_carrier, family)
-    bit = {m: 1 << i for i, m in enumerate(connected_subset_masks(h))}
-
-    def node(region: int, y: int):
-        own, dec = bit[region], print_atom_set(h, y)
-
-        def make(kids: tuple[tuple[int, str], ...]) -> tuple[int, str]:
-            if not kids:
-                return own, dec
-            keys, texts = zip(*kids)
-            return own + sum(keys), dec + "(" + ",".join(texts) + ")"
-
-        return make
-
     full = h.full_mask
-    return dict(_trees(h, full, decorations, full, full, None, node))
+    trees = _trees(h, full, decorations, full, full, None, _keyed_node(h, _text(h)))
+    return {key: text for text, key, _ in trees}
 
 
 def enumerate_constructs(
@@ -367,96 +396,101 @@ def enumerate_constructions(
 # -- the face order, three ways ----------------------------------------
 
 
-def _masks(h: Hypergraph, node: Construct) -> tuple[int, int, tuple]:
+def _record(region: int, y: int):
+    """A _trees node builder: each tree as its mask record (y, region, child records)."""
+    return lambda kids: (y, region, kids)
+
+
+def _construct(h: Hypergraph, r: tuple) -> Construct:
+    """The Construct of the mask record r, for the public boundary and for witnesses."""
+    return Construct(h.labels(r[0]), tuple(_construct(h, k) for k in r[2]))
+
+
+def _dec_mask(h: Hypergraph, node: Construct) -> int:
+    """A node's decoration mask; ConstructError on an Omega leaf or a foreign atom."""
+    if isinstance(node, Omega):
+        raise ConstructError("Omega leaf: the face order compares constructs only")
+    try:
+        return h.mask(node.decoration)
+    except HypergraphError as err:
+        raise ConstructError(str(err)) from None
+
+
+def _masks(h: Hypergraph, node: Construct, memo: dict | None = None) -> tuple[int, int, tuple]:
     """The mask record (decoration mask, span mask, child records) of a
-    construct node over h's carrier, memoised on h._mask_cache for leq, so
-    each distinct node is converted once. The face order takes constructs
-    only: an Omega leaf below node, or an atom outside the carrier, raises
-    ConstructError."""
-    memo = h._mask_cache
-    got = memo.get(node)
+    construct node over h's carrier. leq passes h._mask_cache as memo, so
+    each distinct node is converted once; one-off callers keep nothing."""
+    got = None if memo is None else memo.get(node)
     if got is None:
-        if not isinstance(node, Construct):
-            raise ConstructError("Omega leaf: the face order compares constructs only")
-        try:
-            dec = h.mask(node.decoration)
-        except HypergraphError as err:
-            raise ConstructError(str(err)) from None
-        kids, span = tuple(map(partial(_masks, h), node.children)), dec
+        dec = _dec_mask(h, node)
+        kids, span = tuple(_masks(h, c, memo) for c in node.children), dec
         for kid in kids:
             span |= kid[1]
-        got = memo[node] = (dec, span, kids)
+        got = (dec, span, kids)
+        if memo is not None:
+            memo[node] = got
     return got
 
 
-def _span_pass(h: Hypergraph, node: Construct, nodes: list, spans: list) -> int:
-    """Append the nodes of node's subtree to nodes in preorder and their
-    span masks to spans, and return node's span, hashing no node. Raises
-    ConstructError where _masks does."""
-    if not isinstance(node, Construct):
-        raise ConstructError("Omega leaf: the face order compares constructs only")
-    try:
-        span = h.mask(node.decoration)
-    except HypergraphError as err:
-        raise ConstructError(str(err)) from None
+def _spans(h: Hypergraph, t: Construct, spans: list | None = None) -> list[int]:
+    """psi(t) as masks: the span of each node of t, in preorder, appended to
+    spans, from one pass that hashes no node (and makes no closure, whose
+    cycle would wait for a collection). Raises ConstructError where _masks does."""
+    spans = [] if spans is None else spans
     i = len(spans)
-    nodes.append(node)
-    spans.append(span)
-    for c in node.children:
-        span |= _span_pass(h, c, nodes, spans)
-    spans[i] = span
-    return span
-
-
-def _spans(h: Hypergraph, t: Construct) -> list[int]:
-    """psi(t) as masks: the span of each node of t, in preorder."""
-    spans: list[int] = []
-    _span_pass(h, t, [], spans)
+    spans.append(_dec_mask(h, t))
+    for c in t.children:
+        j = len(spans)
+        spans[i] |= _spans(h, c, spans)[j]
     return spans
 
 
+def _covers(s: tuple) -> list[tuple]:
+    """The records of the faces obtained from the record s by contracting
+    exactly one tree edge: a child's decoration merges into its parent's.
+    Their order is deterministic but unspecified. Distinct edges drop
+    distinct spans from psi(s), so no cover repeats."""
+    y, span, kids = s
+    results = []
+    for i, (cy, _, grand) in enumerate(kids):
+        before, after = kids[:i], kids[i + 1 :]
+        if not grand:
+            results.append((y | cy, span, before + after))
+            continue
+        # the merged node's children go by lowest atom: the earlier siblings'
+        # come before the child's, which is at most its children's
+        merged = tuple(sorted(grand + after, key=lambda r: r[1] & -r[1])) if after else grand
+        results.append((y | cy, span, before + merged))
+        # a contraction inside a child keeps the child's span and place
+        for sub in _covers(kids[i]):
+            results.append((y, span, before + (sub,) + after))
+    return results
+
+
 def covers(h: Hypergraph, s: Construct) -> list[Construct]:
-    """All constructs obtained by contracting exactly one tree edge of s
-    (merge a child's decoration into its parent's). Their order is
-    deterministic but unspecified. Distinct edges drop distinct spans from
-    psi(s), so no cover repeats."""
-    nodes, spans = [], []
-    _span_pass(h, s, nodes, spans)  # rejects an Omega leaf
-    low = {id(node): m & -m for node, m in zip(nodes, spans)}  # s keeps its nodes alive
-
-    def rec(node: Construct) -> list[Construct]:
-        kids = node.children
-        results = []
-        for i, child in enumerate(kids):
-            before, after, grand = kids[:i], kids[i + 1 :], child.children
-            if not grand:
-                results.append(Construct(node.decoration | child.decoration, before + after))
-                continue
-            # the merged node's children keep their spans, so they go in
-            # canonical order by lowest atom
-            merged = tuple(sorted(before + after + grand, key=lambda c: low[id(c)]))
-            results.append(Construct(node.decoration | child.decoration, merged))
-            # a contraction inside a child keeps the child's span, hence its
-            # place among the children
-            for sub in rec(child):
-                results.append(Construct(node.decoration, before + (sub,) + after))
-        return results
-
-    return rec(s)
+    """All constructs obtained by contracting exactly one tree edge of s,
+    the record `_covers` converted at return. Their order is deterministic
+    but unspecified, and no cover repeats."""
+    return [_construct(h, r) for r in _covers(_masks(h, s))]
 
 
-def _up(h: Hypergraph, s: Construct) -> frozenset[Construct]:
-    """The faces reachable from s along single-edge contractions, s
-    included: one closure of covers, memoised on h for the faces s it is
-    asked about. A face whose up-set is already memoised adds that up-set
-    whole and is not expanded, since up(v) lies inside up(s) for every v
-    in up(s)."""
-    memo = h._up_cache
+def _up(h: Hypergraph, s: tuple) -> frozenset[tuple]:
+    """The records of the faces reachable from the record s along
+    single-edge contractions, s included: one closure of _covers, memoised
+    on h for the faces s it is asked about. A face whose up-set is memoised
+    adds it whole, unexpanded, since up(v) lies inside up(s). h._face_cache
+    interns each face met as [record, its covers' records], so separate
+    searches share one record per face and contract each face once."""
+    memo, faces = h._up_cache, h._face_cache
     got = memo.get(s)
     if got is None:
+        s = faces.setdefault(s, [s, None])[0]
         seen, todo = {s}, [s]
         while todo:
-            for v in covers(h, todo.pop()):
+            entry = faces[todo.pop()]
+            if entry[1] is None:
+                entry[1] = [faces.setdefault(v, [v, None])[0] for v in _covers(entry[0])]
+            for v in entry[1]:
                 if v not in seen:
                     known = memo.get(v)
                     if known is None:
@@ -531,17 +565,17 @@ def _leq_v3(s: tuple, t: tuple) -> bool:
 
 def leq(s: Construct, t: Construct, h: Hypergraph, variant: str = "v2") -> bool:
     """Face order: s is a face of t. Variants are independent
-    implementations that must agree: `rules` asks whether t is in the
-    memoised contraction closure of s, `v2` and `v3` decide on the mask
-    records of s and t. Both must be constructs; an Omega leaf raises
+    implementations that must agree: `rules` asks whether t's record is in
+    the memoised contraction closure of s's, `v2` and `v3` decide on the
+    mask records of s and t. Both must be constructs; an Omega leaf raises
     ConstructError."""
     # the only memo lookups: v2 and v3 recurse over the records below
     masks = h._mask_cache
-    srec, trec = masks.get(s) or _masks(h, s), masks.get(t) or _masks(h, t)
+    srec, trec = masks.get(s) or _masks(h, s, masks), masks.get(t) or _masks(h, t, masks)
     if srec[1] != trec[1]:
         raise ConstructError("constructs of different carriers are incomparable")
     if variant == "rules":
-        return t in _up(h, s)
+        return trec in (h._up_cache.get(srec) or _up(h, srec))
     if variant == "v2":
         return _leq_v2(srec, trec[0], trec[2])
     if variant == "v3":
@@ -601,18 +635,20 @@ def spanning_partial_constructions(h: Hypergraph, x) -> list[Construct]:
     return _trees(h, h.full_mask, _bits, xmask, xmask, lambda c: (Omega(h.labels(c)),))
 
 
+def _vertices_below(h: Hypergraph, t: tuple, node=None) -> list:
+    """The constructions below the face with record t, each once, in the
+    kernel's order: every node of t becomes a spanning partial construction,
+    grafted recursively. node goes to _trees."""
+
+    def rec(r: tuple) -> list:
+        y, span, kids = r
+        below = {k[1]: rec(k) for k in kids}
+        return _trees(h, span, _bits, y, span, below.__getitem__, node)
+
+    return rec(t)
+
+
 def vertices_below(h: Hypergraph, t: Construct) -> list[Construct]:
     """All constructions V <= t, each once, in the kernel's order, the same
-    on every call: every node of t becomes a spanning partial construction,
-    grafted recursively."""
-
-    def rec(node: Construct) -> tuple[int, list[Construct]]:
-        # the span of node as a mask, and the constructions below node
-        below = dict(rec(c) for c in node.children)
-        dec = h.mask(node.decoration)
-        ambient = dec
-        for m in below:
-            ambient |= m
-        return ambient, _trees(h, ambient, _bits, dec, ambient, below.__getitem__)
-
-    return rec(t)[1]
+    on every call, built from t's record as Constructs."""
+    return _vertices_below(h, _masks(h, t))

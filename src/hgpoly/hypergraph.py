@@ -51,7 +51,7 @@ class Hypergraph:
 
     __slots__ = (
         "carrier", "_index", "_edge_masks", "_full", "_comp_cache", "_mask_cache",
-        "_up_cache", "_connected_subsets",
+        "_up_cache", "_face_cache", "_connected_subsets",
     )
 
     def __init__(
@@ -94,9 +94,11 @@ class Hypergraph:
         object.__setattr__(self, "_comp_cache", {})
         # construct node -> mask record (decoration, span, child records), for leq only
         object.__setattr__(self, "_mask_cache", {})
-        # queried construct -> the frozenset of faces above it, filled by
-        # constructs._up, the one memo of the rules order
+        # the rules order, filled by constructs._up: queried record -> the
+        # frozenset of the records above it, and each face met -> [the one
+        # record held for it, the records of its covers]
         object.__setattr__(self, "_up_cache", {})
+        object.__setattr__(self, "_face_cache", {})
         # set by connected_subset_masks on first use
         object.__setattr__(self, "_connected_subsets", None)
 

@@ -568,17 +568,26 @@ def decomposition_words(g: EdgeGraph) -> list[str]:
     return sorted(_word(g, v) for v in enumerate_constructions(g.hypergraph))
 
 
+def _dot(text: str) -> str:
+    """text as a DOT ID: double-quoted, with `\\` and `"` escaped."""
+    if '"' in text or "\\" in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{text}"'
+
+
 def skeleton_dot(g: EdgeGraph) -> str:
     """Polytope vertex-edge skeleton as DOT: beta edges directed and
     solid, theta edges undirected and dashed, vertices labeled by words."""
     _check_letters(g)
     h = g.hypergraph
     # an edge is the nested set of either of its vertices less the span of
-    # one node: record (word, atom of the node's parent, atom of the node)
+    # one node: record (word, atom of the node's parent, atom of the node).
+    # Each word is quoted once; a closing quote sorts below every letter,
+    # digit and parenthesis, so quoted words sort as the words do
     words = []
     edges: dict[frozenset[int], list[tuple[str, str, str]]] = {}
     for v in enumerate_constructions(h):
-        word = _word(g, v)
+        word = _dot(_word(g, v))
         words.append(word)
         spans = _spans(h, v)
         nested = frozenset(spans)
@@ -599,9 +608,9 @@ def skeleton_dot(g: EdgeGraph) -> str:
             paths[pair] = min_path(g, *pair)
         if paths[pair].path_type == "II":
             a, b = sorted(w for w, _, _ in ends)
-            rows.append(f'  "{a}" -> "{b}" [label="theta", dir=none, style=dashed];')
+            rows.append(f'  {a} -> {b} [label="theta", dir=none, style=dashed];')
         else:
             (a, _, _), (b, _, _) = _beta_ends(g, *ends)
-            rows.append(f'  "{a}" -> "{b}" [label="beta"];')
-    vertices = (f'  "{w}";' for w in sorted(words))
+            rows.append(f'  {a} -> {b} [label="beta"];')
+    vertices = (f"  {w};" for w in sorted(words))
     return "\n".join(["digraph skeleton {", *vertices, *sorted(rows), "}"]) + "\n"

@@ -92,16 +92,16 @@ def _block_list(tokens: Sequence) -> list[tuple[int, int]]:
     return blocks
 
 
-def _zones(tokens: Sequence) -> list[tuple[int, list[int]]]:
+def _zones(tokens: Sequence, blocks: list | None = None) -> list[tuple[int, list[int]]]:
     """The zones of a word, as (first gap, cut points). Gap g sits between
     blocks g-1 and g (0-based, see _block_list); a zone is a maximal run of
     consecutive gaps with only determined letters between them, one per
     connected component of the named chain. Its cut points are the last
     token of the block before its first gap, then the first token of the
     block after each gap, so its gaps lo..hi span the tokens
-    cuts[lo-first]..cuts[hi-first+1]."""
+    cuts[lo-first]..cuts[hi-first+1]. blocks, if given, are _block_list(tokens)."""
     zones: list[tuple[int, list[int]]] = []
-    for g, (start, end) in enumerate(_block_list(tokens)):
+    for g, (start, end) in enumerate(_block_list(tokens) if blocks is None else blocks):
         if g:
             zones[-1][1].append(start)
         if not g or isinstance(tokens[start], int):  # a hole ends the zone before it
@@ -111,20 +111,21 @@ def _zones(tokens: Sequence) -> list[tuple[int, list[int]]]:
     return zones
 
 
-def _std_ranges(tokens: Sequence) -> frozenset:
-    """The standard brackets: one per zone, except a zone covering the
-    whole word (which happens only for fully determined words)."""
+def _std_ranges(tokens: Sequence, zones: list | None = None) -> frozenset:
+    """The standard brackets: one per zone (zones, if given), except a zone
+    covering the whole word (which happens only for fully determined words)."""
     whole = (0, len(tokens) - 1)
-    return frozenset((cuts[0], cuts[-1]) for _, cuts in _zones(tokens)) - {whole}
+    zones = _zones(tokens) if zones is None else zones
+    return frozenset((cuts[0], cuts[-1]) for _, cuts in zones) - {whole}
 
 
-def _node_ranges(tokens: Sequence) -> dict[tuple[int, int], tuple[int, int]]:
+def _node_ranges(tokens: Sequence, zones: list | None = None) -> dict:
     """Every legal parenthesis position: gap intervals inside a single
-    zone, mapped from token range to gap interval."""
+    zone, mapped from token range to gap interval; zones as for _std_ranges."""
     whole = (0, len(tokens) - 1)
     out = {
         (cuts[i], cuts[j]): (first + i, first + j - 1)
-        for first, cuts in _zones(tokens)
+        for first, cuts in (_zones(tokens) if zones is None else zones)
         for i, j in combinations(range(len(cuts)), 2)
     }
     out.pop(whole, None)
@@ -207,21 +208,14 @@ def _normalize_symbols(text: str) -> str:
 
 
 def _parse_letter_or_hole(text: str, i: int):
-    if text[i] == ".":
-        j = i + 1
-        while j < len(text) and text[j].isdigit():
-            j += 1
-        if j == i + 1:
-            raise HoleWordError(f"bad hole at position {i} in {text!r}")
-        return int(text[i + 1:j]), j
-    if text[i] == "x":
-        j = i + 1
-        while j < len(text) and text[j].isdigit():
-            j += 1
-        if j == i + 1:
-            raise HoleWordError(f"bad letter at position {i} in {text!r}")
-        return text[i:j], j
-    raise HoleWordError(f"unexpected {text[i]!r} in {text!r}")
+    if text[i] not in ".x":
+        raise HoleWordError(f"unexpected {text[i]!r} in {text!r}")
+    j = i + 1
+    while j < len(text) and text[j].isdigit():
+        j += 1
+    if j == i + 1:
+        raise HoleWordError(f"bad {'hole' if text[i] == '.' else 'letter'} at position {i} in {text!r}")
+    return (int(text[i + 1:j]) if text[i] == "." else text[i:j]), j
 
 
 def parse_word(text: str) -> HoleWord:
@@ -305,11 +299,12 @@ def parse_word(text: str) -> HoleWord:
 # -- validity ------------------------------------------------------------
 
 
-def validate_word(universe: Iterable[str], w: HoleWord) -> None:
+def validate_word(universe: Iterable[str], w: HoleWord) -> tuple[list, list, dict]:
     """The conditions a pair (word, hole map) must satisfy: letters at
     most once, hole blocks contiguous and in order with matching sizes,
     hole sets and determined letters partitioning the universe, and all
-    parentheses standard or inside a standard scope."""
+    parentheses standard or inside a standard scope. Returns the word's
+    blocks, zones and legal parenthesis positions, each derived once."""
     universe = set(universe)
     letters = [t for t in w.tokens if not isinstance(t, int)]
     if len(set(letters)) != len(letters):
@@ -339,7 +334,8 @@ def validate_word(universe: Iterable[str], w: HoleWord) -> None:
     if sum(len(p) for p in parts) != len(universe) or set().union(*parts, frozenset()) != universe:
         raise HoleWordError("hole sets and determined letters must partition the letters")
 
-    std = _std_ranges(w.tokens)
+    zones = _zones(w.tokens, blocks)
+    std = _std_ranges(w.tokens, zones)
     missing = std - w.parens
     if missing:
         skeleton = HoleWord(w.tokens, std, w.hole_map)
@@ -347,13 +343,14 @@ def validate_word(universe: Iterable[str], w: HoleWord) -> None:
             "missing standard bracket: the standardization is "
             + skeleton.text(ascii_symbols=True, square=True)
         )
-    legal = _node_ranges(w.tokens)
+    legal = _node_ranges(w.tokens, zones)
     for r in w.parens:
         if r not in legal:
             raise HoleWordError(f"parentheses at tokens {r} do not fit the word")
     for r, s in combinations(sorted(w.parens), 2):
         if r[0] < s[0] <= r[1] < s[1]:
             raise HoleWordError(f"parentheses {r} and {s} cross")
+    return blocks, zones, legal
 
 
 # -- setup ---------------------------------------------------------------
@@ -410,6 +407,7 @@ def pba_setup(n: int, *, max_n: int = MAX_N) -> PbaSetup:
 
     # letter i is bit i, so one name per proper non-empty letter mask
     name = {m: _name(round1.truncations.labels(m)) for m in range(1, (1 << n + 1) - 1)}
+    # constrs and advance's next_round read the masks the round found once
     ys = {round1.truncations.mask(t.children[0].decoration) for t in constrs(round1)}
     if ys != name.keys():
         raise InvariantError("round-one constrs are not the proper non-empty subsets")
@@ -507,17 +505,17 @@ def decode(setup: PbaSetup, w: HoleWord) -> Construct:
     name a chain, whose names are the gap atoms; each zone (a component)
     and each parenthesis is the mask of the gap atoms it spans, the carrier
     holds them all, and nestedsets._tree_of builds the tree."""
-    validate_word(setup.letters, w)
+    blocks, zones, legal = validate_word(setup.letters, w)
     ht = setup.hypergraph
     tokens = w.tokens
     at = [0]  # at[g]: the mask of gap atoms 1..g
     union: set[str] = set()
-    for lo, _ in _block_list(tokens)[:-1]:
+    for lo, _ in blocks[:-1]:
         tok = tokens[lo]
         union |= w.hole_map[tok - 1] if isinstance(tok, int) else {tok}
         at.append(at[-1] | 1 << ht._index[setup.name_of(union)])
-    gaps = [(first, first + len(cuts) - 2) for first, cuts in _zones(tokens)]
-    gaps += map(_node_ranges(tokens).__getitem__, w.parens)
+    gaps = [(first, first + len(cuts) - 2) for first, cuts in zones]
+    gaps += map(legal.__getitem__, w.parens)
     spans = {ht.full_mask, *(at[hi] & ~at[lo - 1] for lo, hi in gaps)}
     try:
         return validate_construct(ht, _tree_of(ht, spans))

@@ -2,9 +2,12 @@
 
 Every connected subset A contributes the half-space sum(A) >= 3^|A|; the
 carrier holds with equality. The vertex of a construction solves the
-nested system over its psi family in integers, and verify_isomorphism
-checks the face-order isomorphism, simplicity, dimension, and the facet
-census on actual coordinates; `RationalPoint` holds them as `Fraction`s
+nested system over its psi family in integers. Its coordinates come from
+the tree kernel itself: `constructs._keyed_node` gives each node its closed-form
+coordinate once per region and decoration, and each tree its psi key, so
+no tree is walked twice. verify_isomorphism checks the face-order
+isomorphism, simplicity, dimension, and the facet census on these
+coordinates, over mask records; `RationalPoint` holds them as `Fraction`s
 at the public boundary.
 """
 
@@ -13,6 +16,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from . import constructs
 from .constructs import (
@@ -21,12 +26,16 @@ from .constructs import (
     _bit_indices,
     _bits,
     _check_guard,
-    _spans,
+    _construct,
+    _keyed_node,
+    _masks,
+    _record,
     _submasks,
-    enumerate_constructions,
-    enumerate_constructs,
+    _text,
+    _trees,
+    _vertices_below,
     print_construct,
-    vertices_below,
+    validate_construct,
 )
 from .hypergraph import Hypergraph, InvariantError, connected_subset_masks
 
@@ -98,47 +107,30 @@ def hrep(h: Hypergraph, *, max_carrier: int | None = MAX_HREP_CARRIER) -> HalfSp
     return HalfSpaceSystem(h, connected_subset_masks(h))
 
 
-def _closed_form(h: Hypergraph, v: Construct) -> tuple[list[int], list[int]]:
-    """The vertex v names, in closed form: a node's atom gets 3^|span| minus
-    3^|child span| summed over its children. Returns the integer coordinates
-    in carrier order and psi(v) as span masks."""
-    coords, spans = [0] * len(h.carrier), []
-
-    def rec(node: Construct) -> int:
-        if not isinstance(node, Construct) or len(node.decoration) != 1:
-            raise RealizationError(f"{print_construct(h, v)} is not a construction")
-        bit = span = h.mask(node.decoration)
-        below = 0
-        for m in map(rec, node.children):
-            span |= m
-            below += 3 ** m.bit_count()
-        coords[bit.bit_length() - 1] = 3 ** span.bit_count() - below
-        spans.append(span)
-        return span
-
-    # one node per atom and a root spanning the carrier: each atom once
-    if rec(v) != h.full_mask or v.node_count != len(coords):
-        raise RealizationError(f"{print_construct(h, v)} does not span the carrier exactly once")
-    return coords, spans
+def _vertices(h: Hypergraph, trees: list) -> tuple[list, list, list[list[int]]]:
+    """The heads, psi keys and integer coordinates, in carrier order, of
+    trees built by constructs._keyed_node: the vertices, for constructions."""
+    width = (3 ** len(h.carrier)).bit_length()
+    lanes, mask = range(0, width * len(h.carrier), width), (1 << width) - 1
+    return [t[0] for t in trees], [t[1] for t in trees], [[t[2] >> s & mask for s in lanes] for t in trees]
 
 
 def _solve(
-    h: Hypergraph, vs: list[Construct], report: VerificationReport | None = None
+    h: Hypergraph, coords: list[list[int]], keys, name, report: VerificationReport | None = None
 ) -> tuple[list[list[int]], list[int] | None]:
-    """The vertices of the constructions vs, checked on every connected subset
-    m: strict where m is not in psi(v), tight where it is (Postnikov 2009).
-    One int per atom holds a lane per vertex, with a guard bit: a sum over m
-    is one addition, its compare with 3^|m| one subtraction (Lamport 1975;
-    Knuth, TAOCP 4A 7.1.3). The first vertex failing strictness raises, or
-    all go to report, each at its first failing subset. Returns coordinates,
-    and the tight subsets of each vertex but the carrier, or None if psi's."""
-    subsets, count, n = connected_subset_masks(h), len(vs), len(h.carrier)
-    coords, held = [], {m: array("I") for m in subsets}  # m -> the vertices whose psi holds m
-    for j, v in enumerate(vs):
-        c, spans = _closed_form(h, v)
-        coords.append(c)
-        for m in spans:
-            held[m].append(j)
+    """Check vertices with the given coordinates and psi keys on every
+    connected subset m: strict where m is not in psi(v), tight where it is
+    (Postnikov 2009); name(j) is the text of vertex j. One int per atom
+    holds a lane per vertex, with a guard bit: a sum over m is one addition,
+    its compare with 3^|m| one subtraction (Lamport 1975; Knuth, TAOCP 4A
+    7.1.3). The first vertex failing strictness raises, or all go to
+    report, each at its first failing subset. Returns coordinates, and the
+    tight subsets of each vertex but the carrier, or None if psi's."""
+    subsets, count, n = connected_subset_masks(h), len(coords), len(h.carrier)
+    held = [array("I") for _ in subsets]  # subset i -> the vertices whose psi holds it
+    for j, key in enumerate(keys):
+        for i in _bit_indices(key):
+            held[i].append(j)
     # lanes hold x + shift >= 0 and sums below top; shift > 0 only if the closed form broke
     shift = max(0, -min(map(min, coords)))
     top = max(3**n, max(map(sum, coords))) + shift * n
@@ -155,7 +147,7 @@ def _solve(
     ones = int.from_bytes(b"\1".ljust(nb, b"\0") * count, "little")
     guards = ones << 8 * nb - 1
     strict, loose, sums = {}, {}, {0: 0}
-    for m in subsets:  # by size, so m minus its lowest atom is mostly summed
+    for i, m in enumerate(subsets):  # by size, so m minus its lowest atom is mostly summed
         k, low = m.bit_count(), m & -m
         rest = sums.get(m ^ low)
         if rest is None:
@@ -164,7 +156,7 @@ def _solve(
         above = (total | guards) - ones * (3**k + shift * k)
         ge, gt = above & guards, (above - ones) & guards
         lanes = bytearray(size)
-        for j in held[m]:
+        for j in held[i]:
             lanes[j * nb + nb - 1] = 0x80
         psi = int.from_bytes(lanes, "little")
         fail = (guards ^ gt) & ~psi  # at or below the bound, m not in psi
@@ -173,7 +165,7 @@ def _solve(
                 if j not in strict:
                     got = sum(coords[j][i] for i in _bit_indices(m))
                     where = f"{sorted(h.labels(m))}: sum is {got}, bound {3**k}"
-                    strict[j] = f"vertex of {print_construct(h, vs[j])} fails strictness on {where}"
+                    strict[j] = f"vertex of {name(j)} fails strictness on {where}"
         if m != h.full_mask and ge ^ gt != psi:
             loose[m] = decode(ge ^ gt)  # its tight lanes, not those of psi
     for j in sorted(strict):
@@ -184,18 +176,25 @@ def _solve(
         return coords, None
     tight = [0] * count
     for i, m in enumerate(subsets[:-1]):  # the carrier comes last
-        for j in loose.get(m, held[m]):
+        for j in loose.get(m, held[i]):
             tight[j] |= 1 << i
     return coords, tight
 
 
 def vertex_of_construction(h: Hypergraph, v: Construct) -> RationalPoint:
     """The vertex of the construction v, with Fraction coordinates."""
-    return RationalPoint(h.carrier, tuple(map(Fraction, _solve(h, [v])[0][0])))
+    if not v.is_construction:
+        raise RealizationError(f"{print_construct(h, v)} is not a construction")
+    # one node per atom and a root spanning the carrier: each atom once
+    if h.mask(v.span) != h.full_mask or v.node_count != len(h.carrier):
+        raise RealizationError(f"{print_construct(h, v)} does not span the carrier exactly once")
+    (point,) = face_vertex_set(h, validate_construct(h, v))
+    return point
 
 
 def face_vertex_set(h: Hypergraph, t: Construct) -> frozenset[RationalPoint]:
-    points = _solve(h, vertices_below(h, t))[0]
+    texts, keys, coords = _vertices(h, _vertices_below(h, _masks(h, t), _keyed_node(h, _text(h))))
+    points = _solve(h, coords, keys, texts.__getitem__)[0]
     return frozenset(RationalPoint(h.carrier, tuple(map(Fraction, p))) for p in points)
 
 
@@ -303,70 +302,78 @@ def verify_isomorphism(
     carrier, must be a key, and these must reach every face. The order
     compared is the closure of `covers` (the `rules` order): the covers of
     s must be the faces keyed by key(s) minus one non-carrier member, and
-    vertices_below the top face must give every vertex."""
+    vertices_below the top face must give every vertex. Faces are mask
+    records, with keys and coordinates from the same kernel run."""
     report = VerificationReport(h)
-    faces = enumerate_constructs(h, max_carrier=max_carrier)
-    n = len(h.carrier)
-    # n nodes partition n atoms, so every decoration is a singleton
-    constructions = [c for c in faces if c.node_count == n]
+    _check_guard(h, max_carrier, "constructs")
+    full, n = h.full_mask, len(h.carrier)
+    trees = _trees(h, full, _submasks, full, full, None, _keyed_node(h, _record))
+    faces, keys = [t[0] for t in trees], [t[1] for t in trees]
 
-    points, tight = _solve(h, constructions, report)
+    def text(i: int) -> str:
+        return print_construct(h, _construct(h, faces[i]))
+
+    # a key has a bit per node; n nodes partition n atoms, so every decoration is a singleton
+    vs = [i for i, key in enumerate(keys) if key.bit_count() == n]
+    _, vkeys, coords = _vertices(h, [trees[i] for i in vs])
+    points, tight = _solve(h, coords, vkeys, lambda j: text(vs[j]), report)
     if not report.ok:
         return report
 
     subsets = connected_subset_masks(h)
-    bit = {m: 1 << i for i, m in enumerate(subsets)}
-    carrier = bit[h.full_mask]
-    # psi(t) as the sum of bit[span] over the nodes of t, whose spans are distinct
-    keys = [sum(map(bit.__getitem__, _spans(h, t))) for t in faces]
+    carrier = 1 << len(subsets) - 1  # the carrier comes last
     # the tight facets of each vertex, as a key without the carrier
-    named = [key & ~carrier for t, key in zip(faces, keys) if t.node_count == n]
+    named = [keys[i] & ~carrier for i in vs]
     at = named if tight is None else tight
 
-    seen_points: dict[tuple[int, ...], Construct] = {}
-    for v, p, own, want in zip(constructions, map(tuple, points), at, named):
-        other = seen_points.get(p)
-        if other is not None:
-            witness = f"{print_construct(h, v)} and {print_construct(h, other)} coincide"
-            report.add("distinct-points", witness)
-        seen_points[p] = v
+    seen_points: dict[tuple[int, ...], int] = {}
+    for i, p, own, want in zip(vs, map(tuple, points), at, named):
+        other = seen_points.setdefault(p, i)
+        if other != i:
+            report.add("distinct-points", f"{text(i)} and {text(other)} coincide")
+            seen_points[p] = i
         if own != want:
-            witness = f"{print_construct(h, v)} lies on {own.bit_count()} facets, named {n - 1}"
-            report.add("simplicity", witness)
+            report.add("simplicity", f"{text(i)} lies on {own.bit_count()} facets, named {n - 1}")
     index: dict[int, int] = {}
     for i, key in enumerate(keys):
         j = index.setdefault(key, i)
         if j != i:
-            pair = f"{print_construct(h, faces[i])} and {print_construct(h, faces[j])}"
-            report.add("injectivity", f"{pair} share a nested set")
+            report.add("injectivity", f"{text(i)} and {text(j)} share a nested set")
 
-    # the faces at a vertex are the subsets of its tight facets
-    reached = bytearray(len(faces))
-    for v, own in zip(constructions, at):
-        for sub in (*_submasks(own), 0):
-            i = index.get(sub | carrier)
-            if i is None:
-                witness = f"{sub.bit_count()} tight facets of {print_construct(h, v)} name no face"
-                report.add("order-isomorphism", witness)
-            else:
-                reached[i] = 1
-    for i, r in enumerate(reached):
-        if not r:
-            report.add("order-isomorphism", f"{print_construct(h, faces[i])} holds no vertex")
-
-    face_at = {t: i for i, t in enumerate(faces)}
+    # the covers of s must be distinct faces, one per member of key(s) but the
+    # carrier, each keyed by key(s) less that member: their keys XOR key(s)
+    # must add up to those members, and OR to them too
+    face_at, covered, wrong = {s: i for i, s in enumerate(faces)}, set(), []
     for i, s in enumerate(faces):
-        key = keys[i]
-        ups = constructs.covers(h, s)
-        got = {face_at.get(u) for u in ups}
-        want = {index.get(key ^ b) for b in _bits(key & ~carrier)}
-        if None in want or got != want or len(ups) != len(want):
-            witness = f"covers of {print_construct(h, s)} are not its nested set minus one member"
-            report.add("order-isomorphism", witness)
+        key, ups = keys[i], constructs._covers(s)
+        got, members = set(map(face_at.get, ups)), key & ~carrier
+        covered |= got
+        ok = None not in got and len(got) == len(ups) == members.bit_count()
+        xs = set(map(key.__xor__, map(keys.__getitem__, got))) if ok else ()
+        if not ok or not sum(xs) == members == reduce(or_, xs, 0):
+            wrong.append(i)
+    # the faces at a vertex are the subsets of its tight facets. They are when
+    # each vertex is tight on its key, keys are distinct, covers are right and
+    # every face but a vertex is a cover; else each subset is looked up
+    if tight is not None or wrong or len(index) != len(faces) or len(covered) + len(vs) != len(faces):
+        reached = bytearray(len(faces))
+        for i, own in zip(vs, at):
+            for sub in (*_submasks(own), 0):
+                k = index.get(sub | carrier)
+                if k is None:
+                    witness = f"{sub.bit_count()} tight facets of {text(i)} name no face"
+                    report.add("order-isomorphism", witness)
+                else:
+                    reached[k] = 1
+        for i, r in enumerate(reached):
+            if not r:
+                report.add("order-isomorphism", f"{text(i)} holds no vertex")
+    for i in wrong:
+        report.add("order-isomorphism", f"covers of {text(i)} are not its nested set minus one member")
 
-    top = next(t for t in faces if t.node_count == 1)
-    if set(vertices_below(h, top)) != set(constructions):
-        report.add("order-isomorphism", f"{print_construct(h, top)} misses a vertex")
+    top = index[carrier]
+    if set(_vertices_below(h, faces[top], _record)) != set(map(faces.__getitem__, vs)):
+        report.add("order-isomorphism", f"{text(top)} misses a vertex")
 
     dim = affine_dimension(points)
     if dim != n - 1:
@@ -377,26 +384,26 @@ def verify_isomorphism(
     for j, own in enumerate(at):
         for i in _bit_indices(own):
             on[i] |= 1 << j
-    facets = [i for i, t in enumerate(faces) if t.node_count == 2]
+    facets = [i for i, key in enumerate(keys) if key.bit_count() == 2]
     below = {i: on[(keys[i] & ~carrier).bit_length() - 1] for i in facets}
     proper = len(subsets) - 1
     if len(facets) != proper:
-        witness = f"{len(facets)} two-node constructs vs {proper} connected subsets"
-        report.add("facet-census", witness)
+        report.add("facet-census", f"{len(facets)} two-node constructs vs {proper} connected subsets")
     for k, a in enumerate(facets):
         for b in facets[k + 1 :]:
             if not below[a] & ~below[b] or not below[b] & ~below[a]:
-                pair = f"{print_construct(h, faces[a])} nested in {print_construct(h, faces[b])}"
-                report.add("facet-census", f"facet {pair}")
+                report.add("facet-census", f"facet {text(a)} nested in {text(b)}")
 
-    report.stats.update(
-        constructs=len(faces), vertices=len(constructions), facets=len(facets), dimension=dim
-    )
+    report.stats.update(constructs=len(faces), vertices=len(vs), facets=len(facets), dimension=dim)
     return report
 
 
 def vertices_to_json_dict(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> dict:
-    """JSON export: construction text -> integer coordinates as strings."""
-    vs = enumerate_constructions(h, max_carrier=max_carrier)
-    out = {print_construct(h, v): list(map(str, c)) for v, c in zip(vs, _solve(h, vs)[0])}
+    """JSON export: construction text -> integer coordinates as strings,
+    texts, psi keys and coordinates from one kernel run."""
+    _check_guard(h, max_carrier, "constructions")
+    full = h.full_mask
+    texts, keys, coords = _vertices(h, _trees(h, full, _bits, full, full, None, _keyed_node(h, _text(h))))
+    points = _solve(h, coords, keys, texts.__getitem__)[0]
+    out = {t: list(map(str, p)) for t, p in zip(texts, points)}
     return {"format": 1, "carrier": list(h.carrier), "vertices": out}

@@ -8,7 +8,7 @@ and reads the next vertex hypergraph off the tamed constructions.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable
 
 from .constructs import (
@@ -137,6 +137,20 @@ class RoundState:
             raise TruncationError(f"unknown facet {name!r}")
         return self.facets[i]
 
+    @cached_property
+    def _constr_masks(self) -> list[int]:
+        """The masks Y of constrs, in the truncation hypergraph's edge order,
+        found once per round and shared by constrs and next_round."""
+        ht = self.truncations
+        full = ht.full_mask
+        ys = {
+            y
+            for fam in self.vertex_sets
+            for y in _submasks(ht.mask(fam))
+            if y != full and ht.connected_mask(y)
+        }
+        return sorted(ys, key=ht._edge_key)
+
 
 def _edges_of(top: Hypergraph | Iterable) -> list[list[str]]:
     if isinstance(top, Hypergraph):
@@ -256,17 +270,7 @@ def constrs(s: RoundState) -> list[Construct]:
     proper connected subset Y of the truncation hypergraph that fits
     inside a vertex decoration, shaped (H minus Y)(Y)."""
     ht = s.truncations
-    full = ht.full_mask
-    ys = {
-        y
-        for fam in s.vertex_sets
-        for y in _submasks(ht.mask(fam))
-        if y != full and ht.connected_mask(y)
-    }
-    return [
-        Construct(ht.labels(full & ~y), (Construct(ht.labels(y)),))
-        for y in sorted(ys, key=ht._edge_key)
-    ]
+    return [Construct(ht.labels(ht.full_mask & ~y), (Construct(ht.labels(y)),)) for y in s._constr_masks]
 
 
 def _sum(s: RoundState, mask: int) -> Multiset:
@@ -333,8 +337,7 @@ def next_round(s: RoundState) -> RoundTransition:
     flat = _flattening(s)
     # each new facet text and the mask it flattens, in constr order
     images: dict[str, int] = {}
-    for t in constrs(s):
-        y = ht.mask(t.children[0].decoration)
+    for y in s._constr_masks:
         images.setdefault(flat(y), y)
 
     missing = [n for n in s.facet_names if n not in images]

@@ -5,12 +5,15 @@ import argparse
 import dataclasses
 import io
 import json
+import re
 import sys
 
 import pytest
 
-from hgpoly import InvariantError, RealizationError, cli, corpus, pba
-from hgpoly.operadic import parse_tree
+from hgpoly import Hypergraph, InvariantError, RealizationError, cli, corpus, pba
+from hgpoly.constructs import covers, enumerate_constructs, print_construct
+from hgpoly.operadic import build_edge_graph, decomposition_words, parse_tree, tree_from_json_dict
+from hgpoly.realization import f_vector
 
 PENTAGON_HREP = """\
 x >= 3
@@ -206,7 +209,70 @@ def test_word_commands_refuse_labels_that_are_not_letters(capsys, tmp_path):
     assert run(capsys, "op", "graph", "--tree", str(path))[0] == 0
 
 
-TRACED = ("enumerate_constructs", "enumerate_constructions", "tamed_constructs")
+# a DOT ID as hgpoly prints it: double-quoted, `\` and `"` escaped by `\`
+_ID = r'"((?:[^"\\]|\\.)*)"'
+_NODE = re.compile(rf"  {_ID}(?: \[label={_ID}\])?;")
+_EDGE = re.compile(rf"  {_ID} (?:->|--) {_ID}(?: \[.*\])?;")
+
+
+def _unescape(text: str) -> str:
+    return re.sub(r"\\(.)", r"\1", text)
+
+
+def _read_dot(out: str, header: str) -> tuple[dict, set]:
+    """Read back the DOT hgpoly prints: its nodes as ID -> label (None if it
+    has none) and its edges as ID pairs, escapes undone. A line that is not
+    a node or an edge statement fails the test."""
+    lines = out.splitlines()
+    assert lines[0] == header + " {" and lines[-1] == "}", out
+    nodes, edges = {}, set()
+    for line in lines[1:-1]:
+        if m := _EDGE.fullmatch(line):
+            edges.add((_unescape(m[1]), _unescape(m[2])))
+        else:
+            m = _NODE.fullmatch(line)
+            assert m, line
+            nodes[_unescape(m[1])] = m[2] and _unescape(m[2])
+    return nodes, edges
+
+
+def test_dot_outputs_read_back(capsys, tmp_path):
+    # labels holding `"`, `\` and a space: every DOT ID and label escapes
+    # them, so a reader gives back the face texts, tree labels and words
+    path = tmp_path / "h.json"
+    labels = ['a"', "b\\", "c d"]
+    h = Hypergraph(labels, [[a] for a in labels] + [labels[:2], labels[1:]])
+    path.write_text(json.dumps(h.to_json_dict()))
+    status, out, _ = run(capsys, "hg", "hasse", str(path))
+    faces = enumerate_constructs(h)
+    text = {t: print_construct(h, t) for t in faces}
+    assert status == 0
+    assert _read_dot(out, "digraph hasse") == (
+        dict.fromkeys(text.values()), {(text[s], print_construct(h, c)) for s in faces for c in covers(h, s)}
+    )
+
+    tree = {"format": 1, "label": 'r"', "children": [
+        {"label": "b\\", "children": [{"label": "c d"}, {"label": '"'}]}, {"label": "e f"}]}
+    path.write_text(json.dumps(tree))
+    g = build_edge_graph(tree_from_json_dict(tree))
+    status, out, _ = run(capsys, "op", "graph", "--tree", str(path))
+    assert status == 0
+    assert _read_dot(out, "graph edges") == (
+        {v: f"{v} (level {g.level[v]})" for v in g.vertex_names},
+        {tuple(sorted(pair)) for pair in (*g.solid, *g.dashed)},
+    )
+
+    # words need one letter or digit per label, so they hold nothing to escape
+    g = build_edge_graph(parse_tree("a(b(c,d),e)"))
+    path.write_text(json.dumps(g.tree.to_json_dict()))
+    status, out, _ = run(capsys, "op", "classify", "--tree", str(path))
+    nodes, edges = _read_dot(out, "digraph skeleton")
+    assert status == 0 and nodes == dict.fromkeys(decomposition_words(g))
+    assert {u for e in edges for u in e} <= nodes.keys() and len(edges) == f_vector(g.hypergraph)[1]
+
+
+TRACED = ("enumerate_constructs", "enumerate_constructions", "tamed_constructs",
+          "vertices_to_json_dict", "verify_isomorphism")
 
 
 def _count_calls(monkeypatch) -> dict[str, int]:
@@ -232,7 +298,9 @@ def test_commands_reach_the_traced_enumerators(capsys, monkeypatch, tmp_path,
                                                pentagon_file, t4_file):
     # the benchmark traces the public enumerators by name: a command that
     # reaches its faces another way would read zero calls on that layer;
-    # pba census counts its faces and builds none, so it reaches no layer
+    # the realize stages run the kernel on mask records inside their own
+    # traced layer; pba census counts its faces and builds none, so it
+    # reaches no layer
     ht1, ht2, state1 = (tmp_path / name for name in ("ht1.json", "ht2.json", "s1.json"))
     ht1.write_text(json.dumps(SQUARE_HT1))
     ht2.write_text(json.dumps(SQUARE_HT2))
@@ -241,8 +309,8 @@ def test_commands_reach_the_traced_enumerators(capsys, monkeypatch, tmp_path,
     for argv, enumerator in [
         (["op", "words", "--tree", t4_file], "enumerate_constructions"),
         (["op", "classify", "--tree", t4_file], "enumerate_constructions"),
-        (["hg", "realize", "--vertices", pentagon_file], "enumerate_constructions"),
-        (["hg", "realize", "--verify", pentagon_file], "enumerate_constructs"),
+        (["hg", "realize", "--vertices", pentagon_file], "vertices_to_json_dict"),
+        (["hg", "realize", "--verify", pentagon_file], "verify_isomorphism"),
         (["trunc", "round", "--state", str(state1), "--truncations", str(ht2)],
          "tamed_constructs"),
         (["pba", "census", "3"], None),

@@ -28,8 +28,8 @@ from hgpoly import (
     verify_isomorphism,
     vertices_below,
 )
-from hgpoly.constructs import Construct, Omega, _spans
-from hgpoly import corpus
+from hgpoly.constructs import Construct, Omega, _covers, _masks, _spans, _up, make_node
+from hgpoly import constructs, corpus
 from hgpoly.nestedsets import psi
 
 from _helpers import face_counts_by_dimension, parse_all, prints
@@ -315,14 +315,16 @@ def test_up_memo_is_owned_by_its_hypergraph_and_holds_closures():
     faces = enumerate_constructs(h)
     assert leq(faces[-1], faces[0], h, "rules")
     assert h._up_cache and not twin._up_cache
-    assert set(h._up_cache) <= set(faces)
+    # the memo is keyed by the records of faces and holds records
+    records = {_masks(h, t): t for t in faces}
+    assert set(h._up_cache) <= set(records)
     for s, got in h._up_cache.items():
-        # a plain breadth-first closure of covers, with no memo
-        seen, frontier = {s}, [s]
+        # a plain breadth-first closure of the public covers, with no memo
+        seen, frontier = {records[s]}, [records[s]]
         while frontier:
             frontier = [v for u in frontier for v in covers(h, u) if v not in seen]
             seen.update(frontier)
-        assert got == seen
+        assert got == {_masks(h, v) for v in seen}
 
 
 def test_twins_print_alike_and_omega_prints_its_atoms():
@@ -522,8 +524,9 @@ def test_order_memos_are_owned_by_their_hypergraph():
     probe = Construct(decoration, vertex.children)
     for variant in VARIANTS:
         assert leq(probe, top, h, variant)
-    assert probe in h._mask_cache and probe in h._up_cache
-    assert not twin._mask_cache and not twin._up_cache
+    # the rules memo is keyed by the probe's record, held by the node memo
+    assert probe in h._mask_cache and h._mask_cache[probe] in h._up_cache
+    assert not twin._mask_cache and not twin._up_cache and not twin._face_cache
     ref = weakref.ref(decoration)
     del probe, decoration
     gc.collect()
@@ -576,5 +579,67 @@ def test_rules_memoises_only_the_queried_up_set():
     chain = parse_construct(h, "(".join(atoms) + ")" * (n - 1))
     top = Construct(frozenset(h.carrier))
     assert leq(chain, top, h, "rules")
-    assert list(h._up_cache) == [chain]
-    assert len(h._up_cache[chain]) == 2 ** (n - 1)
+    assert list(h._up_cache) == [_masks(h, chain)]
+    assert len(h._up_cache[_masks(h, chain)]) == 2 ** (n - 1)
+
+
+def _contractions(h, s):
+    """The covers of s over label sets, for an oracle: each tree edge
+    contracted, the child's decoration merged into its parent's and the
+    parent's children rebuilt by make_node."""
+    out = []
+    for i, child in enumerate(s.children):
+        rest = s.children[:i] + s.children[i + 1 :]
+        out.append(make_node(h, s.decoration | child.decoration, rest + child.children))
+        out += [make_node(h, s.decoration, rest + (sub,)) for sub in _contractions(h, child)]
+    return out
+
+
+def test_record_covers_and_up_sets_match_the_construct_closure(small_corpus, named):
+    # the record covers kernel against contraction over label sets, the
+    # public covers converted at return, and each memoised up-set against
+    # the breadth-first closure of the public covers; fresh copies keep the
+    # shared fixtures' memos as other tests leave them
+    cases = list(small_corpus) + [h for h in named.values() if len(h.carrier) <= 5]
+    checked = 0
+    for h in (Hypergraph(g.carrier, g.hyperedges) for g in cases):
+        faces = enumerate_constructs(h)
+        for t in faces:
+            want = _contractions(h, t)
+            assert sorted(_covers(_masks(h, t))) == sorted(_masks(h, c) for c in want)
+            got = covers(h, t)
+            assert len(got) == len(want) and set(got) == set(want)
+        for t in faces:
+            seen, frontier = {t}, [t]
+            while frontier:
+                frontier = [v for u in frontier for v in covers(h, u) if v not in seen]
+                seen.update(frontier)
+            assert _up(h, _masks(h, t)) == {_masks(h, v) for v in seen}
+            checked += 1
+    assert checked == 9527
+
+
+def test_up_sets_share_one_record_per_face(monkeypatch):
+    # the faces met by separate searches are interned on h: every up-set
+    # holds the one record kept for a face, and each face is contracted
+    # once, whether the vertices or the top face are queried first
+    real, contracted = constructs._covers, []
+
+    def counting(r):
+        contracted.append(r)
+        return real(r)
+
+    monkeypatch.setattr(constructs, "_covers", counting)
+    for vertices_first in (True, False):
+        h = corpus.complete_graph(4)
+        faces = sorted(enumerate_constructs(h), key=lambda t: t.node_count, reverse=vertices_first)
+        contracted.clear()
+        for s in faces:
+            for t in faces:
+                leq(s, t, h, "rules")
+        held = {}
+        for up in h._up_cache.values():
+            for r in up:
+                assert held.setdefault(r, r) is r
+        assert len(held) == len(h._face_cache) == len(faces) == 75
+        assert sorted(r for r in contracted if r[1] == h.full_mask) == sorted(held)

@@ -44,17 +44,20 @@ QUOTED = Hypergraph(
 
 def _oracle(h: Hypergraph, command: str) -> str:
     """The listing rebuilt from Construct trees: faces by dimension and
-    text, constructions in text order, and the hasse rows from `covers`."""
+    text, constructions in text order, and the hasse rows from `covers`, its
+    DOT IDs escaped."""
     if command == "constructions":
         return "".join(sorted(print_construct(h, c) + "\n" for c in enumerate_constructions(h)))
     faces = enumerate_constructs(h)
     text = {c: print_construct(h, c) for c in faces}
     n = len(h.carrier)
-    rows = sorted((n - c.node_count, text[c]) for c in faces)
     if command == "faces":
-        return "".join(f"{dim}\t{t}\n" for dim, t in rows)
-    edges = sorted(f'  "{text[s]}" -> "{text[t]}";\n' for s in faces for t in covers(h, s))
-    return "digraph hasse {\n" + "".join(f'  "{t}";\n' for _, t in rows) + "".join(edges) + "}\n"
+        return "".join(f"{dim}\t{t}\n" for dim, t in sorted((n - c.node_count, text[c]) for c in faces))
+    # DOT IDs are double-quoted with `\` and `"` escaped, and sort as printed
+    dot = {c: '"' + text[c].replace("\\", "\\\\").replace('"', '\\"') + '"' for c in faces}
+    rows = sorted((n - c.node_count, dot[c]) for c in faces)
+    edges = sorted(f"  {dot[s]} -> {dot[t]};\n" for s in faces for t in covers(h, s))
+    return "digraph hasse {\n" + "".join(f"  {t};\n" for _, t in rows) + "".join(edges) + "}\n"
 
 
 def _run(capsys, tmp_path, h: Hypergraph, command: str) -> tuple[int, str, str]:

@@ -88,6 +88,32 @@ def test_setup_enumerates_round_one_once(monkeypatch):
     assert len(setup.state.vertex_sets) == 24
 
 
+def test_setup_finds_round_one_constrs_once(monkeypatch):
+    # the self-check reads constrs(round1) and advance's next_round reads
+    # the same masks, which the round finds once: each vertex decoration of
+    # round one is walked once
+    walks, real = [], truncation._submasks
+    monkeypatch.setattr(truncation, "_submasks", lambda m: walks.append(m) or real(m))
+    calls, constrs = [], pba.constrs
+    monkeypatch.setattr(pba, "constrs", lambda s: calls.append(s) or constrs(s))
+    setup = pba_setup(3)
+    assert calls == [setup.round1]
+    ht1 = setup.round1.truncations
+    assert sorted(walks) == sorted(map(ht1.mask, setup.round1.vertex_sets))
+
+
+def test_decode_lays_out_each_word_once(monkeypatch, pba3):
+    # validate_word and decode share one derivation of a word's blocks and
+    # zones; the decoded constructs stay those the words were encoded from
+    words, faces = face_words(pba3), face_constructs(pba3)
+    calls = Counter()
+    for name in ("_block_list", "_zones"):
+        real = getattr(pba, name)
+        monkeypatch.setattr(pba, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
+    assert [decode(pba3, w) for w in words] == faces
+    assert len(words) == 363 and calls == {"_block_list": 363, "_zones": 363}
+
+
 def test_setup_guard():
     with pytest.raises(PbaError, match="guard"):
         pba_setup(5)

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ from hgpoly import (
     vertex_of_construction,
 )
 from hgpoly import constructs, corpus, realization
-from hgpoly.constructs import Construct, enumerate_constructions, enumerate_constructs
+from hgpoly.constructs import Construct, enumerate_constructions, enumerate_constructs, leq
 from hgpoly.nestedsets import psi
 from hgpoly.hypergraph import connected_subset_masks
 from hgpoly.realization import LinearConstraint, affine_dimension, vertices_to_json_dict
@@ -251,30 +250,52 @@ def test_tight_facets_give_the_vertices_of_each_face(small_corpus, named):
 
 
 def test_verify_isomorphism_catches_a_missing_vertex(monkeypatch):
+    # verify_isomorphism reads the vertices below the top face off its record
     h = corpus.hemiassociahedron()
-    top = min(enumerate_constructs(h), key=lambda t: t.node_count)
-    real = realization.vertices_below
+    top = constructs._masks(h, min(enumerate_constructs(h), key=lambda t: t.node_count))
+    real = realization._vertices_below
 
-    def lossy(h_, t):
-        got = real(h_, t)
+    def lossy(h_, t, node=None):
+        got = real(h_, t, node)
         return got[1:] if t == top else got
 
-    monkeypatch.setattr(realization, "vertices_below", lossy)
+    monkeypatch.setattr(realization, "_vertices_below", lossy)
     report = verify_isomorphism(h)
     assert not report.ok
     assert {"order-isomorphism", "injectivity"} & set(report.failures)
 
 
-def test_verify_isomorphism_catches_a_missing_cover(monkeypatch):
-    h = corpus.hemiassociahedron()
-    vertex = next(t for t in enumerate_constructs(h) if t.is_construction)
-    real = constructs.covers
+def test_record_paths_build_no_construct(monkeypatch, named):
+    # verify_isomorphism, vertices_to_json_dict and the rules order work on
+    # mask records: with Construct refused, a passing input still passes
+    # (a Construct is built only to print a witness)
+    h = named["hemiassociahedron"]
+    fresh = Hypergraph(h.carrier, h.hyperedges)
+    faces = enumerate_constructs(h)
+    vertices, order = vertices_to_json_dict(h), [[leq(s, t, h, "v2") for t in faces] for s in faces]
 
-    def lossy(h_, s):
-        got = real(h_, s)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record path built a Construct")
+
+    monkeypatch.setattr(constructs, "Construct", refuse)
+    with pytest.raises(AssertionError):
+        enumerate_constructs(h)  # the stand-in is live
+    assert verify_isomorphism(fresh).ok
+    assert vertices_to_json_dict(fresh) == vertices
+    assert [[leq(s, t, fresh, "rules") for t in faces] for s in faces] == order
+
+
+def test_verify_isomorphism_catches_a_missing_cover(monkeypatch):
+    # verify_isomorphism contracts the edges of each face's record
+    h = corpus.hemiassociahedron()
+    vertex = constructs._masks(h, next(t for t in enumerate_constructs(h) if t.is_construction))
+    real = constructs._covers
+
+    def lossy(s):
+        got = real(s)
         return got[1:] if s == vertex else got
 
-    monkeypatch.setattr(constructs, "covers", lossy)
+    monkeypatch.setattr(constructs, "_covers", lossy)
     report = verify_isomorphism(h)
     assert not report.ok
     assert "order-isomorphism" in report.failures
@@ -347,9 +368,17 @@ class _Witnesses:
         self.strict.append(witness)
 
 
-def _solve(h, vs):
+def _kernel(h):
+    """The constructions of h as the vertex stage reads them off one kernel
+    run: their texts, psi keys and integer coordinates."""
+    full = h.full_mask
+    node = constructs._keyed_node(h, constructs._text(h))
+    return realization._vertices(h, constructs._trees(h, full, constructs._bits, full, full, None, node))
+
+
+def _solve(h, texts, keys, coords):
     report = _Witnesses()
-    points, tight = realization._solve(h, vs, report)
+    points, tight = realization._solve(h, coords, keys, texts.__getitem__, report)
     return points, report.strict, tight
 
 
@@ -363,25 +392,24 @@ def _solve_cases(small_corpus, named):
 
 
 def test_solve_matches_plain_sums(small_corpus, named):
+    # the kernel's texts, keys and closed-form coordinates against the
+    # constructions, psi and the closed form over label sets
     for h in _solve_cases(small_corpus, named):
         vs = enumerate_constructions(h, max_carrier=None)
-        points, strict, tight = _solve(h, vs)
+        texts, keys, coords = _kernel(h)
+        assert list(texts) == [print_construct(h, v) for v in vs], h
+        bit = {m: 1 << i for i, m in enumerate(connected_subset_masks(h))}
+        assert list(keys) == [sum(bit[h.mask(x)] for x in psi(v)) for v in vs], h
+        points, strict, tight = _solve(h, texts, keys, coords)
         assert points == [_closed_form_by_labels(h, v) for v in vs], h
         assert _plain_check(h, vs, points) == (strict, tight) == ([], None), h
 
 
-def _perturbed(monkeypatch, deltas):
-    """Monkeypatch the closed form to add deltas[k % len(deltas)] to
-    coordinate k % n of the k-th vertex solved."""
-    real, calls = realization._closed_form, itertools.count()
-
-    def closed_form(h, v):
-        coords, spans = real(h, v)
-        k = next(calls)
-        coords[k % len(coords)] += deltas[k % len(deltas)]
-        return coords, spans
-
-    monkeypatch.setattr(realization, "_closed_form", closed_form)
+def _perturbed(coords, deltas):
+    """Add deltas[k % len(deltas)] to coordinate k % n of the k-th vertex."""
+    for k, c in enumerate(coords):
+        c[k % len(c)] += deltas[k % len(deltas)]
+    return coords
 
 
 @pytest.mark.parametrize(
@@ -389,15 +417,15 @@ def _perturbed(monkeypatch, deltas):
     [(0, -4, 1, 0, -3, 6, -1, -40), (0, 1, 0, 2, 120)],
     ids=["below-the-bound-and-negative", "above-the-bound"],
 )
-def test_solve_matches_plain_sums_on_broken_coordinates(monkeypatch, small_corpus, named, deltas):
+def test_solve_matches_plain_sums_on_broken_coordinates(small_corpus, named, deltas):
     # the solve must find what plain sums find on any integer coordinates:
     # ties, sums below the bound, negative coordinates, vertices failing on
     # many subsets, and sums too wide for a lane sized by 3^n
-    _perturbed(monkeypatch, deltas)
     kinds = set()
     for h in _solve_cases(small_corpus, named):
         vs = enumerate_constructions(h, max_carrier=None)
-        points, strict, tight = _solve(h, vs)
+        texts, keys, coords = _kernel(h)
+        points, strict, tight = _solve(h, texts, keys, _perturbed(coords, deltas))
         assert (strict, tight) == _plain_check(h, vs, points), h
         kinds.add("strictness" if strict else "simplicity" if tight else "none")
     assert kinds >= ({"strictness"} if min(deltas) < 0 else {"simplicity"})
@@ -408,18 +436,20 @@ def test_solve_matches_plain_sums_on_broken_coordinates(monkeypatch, small_corpu
 
 
 def _shifted(monkeypatch, change):
-    real = realization._closed_form
+    """Monkeypatch the vertex solve to call change(h, text, coordinates) on
+    each vertex before it checks them."""
+    real = realization._solve
 
-    def closed_form(h, v):
-        coords, spans = real(h, v)
-        change(h, v, coords)
-        return coords, spans
+    def solve(h, coords, keys, name, report=None):
+        for j, c in enumerate(coords):
+            change(h, name(j), c)
+        return real(h, coords, keys, name, report)
 
-    monkeypatch.setattr(realization, "_closed_form", closed_form)
+    monkeypatch.setattr(realization, "_solve", solve)
 
 
-def _lower_u_under_y(h, v, coords):
-    if print_construct(h, v).startswith("y"):
+def _lower_u_under_y(h, text, coords):
+    if text.startswith("y"):
         coords[-1] -= 4
 
 
@@ -448,7 +478,7 @@ def test_strictness_witnesses_are_the_first_failing_vertex_and_subset(monkeypatc
 
 def test_simplicity_witnesses(monkeypatch, named):
     h = named["pentagon"]
-    _shifted(monkeypatch, lambda h, v, coords: coords.__setitem__(0, coords[0] + 1))
+    _shifted(monkeypatch, lambda h, text, coords: coords.__setitem__(0, coords[0] + 1))
     assert verify_isomorphism(h).summary() == "\n".join([
         "carrier 3 atoms: FAIL",
         "  constructs: 11",
@@ -481,7 +511,7 @@ def test_simplicity_witnesses(monkeypatch, named):
 def test_distinct_points_witness(monkeypatch):
     # both vertices of the segment move to (6, 6)
     h = corpus.simplex(2)
-    _shifted(monkeypatch, lambda h, v, coords: coords.__setitem__(coords.index(3), 6))
+    _shifted(monkeypatch, lambda h, text, coords: coords.__setitem__(coords.index(3), 6))
     assert verify_isomorphism(h).summary() == "\n".join([
         "carrier 2 atoms: FAIL",
         "  constructs: 3",
