@@ -352,12 +352,13 @@ def _keyed_node(h: Hypergraph, head):
             below = sum(3 ** c.bit_count() for c in h.components_mask(region & ~y))
             here = 3 ** region.bit_count() - below << width * (y.bit_length() - 1)
 
+        # a tree that is no construction keeps its lanes 0, allocating nothing
         def tree(kids: tuple) -> tuple:
             if len(kids) == 1:  # the commonest shape, and on a complete graph the only one
                 ((first, key, lanes),) = kids
-                return make((first,)), own + key, here + lanes
+                return make((first,)), own + key, here + lanes if here and lanes else 0
             firsts, keys, lanes = zip(*kids) if kids else ((), (), ())
-            return make(firsts), own + sum(keys), here + sum(lanes)
+            return make(firsts), own + sum(keys), here + sum(lanes) if here and all(lanes) else 0
 
         return tree
 
