@@ -8,13 +8,15 @@ constructs draw Y from every non-empty subset of the region, while
 constructions, spanning partial constructions and the vertices below a
 face draw single atoms; the tamed families of a truncation round fix the
 root decorations at the top region. Its node builder makes each tree a
-Construct, a mask record (`_record`), a psi key with a text or record and
-vertex coordinates (`_keyed_node`), or span masks (next_round).
-Inside the library a face is its mask record, the plain tuple (decoration
-mask, span mask, child records) with children by lowest atom. A Construct,
-the tuple (decoration, children, node_count) over labels and unordered, is
-built only at the boundary: by the public enumerators and `parse_construct`,
-and by `covers` and `vertices_below`, which read their argument's record.
+Construct, a mask record (`_record`), a text or record with its psi key
+and, for a construction, its vertex coordinates (`_keyed_node`), or span
+masks (next_round). Inside the library a face is its mask record, the
+plain tuple (decoration mask, span mask, child records) with children by
+lowest atom. A Construct, the tuple (decoration, children, node_count)
+over labels and unordered, is built only at the boundary: by
+`parse_construct`, by the public enumerators unless given a node
+builder, and by `covers` and `vertices_below`, which read their
+argument's record.
 Three independent implementations of the face order are kept deliberately
 separate so their agreement can be tested: `rules` asks whether t lies in
 the breadth-first closure of the record `_covers` from s, memoised on the
@@ -336,29 +338,29 @@ def _text(h: Hypergraph):
     return head
 
 
-def _keyed_node(h: Hypergraph, head):
+def _keyed_node(h: Hypergraph, head, coords: bool = False):
     """A _trees node builder: each tree as (head, psi key, packed vertex
     coordinates), head(region, y) making a tree's head from its children's.
     The key has one bit per node, the index in connected_subset_masks(h) of
-    its span. A one-atom node y over a region puts in y's lane 3^|region|
-    minus 3^|C| summed over the components C that y leaves: the closed form,
-    computed once per (region, y). On a construction the lanes are its vertex."""
+    its span. With coords, for a family of constructions, a node y over a
+    region puts in y's lane 3^|region| minus 3^|C| summed over the
+    components C that y leaves: the closed form, computed once per
+    (region, y), so a tree's lanes are its vertex. Without, every lane is 0."""
     bit = {m: 1 << i for i, m in enumerate(connected_subset_masks(h))}
     width = (3 ** len(h.carrier)).bit_length()
 
     def node(region: int, y: int):
         own, make, here = bit[region], head(region, y), 0
-        if not y & y - 1:
+        if coords:
             below = sum(3 ** c.bit_count() for c in h.components_mask(region & ~y))
             here = 3 ** region.bit_count() - below << width * (y.bit_length() - 1)
 
-        # a tree that is no construction keeps its lanes 0, allocating nothing
         def tree(kids: tuple) -> tuple:
             if len(kids) == 1:  # the commonest shape, and on a complete graph the only one
                 ((first, key, lanes),) = kids
-                return make((first,)), own + key, here + lanes if here and lanes else 0
+                return make((first,)), own + key, here + lanes
             firsts, keys, lanes = zip(*kids) if kids else ((), (), ())
-            return make(firsts), own + sum(keys), here + sum(lanes) if here and all(lanes) else 0
+            return make(firsts), own + sum(keys), here + sum(lanes)
 
         return tree
 
@@ -375,23 +377,24 @@ def _keyed(h: Hypergraph, decorations, family: str, max_carrier: int | None) -> 
 
 
 def enumerate_constructs(
-    h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER
+    h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER, node=None
 ) -> list[Construct]:
     """All constructs of h, each once, in the kernel's order, the same on
-    every call."""
+    every call. The library's record paths pass a _trees node builder to
+    get each face built by it instead."""
     _check_guard(h, max_carrier, "constructs")
     full = h.full_mask
-    return _trees(h, full, _submasks, full, full, None)
+    return _trees(h, full, _submasks, full, full, None, node)
 
 
 def enumerate_constructions(
-    h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER
+    h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER, node=None
 ) -> list[Construct]:
     """All constructions (every decoration a singleton), each once, in the
-    kernel's order, the same on every call."""
+    kernel's order, the same on every call; node as for enumerate_constructs."""
     _check_guard(h, max_carrier, "constructions")
     full = h.full_mask
-    return _trees(h, full, _bits, full, full, None)
+    return _trees(h, full, _bits, full, full, None, node)
 
 
 # -- the face order, three ways ----------------------------------------

@@ -570,9 +570,7 @@ def decomposition_words(g: EdgeGraph) -> list[str]:
 
 def _dot(text: str) -> str:
     """text as a DOT ID: double-quoted, with `\\` and `"` escaped."""
-    if '"' in text or "\\" in text:
-        text = text.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{text}"'
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def skeleton_dot(g: EdgeGraph) -> str:

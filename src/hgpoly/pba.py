@@ -208,14 +208,21 @@ def _normalize_symbols(text: str) -> str:
 
 
 def _parse_letter_or_hole(text: str, i: int):
-    if text[i] not in ".x":
-        raise HoleWordError(f"unexpected {text[i]!r} in {text!r}")
-    j = i + 1
-    while j < len(text) and text[j].isdigit():
-        j += 1
-    if j == i + 1:
-        raise HoleWordError(f"bad {'hole' if text[i] == '.' else 'letter'} at position {i} in {text!r}")
-    return (int(text[i + 1:j]) if text[i] == "." else text[i:j]), j
+    if text[i] == ".":
+        j = i + 1
+        while j < len(text) and text[j].isdigit():
+            j += 1
+        if j == i + 1:
+            raise HoleWordError(f"bad hole at position {i} in {text!r}")
+        return int(text[i + 1:j]), j
+    if text[i] == "x":
+        j = i + 1
+        while j < len(text) and text[j].isdigit():
+            j += 1
+        if j == i + 1:
+            raise HoleWordError(f"bad letter at position {i} in {text!r}")
+        return text[i:j], j
+    raise HoleWordError(f"unexpected {text[i]!r} in {text!r}")
 
 
 def parse_word(text: str) -> HoleWord:

@@ -16,8 +16,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 
 from . import constructs
 from .constructs import (
@@ -32,8 +30,9 @@ from .constructs import (
     _record,
     _submasks,
     _text,
-    _trees,
     _vertices_below,
+    enumerate_constructions,
+    enumerate_constructs,
     print_construct,
     validate_construct,
 )
@@ -193,7 +192,7 @@ def vertex_of_construction(h: Hypergraph, v: Construct) -> RationalPoint:
 
 
 def face_vertex_set(h: Hypergraph, t: Construct) -> frozenset[RationalPoint]:
-    texts, keys, coords = _vertices(h, _vertices_below(h, _masks(h, t), _keyed_node(h, _text(h))))
+    texts, keys, coords = _vertices(h, _vertices_below(h, _masks(h, t), _keyed_node(h, _text(h), True)))
     points = _solve(h, coords, keys, texts.__getitem__)[0]
     return frozenset(RationalPoint(h.carrier, tuple(map(Fraction, p))) for p in points)
 
@@ -303,11 +302,11 @@ def verify_isomorphism(
     compared is the closure of `covers` (the `rules` order): the covers of
     s must be the faces keyed by key(s) minus one non-carrier member, and
     vertices_below the top face must give every vertex. Faces are mask
-    records, with keys and coordinates from the same kernel run."""
+    records with psi keys from one kernel run; the vertex coordinates come
+    from a run over the constructions, matched to faces by key."""
     report = VerificationReport(h)
-    _check_guard(h, max_carrier, "constructs")
-    full, n = h.full_mask, len(h.carrier)
-    trees = _trees(h, full, _submasks, full, full, None, _keyed_node(h, _record))
+    n = len(h.carrier)
+    trees = enumerate_constructs(h, max_carrier=max_carrier, node=_keyed_node(h, _record))
     faces, keys = [t[0] for t in trees], [t[1] for t in trees]
 
     def text(i: int) -> str:
@@ -315,7 +314,9 @@ def verify_isomorphism(
 
     # a key has a bit per node; n nodes partition n atoms, so every decoration is a singleton
     vs = [i for i, key in enumerate(keys) if key.bit_count() == n]
-    _, vkeys, coords = _vertices(h, [trees[i] for i in vs])
+    node = _keyed_node(h, _record, True)
+    vertex = {t[1]: t for t in enumerate_constructions(h, max_carrier=max_carrier, node=node)}
+    _, vkeys, coords = _vertices(h, [vertex[keys[i]] for i in vs])
     points, tight = _solve(h, coords, vkeys, lambda j: text(vs[j]), report)
     if not report.ok:
         return report
@@ -340,36 +341,27 @@ def verify_isomorphism(
         if j != i:
             report.add("injectivity", f"{text(i)} and {text(j)} share a nested set")
 
-    # the covers of s must be distinct faces, one per member of key(s) but the
-    # carrier, each keyed by key(s) less that member: their keys XOR key(s)
-    # must add up to those members, and OR to them too
-    face_at, covered, wrong = {s: i for i, s in enumerate(faces)}, set(), []
+    # the faces at a vertex are the subsets of its tight facets
+    reached = bytearray(len(faces))
+    for i, own in zip(vs, at):
+        for sub in (*_submasks(own), 0):
+            k = index.get(sub | carrier)
+            if k is None:
+                witness = f"{sub.bit_count()} tight facets of {text(i)} name no face"
+                report.add("order-isomorphism", witness)
+            else:
+                reached[k] = 1
+    for i, r in enumerate(reached):
+        if not r:
+            report.add("order-isomorphism", f"{text(i)} holds no vertex")
+
+    face_at = {s: i for i, s in enumerate(faces)}
     for i, s in enumerate(faces):
         key, ups = keys[i], constructs._covers(s)
-        got, members = set(map(face_at.get, ups)), key & ~carrier
-        covered |= got
-        ok = None not in got and len(got) == len(ups) == members.bit_count()
-        xs = set(map(key.__xor__, map(keys.__getitem__, got))) if ok else ()
-        if not ok or not sum(xs) == members == reduce(or_, xs, 0):
-            wrong.append(i)
-    # the faces at a vertex are the subsets of its tight facets. They are when
-    # each vertex is tight on its key, keys are distinct, covers are right and
-    # every face but a vertex is a cover; else each subset is looked up
-    if tight is not None or wrong or len(index) != len(faces) or len(covered) + len(vs) != len(faces):
-        reached = bytearray(len(faces))
-        for i, own in zip(vs, at):
-            for sub in (*_submasks(own), 0):
-                k = index.get(sub | carrier)
-                if k is None:
-                    witness = f"{sub.bit_count()} tight facets of {text(i)} name no face"
-                    report.add("order-isomorphism", witness)
-                else:
-                    reached[k] = 1
-        for i, r in enumerate(reached):
-            if not r:
-                report.add("order-isomorphism", f"{text(i)} holds no vertex")
-    for i in wrong:
-        report.add("order-isomorphism", f"covers of {text(i)} are not its nested set minus one member")
+        got = set(map(face_at.get, ups))
+        want = {index.get(key ^ b) for b in _bits(key & ~carrier)}
+        if None in want or got != want or len(ups) != len(want):
+            report.add("order-isomorphism", f"covers of {text(i)} are not its nested set minus one member")
 
     top = index[carrier]
     if set(_vertices_below(h, faces[top], _record)) != set(map(faces.__getitem__, vs)):
@@ -401,9 +393,8 @@ def verify_isomorphism(
 def vertices_to_json_dict(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> dict:
     """JSON export: construction text -> integer coordinates as strings,
     texts, psi keys and coordinates from one kernel run."""
-    _check_guard(h, max_carrier, "constructions")
-    full = h.full_mask
-    texts, keys, coords = _vertices(h, _trees(h, full, _bits, full, full, None, _keyed_node(h, _text(h))))
+    node = _keyed_node(h, _text(h), True)
+    texts, keys, coords = _vertices(h, enumerate_constructions(h, max_carrier=max_carrier, node=node))
     points = _solve(h, coords, keys, texts.__getitem__)[0]
     out = {t: list(map(str, p)) for t, p in zip(texts, points)}
     return {"format": 1, "carrier": list(h.carrier), "vertices": out}

@@ -371,9 +371,8 @@ class _Witnesses:
 def _kernel(h):
     """The constructions of h as the vertex stage reads them off one kernel
     run: their texts, psi keys and integer coordinates."""
-    full = h.full_mask
-    node = constructs._keyed_node(h, constructs._text(h))
-    return realization._vertices(h, constructs._trees(h, full, constructs._bits, full, full, None, node))
+    node = constructs._keyed_node(h, constructs._text(h), True)
+    return realization._vertices(h, enumerate_constructions(h, max_carrier=None, node=node))
 
 
 def _solve(h, texts, keys, coords):
