@@ -19,7 +19,16 @@ from functools import cache
 from itertools import islice
 from typing import TextIO
 
-from .constructs import MAX_CARRIER, _bits, _keyed, _submasks, parse_construct, print_construct
+from .constructs import (
+    MAX_CARRIER,
+    _bits,
+    _keyed_node,
+    _text,
+    enumerate_constructions,
+    enumerate_constructs,
+    parse_construct,
+    print_construct,
+)
 from .hypergraph import GuardExceeded, Hypergraph, InvariantError
 from .operadic import (
     EdgeGraph,
@@ -109,7 +118,8 @@ def _faces(args) -> tuple[int, dict[int, str], list[tuple[int, str]]]:
     """The carrier size n, every construct as psi key -> text, and the (key,
     text) pairs in text order. A face of dimension d has n - d nodes."""
     h = _load_hypergraph(args)
-    faces = _keyed(h, _submasks, "constructs", args.max_carrier)
+    trees = enumerate_constructs(h, max_carrier=args.max_carrier, node=_keyed_node(h, _text(h)))
+    faces = {key: text for text, key, _ in trees}
     return len(h.carrier), faces, sorted(faces.items(), key=lambda kv: kv[1])
 
 
@@ -127,7 +137,8 @@ def _hg_fvector(args, out: TextIO) -> int:
 
 
 def _hg_constructions(args, out: TextIO) -> int:
-    texts = _keyed(_load_hypergraph(args), _bits, "constructions", args.max_carrier).values()
+    h = _load_hypergraph(args)
+    texts = enumerate_constructions(h, max_carrier=args.max_carrier, node=_text(h))
     _write_rows(out, (t + "\n" for t in sorted(texts)))
     return 0
 

@@ -329,7 +329,7 @@ def _trees(
 
 
 def _text(h: Hypergraph):
-    """A head for _keyed_node: each tree as its text."""
+    """Each tree as its text: a head for _keyed_node, or a _trees node builder."""
 
     def head(region: int, y: int):
         dec = print_atom_set(h, y)
@@ -365,15 +365,6 @@ def _keyed_node(h: Hypergraph, head, coords: bool = False):
         return tree
 
     return node
-
-
-def _keyed(h: Hypergraph, decorations, family: str, max_carrier: int | None) -> dict[int, str]:
-    """The faces of a family over the whole carrier as psi key -> text, built
-    bottom-up with no Construct."""
-    _check_guard(h, max_carrier, family)
-    full = h.full_mask
-    trees = _trees(h, full, decorations, full, full, None, _keyed_node(h, _text(h)))
-    return {key: text for text, key, _ in trees}
 
 
 def enumerate_constructs(

@@ -304,6 +304,9 @@ def test_commands_reach_the_traced_enumerators(capsys, monkeypatch, tmp_path,
     state1.write_text(run(capsys, "trunc", "init", "--truncations", str(ht1))[1])
     calls = _count_calls(monkeypatch)
     for argv, enumerator in [
+        (["hg", "faces", pentagon_file], "enumerate_constructs"),
+        (["hg", "hasse", pentagon_file], "enumerate_constructs"),
+        (["hg", "constructions", pentagon_file], "enumerate_constructions"),
         (["op", "words", "--tree", t4_file], "enumerate_constructions"),
         (["op", "classify", "--tree", t4_file], "enumerate_constructions"),
         (["hg", "realize", "--vertices", pentagon_file], "enumerate_constructions"),

@@ -237,7 +237,8 @@ def test_tight_facets_give_the_vertices_of_each_face(small_corpus, named):
         points = [vertex_of_construction(h, v).coords for v in vertices]
         at = [_plain_tight(h, p) for p in points]
         keys = [sum(map(bit.__getitem__, constructs._spans(h, t))) for t in faces]
-        keyed = constructs._keyed(h, constructs._submasks, "constructs", None)
+        node = constructs._keyed_node(h, constructs._text(h))
+        keyed = {key: text for text, key, _ in enumerate_constructs(h, node=node)}
         assert len(keyed) == len(faces)
         for t, key in zip(faces, keys):
             assert key == sum(bit[h.mask(x)] for x in psi(t))
