@@ -76,7 +76,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # or nested too deep
         raise CliError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -9,7 +9,8 @@ constructions, spanning partial constructions and the vertices below a
 face draw single atoms; the tamed families of a truncation round fix the
 root decorations at the top region. Its node builder makes each tree a
 Construct, a mask record (`_record`), a text or record with its psi key
-and, for a construction, its vertex coordinates (`_keyed_node`), or span
+and, for a construction, its vertex coordinates (`_keyed_node`), a
+decomposition word, with its tree edges (`operadic._word_head`), or span
 masks (next_round). Inside the library a face is its mask record, the
 plain tuple (decoration mask, span mask, child records) with children by
 lowest atom. A Construct, the tuple (decoration, children, node_count)
@@ -249,13 +250,12 @@ def validate_construct(h: Hypergraph, t: Construct) -> Construct:
 
 
 def _check_size(
-    count: int, max_carrier: int | None, noun: str = "carrier", unit: str = "atoms"
+    count: int, max_carrier: int | None, noun: str = "carrier", unit: str = "atoms", fixed: bool = False
 ) -> None:
-    """Refuse an enumeration over more than max_carrier atoms of the carrier,
-    which callers may raise, or of a vertex decoration, whose guard is
-    MAX_CARRIER."""
+    """Refuse an enumeration over more than max_carrier atoms or facets; the
+    message says whether a flag raises the guard or it is fixed."""
     if max_carrier is not None and count > max_carrier:
-        hint = "raise the guard explicitly to enumerate" if noun == "carrier" else "this guard is fixed"
+        hint = "this guard is fixed" if fixed else "raise the guard explicitly to enumerate"
         raise GuardExceeded(f"{noun} has {count} {unit}, guard is {max_carrier}; {hint}")
 
 
@@ -338,6 +338,11 @@ def _text(h: Hypergraph):
     return head
 
 
+def _psi_bits(h: Hypergraph) -> dict[int, int]:
+    """Each connected subset mask's bit in a psi key: 1 << its index."""
+    return {m: 1 << i for i, m in enumerate(connected_subset_masks(h))}
+
+
 def _keyed_node(h: Hypergraph, head, coords: bool = False):
     """A _trees node builder: each tree as (head, psi key, packed vertex
     coordinates), head(region, y) making a tree's head from its children's.
@@ -346,7 +351,7 @@ def _keyed_node(h: Hypergraph, head, coords: bool = False):
     region puts in y's lane 3^|region| minus 3^|C| summed over the
     components C that y leaves: the closed form, computed once per
     (region, y), so a tree's lanes are its vertex. Without, every lane is 0."""
-    bit = {m: 1 << i for i, m in enumerate(connected_subset_masks(h))}
+    bit = _psi_bits(h)
     width = (3 ** len(h.carrier)).bit_length()
 
     def node(region: int, y: int):

@@ -20,11 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .constructs import (
-    Construct,
-    _spans,
-    enumerate_constructions,
-    validate_construct,
-    vertices_below,
+    MAX_CARRIER, Construct, _check_size, _keyed_node, _masks, _psi_bits, _vertices_below,
+    enumerate_constructions, validate_construct, vertices_below,
 )
 from .hypergraph import Hypergraph, InvariantError, _is_format_1, components
 
@@ -329,12 +326,6 @@ class EdgeClassification:
     target: Construct | None = None
 
 
-def _beta_ends(g: EdgeGraph, a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    """A beta edge's endpoints (x, atom on top, ...) as (source, target):
-    the source has the higher-level atom on top."""
-    return (a, b) if g.level[a[1]] > g.level[b[1]] else (b, a)
-
-
 def classify_edge(g: EdgeGraph, e: Construct) -> EdgeClassification:
     """Decide beta versus theta for a polytope edge.
 
@@ -356,8 +347,8 @@ def classify_edge(g: EdgeGraph, e: Construct) -> EdgeClassification:
         return EdgeClassification("theta", (first, second), path)
     # u is above v in the first endpoint iff u's node spans v
     (top,) = (n for n in first.nodes() if u in n.decoration)
-    ends = ((first, u), (second, v)) if v in top.span else ((first, v), (second, u))
-    (source, _), (target, _) = _beta_ends(g, *ends)
+    upper, lower = (u, v) if v in top.span else (v, u)
+    source, target = (first, second) if g.level[upper] > g.level[lower] else (second, first)
     return EdgeClassification("beta", (first, second), path, source, target)
 
 
@@ -526,6 +517,39 @@ def _check_letters(g: EdgeGraph) -> None:
         raise WordError(f"tree label {bad[0]!r} is not a word letter (one letter or digit)")
 
 
+def _word_head(g: EdgeGraph, edges: bool = False):
+    """Each construction as its word, outer parentheses kept: a _trees node
+    builder, or with edges a _keyed_node head making (word, root atom, one
+    (child region, atom, child's atom) per tree edge). Node y merges the
+    blocks at the ends p, c of its tree edge, p's first: the component that
+    holds an edge down from c is c's, and p or c stands in for a missing one."""
+    h, parent_of = g.hypergraph, g._parent_of
+    ends = {  # atom bit -> (atom, p, c, the atoms of the edges down from c)
+        h.mask((a,)): (a, parent_of[c], c, h.mask(b for b, d in g.edge_of.items() if parent_of[d] == c))
+        for a, c in g.edge_of.items()
+    }
+
+    def head(region: int, y: int):
+        atom, p, c, below = ends[y]
+        comps = h.components_mask(region & ~y)
+        left = right = None
+        for i, m in enumerate(comps):
+            left, right = (left, i) if m & below else (i, right)
+
+        def word(kids) -> str:
+            return "(" + (p if left is None else kids[left]) + (c if right is None else kids[right]) + ")"
+
+        def tree(kids) -> tuple:
+            incidences = ()
+            for m, (_, lower, inner) in zip(comps, kids):
+                incidences += ((m, atom, lower),) + inner
+            return word([k[0] for k in kids]), atom, incidences
+
+        return tree if edges else word
+
+    return head
+
+
 def construction_to_word(g: EdgeGraph, v: Construct) -> str:
     """Encode a construction as its decomposition word, parent-side
     block on the left, outermost parentheses dropped."""
@@ -534,38 +558,15 @@ def construction_to_word(g: EdgeGraph, v: Construct) -> str:
     v = validate_construct(h, v)
     if not v.is_construction:
         raise OperadicTreeError("expected a construction spanning the whole graph")
-    return _word(g, v)
-
-
-def _word(g: EdgeGraph, v: Construct) -> str:
-    """construction_to_word on a construction the kernel built."""
-    parent_of = g._parent_of
-
-    def rec(node: Construct) -> tuple[str, frozenset[str]]:
-        (atom,) = node.decoration
-        c = g.edge_of[atom]
-        p = parent_of[c]
-        left, right = None, None
-        for child in node.children:
-            word, labels = rec(child)
-            if c in labels:
-                right = (word, labels)
-            elif p in labels:
-                left = (word, labels)
-            else:
-                raise InvariantError("child block touches neither endpoint")
-        lw, ls = left if left else (p, frozenset((p,)))
-        rw, rs = right if right else (c, frozenset((c,)))
-        return f"({lw}{rw})", ls | rs
-
-    word, _ = rec(v)
-    return word[1:-1]
+    return _vertices_below(h, _masks(h, v), _word_head(g))[0][1:-1]  # v alone, made by the word head
 
 
 def decomposition_words(g: EdgeGraph) -> list[str]:
     """All full decomposition words, one per construction, sorted."""
     _check_letters(g)
-    return sorted(_word(g, v) for v in enumerate_constructions(g.hypergraph))
+    _check_size(len(g.hypergraph.carrier), MAX_CARRIER, fixed=True)  # op has no --max-carrier
+    words = enumerate_constructions(g.hypergraph, max_carrier=None, node=_word_head(g))
+    return sorted(w[1:-1] for w in words)
 
 
 def _dot(text: str) -> str:
@@ -577,38 +578,32 @@ def skeleton_dot(g: EdgeGraph) -> str:
     """Polytope vertex-edge skeleton as DOT: beta edges directed and
     solid, theta edges undirected and dashed, vertices labeled by words."""
     _check_letters(g)
-    h = g.hypergraph
-    # an edge is the nested set of either of its vertices less the span of
-    # one node: record (word, atom of the node's parent, atom of the node).
-    # Each word is quoted once; a closing quote sorts below every letter,
-    # digit and parenthesis, so quoted words sort as the words do
-    words = []
-    edges: dict[frozenset[int], list[tuple[str, str, str]]] = {}
-    for v in enumerate_constructions(h):
-        word = _dot(_word(g, v))
+    _check_size(len(g.hypergraph.carrier), MAX_CARRIER, fixed=True)  # as decomposition_words
+    h, bit = g.hypergraph, _psi_bits(g.hypergraph)
+    # an edge is the nested set of either vertex less the span of one node, so
+    # its key is the vertex's less that span's bit: record (word, atom of the
+    # node's parent, atom of the node) under it. A word is quoted once; a closing
+    # quote sorts below every letter, digit and parenthesis, so quoted words sort as words do
+    words, rows, edges = [], [], {}
+    node = _keyed_node(h, _word_head(g, edges=True))
+    for (word, _, incidences), key, _ in enumerate_constructions(h, max_carrier=None, node=node):
+        word = _dot(word[1:-1])
         words.append(word)
-        spans = _spans(h, v)
-        nested = frozenset(spans)
-        for i, node in enumerate(v.nodes()):
-            (upper,) = node.decoration
-            j = i + 1  # spans is in preorder: the children follow node
-            for child in node.children:
-                (lower,) = child.decoration
-                edges.setdefault(nested - {spans[j]}, []).append((word, upper, lower))
-                j += child.node_count
-    rows = []
-    paths: dict = {}
+        for region, upper, lower in incidences:
+            edges.setdefault(key - bit[region], []).append((word, upper, lower))
+    # (u, v) -> None for theta, else whether u above v is the beta source, as in classify_edge
+    kinds = {(u, v): None if min_path(g, u, v).path_type == "II" else g.level[u] > g.level[v]
+             for u in h.carrier for v in h.carrier if u != v}
     for ends in edges.values():
         if len(ends) != 2:
             raise InvariantError(f"a skeleton edge should have 2 vertices, found {len(ends)}")
-        pair = ends[0][1:]
-        if pair not in paths:
-            paths[pair] = min_path(g, *pair)
-        if paths[pair].path_type == "II":
-            a, b = sorted(w for w, _, _ in ends)
+        (a, upper, lower), (b, _, _) = ends  # b has lower above upper
+        kind = kinds[upper, lower]
+        if kind is None:
+            a, b = (a, b) if a < b else (b, a)
             rows.append(f'  {a} -> {b} [label="theta", dir=none, style=dashed];')
         else:
-            (a, _, _), (b, _, _) = _beta_ends(g, *ends)
+            a, b = (a, b) if kind else (b, a)
             rows.append(f'  {a} -> {b} [label="beta"];')
     vertices = (f"  {w};" for w in sorted(words))
     return "\n".join(["digraph skeleton {", *vertices, *sorted(rows), "}"]) + "\n"

@@ -225,7 +225,7 @@ def _check_decorations(s: RoundState) -> None:
     """The tamed enumerations grow each vertex decoration into trees: one
     over MAX_CARRIER facets raises GuardExceeded."""
     for fam in s.vertex_sets:
-        _check_size(len(fam), MAX_CARRIER, "vertex decoration", "facets")
+        _check_size(len(fam), MAX_CARRIER, "vertex decoration", "facets", fixed=True)
 
 
 def _tamed(s: RoundState, grow, decorations, node=None) -> list:

@@ -209,6 +209,16 @@ def test_word_commands_refuse_labels_that_are_not_letters(capsys, tmp_path):
     assert run(capsys, "op", "graph", "--tree", str(path))[0] == 0
 
 
+def test_word_commands_name_their_fixed_guard(capsys, tmp_path):
+    # op has no --max-carrier, so its refusal names no flag to raise
+    path = tmp_path / "star10.json"
+    path.write_text(json.dumps(parse_tree("a(b,c,d,e,f,g,h,i,j)").to_json_dict()))
+    for command in ("words", "classify"):
+        assert run(capsys, "op", command, "--tree", str(path)) == (
+            2, "", "error: guard exceeded: carrier has 9 atoms, guard is 8; this guard is fixed\n"
+        )
+
+
 # a DOT ID as hgpoly prints it: double-quoted, `\` and `"` escaped by `\`
 _ID = r'"((?:[^"\\]|\\.)*)"'
 _NODE = re.compile(rf"  {_ID}(?: \[label={_ID}\])?;")
@@ -629,6 +639,35 @@ def test_exit_2_messages(capsys, tmp_path):
 
     status, _, err = run(capsys, "op", "graph", "--tree", str(bad))
     assert status == 2 and "malformed JSON" in err
+
+
+def _chain_tree_text(n: int) -> str:
+    """The JSON text of an n-node chain tree, written out by hand: json.dumps
+    recurses as deep as the text nests."""
+    opened = "".join(f'"label": "n{i}", "children": [{{' for i in range(n - 1))
+    return '{"format": 1, ' + opened + f'"label": "n{n - 1}"' + "}]" * (n - 1) + "}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["op", "graph", "--tree"], ["op", "words", "--tree"], ["hg", "faces"], ["trunc", "round", "--state"],
+], ids=" ".join)
+def test_json_nested_past_the_decoder_exits_2(capsys, tmp_path, argv):
+    # a 600-node chain nests 1,200 levels; the other inputs are 100,000 `[`
+    path = tmp_path / "deep.json"
+    path.write_text(_chain_tree_text(600) if argv[0] == "op" else "[" * 100_000)
+    status, out, err = run(capsys, *argv, str(path))
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: malformed JSON in {path}: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+def test_undecodable_json_names_its_file(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert run(capsys, "hg", "faces", str(path)) == (
+        2, "", f"error: malformed JSON in {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
 
 
 def test_bad_flags_exit_2(capsys, pentagon_file):

@@ -316,6 +316,17 @@ def test_words_biject_with_constructions_on_small_trees():
                 assert word_to_construction(g, w) == v
 
 
+def test_decomposition_words_match_the_permutation_oracle():
+    # the words name tree nodes, so renaming the atoms keeps them; the
+    # reversed names put the atoms in carrier order against label order
+    for n in range(2, 8):
+        for t in corpus.all_operadic_trees(n):
+            want = sorted(_oracle_words(t))
+            labels = [c for _, c in t.edges()]
+            for names in (None, dict(zip(labels, reversed(labels)))):
+                assert decomposition_words(build_edge_graph(t, names)) == want
+
+
 def test_figure_words_include_all_printed_hemiassociahedron_labels():
     g = figure_graph()
     words = decomposition_words(g)
@@ -489,6 +500,24 @@ def test_skeleton_dot_runs_the_kernel_once(monkeypatch):
             monkeypatch.setattr(module, name, refused, raising=False)
     assert skeleton_dot(g) == want
     assert calls == [g.hypergraph]
+
+
+def test_word_paths_build_no_construct(monkeypatch):
+    # skeleton_dot and decomposition_words read words and edge keys off the
+    # kernel's node builder: with Construct refused, a fresh edge graph gives
+    # the same output
+    t = parse_tree("a(b(c,d),e(f))")
+    want = skeleton_dot(build_edge_graph(t)), decomposition_words(build_edge_graph(t))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word path built a Construct")
+
+    for module in (constructs, operadic):
+        monkeypatch.setattr(module, "Construct", refuse)
+    g = build_edge_graph(t)
+    with pytest.raises(AssertionError):
+        enumerate_constructions(g.hypergraph)  # the stand-in is live
+    assert (skeleton_dot(g), decomposition_words(g)) == want
 
 
 def _edges(h):
