@@ -323,6 +323,15 @@ def _add_pba_common(p: argparse.ArgumentParser) -> None:
                    help=f"setup guard (default {MAX_N})")
 
 
+def _command(cmds, name: str, help: str, handler, common=None) -> argparse.ArgumentParser:
+    """Add subcommand name with its handler, and common's arguments if given."""
+    p = cmds.add_parser(name, help=help)
+    if common is not None:
+        common(p)
+    p.set_defaults(handler=handler)
+    return p
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: the handlers read the module's globals when
@@ -336,19 +345,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     hg = groups.add_parser("hg", help="hypergraph face lattices and realizations")
     hg_cmds = hg.add_subparsers(dest="command", required=True)
-    p = hg_cmds.add_parser("faces", help="list every construct with its dimension")
-    _add_hg_common(p)
-    p.set_defaults(handler=_hg_faces)
-    p = hg_cmds.add_parser("fvector", help="face counts per dimension, vertices first")
-    _add_hg_common(p)
-    p.set_defaults(handler=_hg_fvector)
-    p = hg_cmds.add_parser("constructions", help="list the vertex constructs")
-    _add_hg_common(p)
-    p.set_defaults(handler=_hg_constructions)
-    p = hg_cmds.add_parser("hasse", help="cover relations of the face order as DOT")
-    _add_hg_common(p)
-    p.set_defaults(handler=_hg_hasse)
-    p = hg_cmds.add_parser("realize", help="exact half-space realization")
+    _command(hg_cmds, "faces", "list every construct with its dimension", _hg_faces, _add_hg_common)
+    _command(hg_cmds, "fvector", "face counts per dimension, vertices first", _hg_fvector, _add_hg_common)
+    _command(hg_cmds, "constructions", "list the vertex constructs", _hg_constructions, _add_hg_common)
+    _command(hg_cmds, "hasse", "cover relations of the face order as DOT", _hg_hasse, _add_hg_common)
+    p = _command(hg_cmds, "realize", "exact half-space realization", _hg_realize)
     _add_hg_common(p, f"{MAX_CARRIER}, or {MAX_HREP_CARRIER} with --hrep")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--hrep", action="store_true", help="print the half-spaces")
@@ -356,55 +357,38 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="print exact vertex coordinates as JSON")
     mode.add_argument("--verify", action="store_true",
                       help="check the face order against the geometry")
-    p.set_defaults(handler=_hg_realize, max_carrier=None)  # resolved by the mode
+    p.set_defaults(max_carrier=None)  # resolved by the mode
 
     op = groups.add_parser("op", help="operadic trees and coherence diagrams")
     op_cmds = op.add_subparsers(dest="command", required=True)
-    p = op_cmds.add_parser("graph", help="the derived edge graph as DOT")
-    _add_op_common(p)
-    p.set_defaults(handler=_op_graph)
-    p = op_cmds.add_parser("classify", help="the labeled skeleton as DOT")
-    _add_op_common(p)
-    p.set_defaults(handler=_op_classify)
-    p = op_cmds.add_parser("words", help="all full decomposition words")
-    _add_op_common(p)
-    p.set_defaults(handler=_op_words)
+    _command(op_cmds, "graph", "the derived edge graph as DOT", _op_graph, _add_op_common)
+    _command(op_cmds, "classify", "the labeled skeleton as DOT", _op_classify, _add_op_common)
+    _command(op_cmds, "words", "all full decomposition words", _op_words, _add_op_common)
 
     trunc = groups.add_parser("trunc", help="iterated truncation rounds")
     trunc_cmds = trunc.add_subparsers(dest="command", required=True)
-    p = trunc_cmds.add_parser("init", help="round 1: a simplex with truncations")
+    p = _command(trunc_cmds, "init", "round 1: a simplex with truncations", _trunc_init)
     p.add_argument("--truncations", required=True, help="truncation hypergraph JSON")
-    p.set_defaults(handler=_trunc_init)
-    p = trunc_cmds.add_parser("round", help="advance one round")
+    p = _command(trunc_cmds, "round", "advance one round", _trunc_round)
     p.add_argument("--state", required=True, help="round state JSON")
     p.add_argument("--truncations", default=None,
                    help="next truncation hypergraph JSON; omit to preview "
                    "the new facets and vertex families")
-    p.set_defaults(handler=_trunc_round)
 
     pba = groups.add_parser("pba", help="the words-with-holes polytopes")
     pba_cmds = pba.add_subparsers(dest="command", required=True)
-    p = pba_cmds.add_parser("setup", help="letters and round-2 state as JSON")
-    _add_pba_common(p)
-    p.set_defaults(handler=_pba_setup)
-    p = pba_cmds.add_parser("encode", help="construct text to word")
-    _add_pba_common(p)
+    _command(pba_cmds, "setup", "letters and round-2 state as JSON", _pba_setup, _add_pba_common)
+    p = _command(pba_cmds, "encode", "construct text to word", _pba_encode, _add_pba_common)
     p.add_argument("face", help="construct text over the facet names")
     p.add_argument("--ascii", action="store_true",
                    help="print x1 and .1 instead of subscripts")
-    p.set_defaults(handler=_pba_encode)
-    p = pba_cmds.add_parser("decode", help="word to construct text")
-    _add_pba_common(p)
+    p = _command(pba_cmds, "decode", "word to construct text", _pba_decode, _add_pba_common)
     p.add_argument("word", help="word with holes, ascii or subscripts")
-    p.set_defaults(handler=_pba_decode)
-    p = pba_cmds.add_parser("census", help="face counts and facet profiles")
-    _add_pba_common(p)
-    p.set_defaults(handler=_pba_census)
+    _command(pba_cmds, "census", "face counts and facet profiles", _pba_census, _add_pba_common)
 
     corpus_p = groups.add_parser("corpus", help="the acceptance checklist")
     corpus_cmds = corpus_p.add_subparsers(dest="command", required=True)
-    p = corpus_cmds.add_parser("verify", help="run every exhaustive check")
-    p.set_defaults(handler=_corpus_verify)
+    _command(corpus_cmds, "verify", "run every exhaustive check", _corpus_verify)
 
     return parser
 

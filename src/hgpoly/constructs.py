@@ -14,16 +14,16 @@ decomposition word, with its tree edges (`operadic._word_head`), or span
 masks (next_round). Inside the library a face is its mask record, the
 plain tuple (decoration mask, span mask, child records) with children by
 lowest atom. A Construct, the tuple (decoration, children, node_count)
-over labels and unordered, is built only at the boundary: by
-`parse_construct`, by the public enumerators unless given a node
-builder, and by `covers` and `vertices_below`, which read their
-argument's record.
+over labels and unordered, is built only at the boundary, and enters the
+library through one checked walk, `_checked`, which validates it against
+h and returns its canonical form with its record: children may come in
+any order, and a tree that is not a construct raises ConstructError.
 Three independent implementations of the face order are kept deliberately
 separate so their agreement can be tested: `rules` asks whether t lies in
 the breadth-first closure of the record `_covers` from s, memoised on the
-hypergraph, while `v2` and `v3` recurse over the records of s and t, which
-`leq` looks up in one memo on the hypergraph. The order takes constructs
-only: a tree with an Omega leaf raises ConstructError.
+hypergraph, while `v2` and `v3` recurse over the records of s and t. `leq`
+memoises one checked record per queried face on the hypergraph, and
+`covers` and `vertices_below` convert their results back at return.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def parse_construct(h: Hypergraph, text: str) -> Construct:
     """Parse construct text `{x,y}(z(u),v)`; singleton braces are
     optional, and whitespace is ignored around `{ } ( ) ,` and at the ends
     but belongs to the label it sits inside, as in `a b`. The result is
-    validated against h."""
+    validated against h; nesting deeper than h has atoms is refused."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -192,19 +192,21 @@ def parse_construct(h: Hypergraph, text: str) -> Construct:
                 raise ConstructError(f"bad atom {a!r} in {text!r}")
         return frozenset(atoms)
 
-    def parse_node() -> Construct:
+    def parse_node(depth: int) -> Construct:
+        if depth > len(h.carrier):  # a construct has at most one node per atom
+            raise ConstructError(f"nesting deeper than the {len(h.carrier)} atoms of the carrier in {text!r}")
         dec = parse_set()
         kids: list[Construct] = []
         if peek() == "(":
             take("(")
-            kids.append(parse_node())
+            kids.append(parse_node(depth + 1))
             while peek() == ",":
                 take(",")
-                kids.append(parse_node())
+                kids.append(parse_node(depth + 1))
             take(")")
         return Construct(dec, tuple(kids))
 
-    tree = parse_node()
+    tree = parse_node(1)
     if pos != len(tokens):
         raise ConstructError(f"trailing input {tokens[pos:]} in {text!r}")
     return validate_construct(h, tree)
@@ -216,33 +218,42 @@ def parse_construct(h: Hypergraph, text: str) -> Construct:
 def validate_construct(h: Hypergraph, t: Construct) -> Construct:
     """Check the inductive definition against h and return the canonical
     form, reusing canonical subtrees. Raises ConstructError at the first offending node."""
+    return _checked(h, t)[0]
 
-    def rec(node: Construct, ambient: int) -> Construct:
-        if not isinstance(node, Construct):
+
+def _checked(h: Hypergraph, t: Construct) -> tuple[Construct, tuple]:
+    """The one walk that turns a Construct into masks: validate_construct's
+    check of t against h, returning the canonical form and its mask record
+    (decoration mask, span mask, child records in component order)."""
+
+    def rec(node: Construct, ambient: int) -> tuple[Construct, tuple]:
+        if isinstance(node, Omega):
             raise ConstructError("Omega leaf in a plain construct")
-        if not node.decoration:
+        labels, children = node.decoration, node.children
+        if not labels:
             raise ConstructError("empty decoration")
         try:
-            dec = h.mask(node.decoration)
-            by_span = {h.mask(c.span): c for c in node.children}
+            dec = h.mask(labels)
+            by_span = {h.mask(c.span): c for c in children}
         except HypergraphError as err:
             raise ConstructError(str(err)) from None
         if dec & ~ambient:
             extra = h.sorted_labels(dec & ~ambient)
             raise ConstructError(
-                f"decoration {print_atom_set(h, node.decoration)} leaves its component (atoms {extra})"
+                f"decoration {print_atom_set(h, labels)} leaves its component (atoms {extra})"
             )
         comps = h.components_mask(ambient & ~dec)
-        if len(node.children) != len(comps) or by_span.keys() != set(comps):
+        if len(children) != len(comps) or by_span.keys() != set(comps):
             want = [print_atom_set(h, h.labels(c)) for c in comps]
-            got = [print_atom_set(h, c.span) for c in node.children]
+            got = [print_atom_set(h, c.span) for c in children]
             raise ConstructError(
-                f"children of {print_atom_set(h, node.decoration)} span {got}, "
+                f"children of {print_atom_set(h, labels)} span {got}, "
                 f"expected the components {want}"
             )
-        kids = tuple(rec(by_span[c], c) for c in comps)
-        same = all(a is b for a, b in zip(kids, node.children))
-        return node if same else Construct(node.decoration, kids)
+        if not comps:
+            return node, (dec, ambient, ())
+        trees, records = zip(*[rec(by_span[c], c) for c in comps])
+        return (node if trees == children else Construct(labels, trees)), (dec, ambient, records)
 
     if not is_connected(h):
         raise ConstructError("ambient hypergraph is disconnected")
@@ -406,43 +417,9 @@ def _construct(h: Hypergraph, r: tuple) -> Construct:
     return Construct(h.labels(r[0]), tuple(_construct(h, k) for k in r[2]))
 
 
-def _dec_mask(h: Hypergraph, node: Construct) -> int:
-    """A node's decoration mask; ConstructError on an Omega leaf or a foreign atom."""
-    if isinstance(node, Omega):
-        raise ConstructError("Omega leaf: the face order compares constructs only")
-    try:
-        return h.mask(node.decoration)
-    except HypergraphError as err:
-        raise ConstructError(str(err)) from None
-
-
-def _masks(h: Hypergraph, node: Construct, memo: dict | None = None) -> tuple[int, int, tuple]:
-    """The mask record (decoration mask, span mask, child records) of a
-    construct node over h's carrier. leq passes h._mask_cache as memo, so
-    each distinct node is converted once; one-off callers keep nothing."""
-    got = None if memo is None else memo.get(node)
-    if got is None:
-        dec = _dec_mask(h, node)
-        kids, span = tuple(_masks(h, c, memo) for c in node.children), dec
-        for kid in kids:
-            span |= kid[1]
-        got = (dec, span, kids)
-        if memo is not None:
-            memo[node] = got
-    return got
-
-
-def _spans(h: Hypergraph, t: Construct, spans: list | None = None) -> list[int]:
-    """psi(t) as masks: the span of each node of t, in preorder, appended to
-    spans, from one pass that hashes no node (and makes no closure, whose
-    cycle would wait for a collection). Raises ConstructError where _masks does."""
-    spans = [] if spans is None else spans
-    i = len(spans)
-    spans.append(_dec_mask(h, t))
-    for c in t.children:
-        j = len(spans)
-        spans[i] |= _spans(h, c, spans)[j]
-    return spans
+def _spans(r: tuple) -> list[int]:
+    """psi of the face with record r as masks: the span of each node, in preorder."""
+    return [r[1]] + [m for k in r[2] for m in _spans(k)]
 
 
 def _covers(s: tuple) -> list[tuple]:
@@ -471,7 +448,7 @@ def covers(h: Hypergraph, s: Construct) -> list[Construct]:
     """All constructs obtained by contracting exactly one tree edge of s,
     the record `_covers` converted at return. Their order is deterministic
     but unspecified, and no cover repeats."""
-    return [_construct(h, r) for r in _covers(_masks(h, s))]
+    return [_construct(h, r) for r in _covers(_checked(h, s)[1])]
 
 
 def _up(h: Hypergraph, s: tuple) -> frozenset[tuple]:
@@ -567,13 +544,12 @@ def leq(s: Construct, t: Construct, h: Hypergraph, variant: str = "v2") -> bool:
     """Face order: s is a face of t. Variants are independent
     implementations that must agree: `rules` asks whether t's record is in
     the memoised contraction closure of s's, `v2` and `v3` decide on the
-    mask records of s and t. Both must be constructs; an Omega leaf raises
-    ConstructError."""
-    # the only memo lookups: v2 and v3 recurse over the records below
+    mask records of s and t. Both must be constructs of h, their children
+    in any order; a tree that is not one raises ConstructError."""
+    # the only memo lookups, one checked record per queried face: v2 and v3 recurse below
     masks = h._mask_cache
-    srec, trec = masks.get(s) or _masks(h, s, masks), masks.get(t) or _masks(h, t, masks)
-    if srec[1] != trec[1]:
-        raise ConstructError("constructs of different carriers are incomparable")
+    srec = masks.get(s) or masks.setdefault(s, _checked(h, s)[1])
+    trec = masks.get(t) or masks.setdefault(t, _checked(h, t)[1])
     if variant == "rules":
         return trec in (h._up_cache.get(srec) or _up(h, srec))
     if variant == "v2":
@@ -651,4 +627,4 @@ def _vertices_below(h: Hypergraph, t: tuple, node=None) -> list:
 def vertices_below(h: Hypergraph, t: Construct) -> list[Construct]:
     """All constructions V <= t, each once, in the kernel's order, the same
     on every call, built from t's record as Constructs."""
-    return _vertices_below(h, _masks(h, t))
+    return _vertices_below(h, _checked(h, t)[1])

@@ -92,7 +92,7 @@ class Hypergraph:
         object.__setattr__(self, "_full", full)
         object.__setattr__(self, "_edge_masks", tuple(sorted(masks, key=self._edge_key)))
         object.__setattr__(self, "_comp_cache", {})
-        # construct node -> mask record (decoration, span, child records), for leq only
+        # queried face -> its checked mask record (decoration, span, child records), for leq only
         object.__setattr__(self, "_mask_cache", {})
         # the rules order, filled by constructs._up: queried record -> the
         # frozenset of the records above it, and each face met -> [the one

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .constructs import (
-    MAX_CARRIER, Construct, _check_size, _keyed_node, _masks, _psi_bits, _vertices_below,
-    enumerate_constructions, validate_construct, vertices_below,
+    MAX_CARRIER, Construct, _check_size, _checked, _keyed_node, _psi_bits, _vertices_below,
+    enumerate_constructions, validate_construct,
 )
 from .hypergraph import Hypergraph, InvariantError, _is_format_1, components
 
@@ -336,13 +336,13 @@ def classify_edge(g: EdgeGraph, e: Construct) -> EdgeClassification:
     one; a dashed crossing makes it theta. The endpoints come in kernel order.
     """
     h = g.hypergraph
-    e = validate_construct(h, e)
+    e, record = _checked(h, e)
     doubletons = [n for n in e.nodes() if len(n.decoration) == 2]
     if len(doubletons) != 1 or e.node_count != len(h.carrier) - 1:
         raise OperadicTreeError("expected a construct with exactly one doubleton node")
     u, v = h.sorted_labels(doubletons[0].decoration)
     path = min_path(g, u, v)
-    first, second = vertices_below(h, e)
+    first, second = _vertices_below(h, record)
     if path.path_type == "II":
         return EdgeClassification("theta", (first, second), path)
     # u is above v in the first endpoint iff u's node spans v
@@ -555,10 +555,10 @@ def construction_to_word(g: EdgeGraph, v: Construct) -> str:
     block on the left, outermost parentheses dropped."""
     _check_letters(g)
     h = g.hypergraph
-    v = validate_construct(h, v)
+    v, record = _checked(h, v)
     if not v.is_construction:
         raise OperadicTreeError("expected a construction spanning the whole graph")
-    return _vertices_below(h, _masks(h, v), _word_head(g))[0][1:-1]  # v alone, made by the word head
+    return _vertices_below(h, record, _word_head(g))[0][1:-1]  # v alone, made by the word head
 
 
 def decomposition_words(g: EdgeGraph) -> list[str]:

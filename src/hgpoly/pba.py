@@ -17,10 +17,10 @@ from .constructs import (
     Construct,
     ConstructError,
     _bit_indices,
+    _checked,
     _spans,
     _submasks,
     leq,
-    make_node,
     validate_construct,
 )
 from .hypergraph import Hypergraph, InvariantError, restrict
@@ -208,21 +208,15 @@ def _normalize_symbols(text: str) -> str:
 
 
 def _parse_letter_or_hole(text: str, i: int):
-    if text[i] == ".":
-        j = i + 1
-        while j < len(text) and text[j].isdigit():
-            j += 1
-        if j == i + 1:
-            raise HoleWordError(f"bad hole at position {i} in {text!r}")
-        return int(text[i + 1:j]), j
-    if text[i] == "x":
-        j = i + 1
-        while j < len(text) and text[j].isdigit():
-            j += 1
-        if j == i + 1:
-            raise HoleWordError(f"bad letter at position {i} in {text!r}")
-        return text[i:j], j
-    raise HoleWordError(f"unexpected {text[i]!r} in {text!r}")
+    """The hole .N or the letter xN at text[i], and the index after it."""
+    if text[i] not in ".x":
+        raise HoleWordError(f"unexpected {text[i]!r} in {text!r}")
+    j = i + 1
+    while j < len(text) and text[j].isdigit():
+        j += 1
+    if j == i + 1:
+        raise HoleWordError(f"bad {'hole' if text[i] == '.' else 'letter'} at position {i} in {text!r}")
+    return (int(text[i + 1:j]) if text[i] == "." else text[i:j]), j
 
 
 def parse_word(text: str) -> HoleWord:
@@ -456,13 +450,13 @@ def encode(setup: PbaSetup, t: Construct) -> HoleWord:
     root complement, then add one parenthesis pair per node of the
     children, placed over the zone letters it spans."""
     ht = setup.hypergraph
-    t = validate_construct(ht, t)
+    t, record = _checked(ht, t)
     chain = _chain_of(setup, frozenset(ht.carrier) - t.decoration)
     skeleton = standardize(setup.letters, chain)
     blocks = _block_list(skeleton.tokens)
     gap = {ht._index[setup.name_of(s)]: g for g, s in enumerate(chain, start=1)}  # atom -> gap
     parens = set(skeleton.parens)
-    for span in _spans(ht, t)[1:]:  # the nodes below the root, each over a gap interval
+    for span in _spans(record)[1:]:  # the nodes below the root, each over a gap interval
         gaps = [gap[i] for i in _bit_indices(span)]
         parens.add((blocks[min(gaps) - 1][1], blocks[max(gaps)][0]))
     parens.discard((0, len(skeleton.tokens) - 1))
@@ -482,12 +476,10 @@ def encode_via_order(setup: PbaSetup, t: Construct, order: Sequence[str]) -> Hol
         raise PbaError("order is not compatible with the root complement")
     path = restrict(ht, sigma)
     if y_names < sigma:
-        re_rooted = validate_construct(
-            path, make_node(path, sigma - y_names, list(t.children))
-        )
+        re_rooted = _checked(path, Construct(sigma - y_names, t.children))[1]
     else:
         # fully determined: the single child already spans the chain
-        re_rooted = validate_construct(path, t.children[0])
+        re_rooted = _checked(path, t.children[0])[1]
 
     blocks = []
     current: list[str] = []
@@ -500,7 +492,7 @@ def encode_via_order(setup: PbaSetup, t: Construct, order: Sequence[str]) -> Hol
     # path atom -> its prefix length: the gap after that prefix's last letter
     gap = [len(setup.letters_of(name)) for name in path.carrier]
     parens = set(skeleton.parens)
-    for span in _spans(path, re_rooted)[1:]:
+    for span in _spans(re_rooted)[1:]:
         gaps = [gap[i] for i in _bit_indices(span)]
         parens.add((min(gaps) - 1, max(gaps)))
     parens.discard((0, setup.n))

@@ -24,9 +24,9 @@ from .constructs import (
     _bit_indices,
     _bits,
     _check_guard,
+    _checked,
     _construct,
     _keyed_node,
-    _masks,
     _record,
     _submasks,
     _text,
@@ -34,7 +34,6 @@ from .constructs import (
     enumerate_constructions,
     enumerate_constructs,
     print_construct,
-    validate_construct,
 )
 from .hypergraph import Hypergraph, InvariantError, connected_subset_masks
 
@@ -116,15 +115,15 @@ def _vertices(h: Hypergraph, trees: list) -> tuple[list, list, list[list[int]]]:
 
 def _solve(
     h: Hypergraph, coords: list[list[int]], keys, name, report: VerificationReport | None = None
-) -> tuple[list[list[int]], list[int] | None]:
+) -> list[int] | None:
     """Check vertices with the given coordinates and psi keys on every
     connected subset m: strict where m is not in psi(v), tight where it is
     (Postnikov 2009); name(j) is the text of vertex j. One int per atom
     holds a lane per vertex, with a guard bit: a sum over m is one addition,
     its compare with 3^|m| one subtraction (Lamport 1975; Knuth, TAOCP 4A
     7.1.3). The first vertex failing strictness raises, or all go to
-    report, each at its first failing subset. Returns coordinates, and the
-    tight subsets of each vertex but the carrier, or None if psi's."""
+    report, each at its first failing subset. Returns the tight subsets of
+    each vertex but the carrier, or None if psi's."""
     subsets, count, n = connected_subset_masks(h), len(coords), len(h.carrier)
     held = [array("I") for _ in subsets]  # subset i -> the vertices whose psi holds it
     for j, key in enumerate(keys):
@@ -172,12 +171,12 @@ def _solve(
             raise RealizationError(strict[j])
         report.add("strictness", strict[j])
     if strict or not loose:
-        return coords, None
+        return None
     tight = [0] * count
     for i, m in enumerate(subsets[:-1]):  # the carrier comes last
         for j in loose.get(m, held[i]):
             tight[j] |= 1 << i
-    return coords, tight
+    return tight
 
 
 def vertex_of_construction(h: Hypergraph, v: Construct) -> RationalPoint:
@@ -187,14 +186,14 @@ def vertex_of_construction(h: Hypergraph, v: Construct) -> RationalPoint:
     # one node per atom and a root spanning the carrier: each atom once
     if h.mask(v.span) != h.full_mask or v.node_count != len(h.carrier):
         raise RealizationError(f"{print_construct(h, v)} does not span the carrier exactly once")
-    (point,) = face_vertex_set(h, validate_construct(h, v))
+    (point,) = face_vertex_set(h, v)
     return point
 
 
 def face_vertex_set(h: Hypergraph, t: Construct) -> frozenset[RationalPoint]:
-    texts, keys, coords = _vertices(h, _vertices_below(h, _masks(h, t), _keyed_node(h, _text(h), True)))
-    points = _solve(h, coords, keys, texts.__getitem__)[0]
-    return frozenset(RationalPoint(h.carrier, tuple(map(Fraction, p))) for p in points)
+    texts, keys, coords = _vertices(h, _vertices_below(h, _checked(h, t)[1], _keyed_node(h, _text(h), True)))
+    _solve(h, coords, keys, texts.__getitem__)  # raises at the first vertex failing strictness
+    return frozenset(RationalPoint(h.carrier, tuple(map(Fraction, p))) for p in coords)
 
 
 def _face_polynomials(h: Hypergraph):
@@ -317,7 +316,7 @@ def verify_isomorphism(
     node = _keyed_node(h, _record, True)
     vertex = {t[1]: t for t in enumerate_constructions(h, max_carrier=max_carrier, node=node)}
     _, vkeys, coords = _vertices(h, [vertex[keys[i]] for i in vs])
-    points, tight = _solve(h, coords, vkeys, lambda j: text(vs[j]), report)
+    tight = _solve(h, coords, vkeys, lambda j: text(vs[j]), report)
     if not report.ok:
         return report
 
@@ -328,7 +327,7 @@ def verify_isomorphism(
     at = named if tight is None else tight
 
     seen_points: dict[tuple[int, ...], int] = {}
-    for i, p, own, want in zip(vs, map(tuple, points), at, named):
+    for i, p, own, want in zip(vs, map(tuple, coords), at, named):
         other = seen_points.setdefault(p, i)
         if other != i:
             report.add("distinct-points", f"{text(i)} and {text(other)} coincide")
@@ -367,7 +366,7 @@ def verify_isomorphism(
     if set(_vertices_below(h, faces[top], _record)) != set(map(faces.__getitem__, vs)):
         report.add("order-isomorphism", f"{text(top)} misses a vertex")
 
-    dim = affine_dimension(points)
+    dim = affine_dimension(coords)
     if dim != n - 1:
         report.add("dimension", f"affine hull has dimension {dim}, expected {n - 1}")
 
@@ -395,6 +394,6 @@ def vertices_to_json_dict(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIE
     texts, psi keys and coordinates from one kernel run."""
     node = _keyed_node(h, _text(h), True)
     texts, keys, coords = _vertices(h, enumerate_constructions(h, max_carrier=max_carrier, node=node))
-    points = _solve(h, coords, keys, texts.__getitem__)[0]
-    out = {t: list(map(str, p)) for t, p in zip(texts, points)}
+    _solve(h, coords, keys, texts.__getitem__)  # raises at the first vertex failing strictness
+    out = {t: list(map(str, p)) for t, p in zip(texts, coords)}
     return {"format": 1, "carrier": list(h.carrier), "vertices": out}

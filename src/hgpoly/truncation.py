@@ -17,6 +17,7 @@ from .constructs import (
     _bit_indices,
     _bits,
     _check_size,
+    _checked,
     _spans,
     _submasks,
     _trees,
@@ -260,7 +261,7 @@ def tamed_constructions(s: RoundState) -> list[Construct]:
 
 def _span_node(region: int, y: int):
     """A _trees node builder: each tree as its span masks in preorder, as
-    _spans lists them (a tree with no Omega leaf spans its region)."""
+    _spans reads them off a record (a tree with no Omega leaf spans its region)."""
     own = (region,)
     return lambda kids: own + sum(kids, ())
 
@@ -310,7 +311,7 @@ def vertex_family(s: RoundState, construction: Construct) -> frozenset[str]:
     carrier, as facet names."""
     for name in sorted(construction.span):
         s.facet(name)  # a name outside the facets raises TruncationError
-    return _family(s.truncations, _flattening(s), _spans(s.truncations, construction))
+    return _family(s.truncations, _flattening(s), _spans(_checked(s.truncations, construction)[1]))
 
 
 # -- advancing ----------------------------------------------------------

@@ -661,6 +661,17 @@ def test_json_nested_past_the_decoder_exits_2(capsys, tmp_path, argv):
     assert err.count("\n") == 1
 
 
+def test_a_face_nested_past_the_carrier_exits_2(capsys):
+    # a construct has at most one node per atom: 1,200 levels over the 14
+    # atoms of pba 3 are refused as the text is read, short of the
+    # interpreter's recursion limit
+    face = "x1(" * 1199 + "x2" + ")" * 1199
+    status, out, err = run(capsys, "pba", "encode", "3", face)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: nesting deeper than the 14 atoms of the carrier in 'x1(x1(")
+    assert err.count("\n") == 1
+
+
 def test_undecodable_json_names_its_file(capsys, tmp_path):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")

@@ -1,7 +1,8 @@
 """Golden CLI output: the sha256 of stdout and the exit status of every
 `hg` command on each named hypergraph, and of the `pba`, `trunc` and `op`
-commands on fixed inputs. The digests pin the byte-identical output
-contract, so any change to face order, text or numbers fails here."""
+commands on fixed inputs, and the `--help` text of every subcommand. The
+digests pin the byte-identical output contract, so any change to face
+order, text or numbers fails here."""
 
 import hashlib
 import json
@@ -315,3 +316,32 @@ def test_syntax_stdout_matches_golden(capsys, inputs, case):
     status = cli.main(_argv(SYNTAX_COMMANDS[case], inputs))
     out = capsys.readouterr().out
     assert (status, hashlib.sha256(out.encode()).hexdigest()) == SYNTAX_GOLDEN[case]
+
+
+# sha256 of `hgpoly <group> <command> --help` at 80 columns
+HELP = {
+    ("hg", "faces"): "83106f946bff10881487cf502b064bfc310b8715a883447e62e153b91d543a8d",
+    ("hg", "fvector"): "6da90e7a7217c2cabe8f5615c239d58549fb61c38621c5699d40e11d88024d0e",
+    ("hg", "constructions"): "7f37478eccba44c511cfff32332544878e1400ba0d18c25a24ee95928ded6a88",
+    ("hg", "hasse"): "2c6caba6dbbef63189ec74396be87713e34fa8d8044e22ddb18c381d359d24a5",
+    ("hg", "realize"): "6d6985c7ac41e6b6cf1ee9a32f9250b23b39c179d2f988a8bdd0db6b161531db",
+    ("op", "graph"): "29c63b141d3410efec4196e8361c663739592387962aa7ddc4547ca4519821c4",
+    ("op", "classify"): "fe2d847b9c517c09e2267ac725c9270bb7ee9ff5f1ef410f9be026c1ed07da3d",
+    ("op", "words"): "cbfbb641772b270d662e1905da041f832febd8c77b92337e85dc0ae5454c2345",
+    ("trunc", "init"): "0ad4bd82537cbc4e54475e87ac0eb22ccebb32e6c144abd0ab6179af5aae1953",
+    ("trunc", "round"): "71965587a5e33273f666c8b5c089505922786dea7727183f2954e2137a0fadcc",
+    ("pba", "setup"): "2a9afbfa2f69db71eb9702cc733804451e34a96fc082095682472d870bf2b41b",
+    ("pba", "encode"): "a33bad0459a9fdddb4d4908c9414c6f12f3239a11829131c2ba0132206f3f8a5",
+    ("pba", "decode"): "543c129225f5d8eb96dd5994f8a92505857835cfadbebca4e84474f03aad45d0",
+    ("pba", "census"): "ce7176f4e348334e611770c87a82a15c8f2773a03c0bea3e6124b506b59d6c7d",
+    ("corpus", "verify"): "36f5e81cc8a06f9c72f1d3570cb4d6811f3ff497fcc2b5a1c4c5bacea5286dbf",
+}
+
+
+def test_help_texts(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, digest in HELP.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv

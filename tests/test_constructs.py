@@ -15,6 +15,7 @@ from hgpoly import (
     covers,
     enumerate_constructions,
     enumerate_constructs,
+    face_vertex_set,
     leq,
     next_round,
     parse_construct,
@@ -28,11 +29,17 @@ from hgpoly import (
     verify_isomorphism,
     vertices_below,
 )
-from hgpoly.constructs import Construct, Omega, _covers, _masks, _spans, _up, make_node
+from hgpoly.constructs import Construct, Omega, _checked, _covers, _spans, _up, make_node
 from hgpoly import constructs, corpus
 from hgpoly.nestedsets import psi
 
 from _helpers import face_counts_by_dimension, parse_all, prints
+
+
+def _record(h, t):
+    """The canonical mask record of the construct t, from the checked walk."""
+    return _checked(h, t)[1]
+
 
 SIMPLEX_2_FACES = [
     "x(y,z)", "y(x,z)", "z(x,y)",
@@ -316,7 +323,7 @@ def test_up_memo_is_owned_by_its_hypergraph_and_holds_closures():
     assert leq(faces[-1], faces[0], h, "rules")
     assert h._up_cache and not twin._up_cache
     # the memo is keyed by the records of faces and holds records
-    records = {_masks(h, t): t for t in faces}
+    records = {_record(h, t): t for t in faces}
     assert set(h._up_cache) <= set(records)
     for s, got in h._up_cache.items():
         # a plain breadth-first closure of the public covers, with no memo
@@ -324,7 +331,7 @@ def test_up_memo_is_owned_by_its_hypergraph_and_holds_closures():
         while frontier:
             frontier = [v for u in frontier for v in covers(h, u) if v not in seen]
             seen.update(frontier)
-        assert got == {_masks(h, v) for v in seen}
+        assert got == {_record(h, v) for v in seen}
 
 
 def test_twins_print_alike_and_omega_prints_its_atoms():
@@ -439,33 +446,76 @@ def test_order_and_covers_name_an_atom_outside_the_carrier(named):
                 leq(s, t, h, variant)
 
 
-def test_mask_records_and_spans_mirror_the_tree(small_corpus, named):
-    # leq's memoised record of a node is (decoration mask, span mask, the
-    # children's records in the children's order), and the span pass
-    # behind psi and covers reads the same spans in preorder; each
-    # hypergraph is a fresh copy, so the shared fixtures' memos stay as
-    # the other tests leave them
+def test_children_in_any_order_name_the_same_face(small_corpus, named):
+    # a face with the children of every node reversed is the same face:
+    # each variant compares it with every face as it compares the face,
+    # and covers and vertices_below give the face's; fresh copies keep the
+    # shared fixtures' memos as the other tests leave them
     cases = list(small_corpus) + [h for h in named.values() if len(h.carrier) <= 5]
     checked = 0
     for h in (Hypergraph(g.carrier, g.hyperedges) for g in cases):
-        for t in enumerate_constructs(h):
+        faces = enumerate_constructs(h)
+        for s in faces:
+            twin = _reversed(s)
+            if twin == s:
+                continue  # no node has two children
+            for t in faces:
+                for variant in VARIANTS:
+                    assert leq(twin, t, h, variant) == leq(s, t, h, variant)
+                    assert leq(t, twin, h, variant) == leq(t, s, h, variant)
+            assert covers(h, twin) == covers(h, s)
+            assert vertices_below(h, twin) == vertices_below(h, s)
+            checked += 1
+    assert checked == 1668
+
+
+def test_the_order_and_the_vertex_paths_refuse_a_tree_that_is_no_face(named):
+    # on the pentagon, the path x-y-z, the atoms left by x form the one
+    # component {y,z}: x(y,z) is no construct, on either side of leq
+    h = named["pentagon"]
+    bad = Construct(frozenset("x"), (Construct(frozenset("y")), Construct(frozenset("z"))))
+    top = Construct(frozenset(h.carrier))
+    for variant in VARIANTS:
+        for s, t in ((bad, bad), (bad, top), (top, bad)):
+            with pytest.raises(ConstructError, match="expected the components"):
+                leq(s, t, h, variant)
+    for path in (covers, vertices_below, face_vertex_set):
+        with pytest.raises(ConstructError, match="expected the components"):
+            path(h, bad)
+
+
+def test_mask_records_and_spans_mirror_the_tree(small_corpus, named):
+    # the checked walk's record of a construct is (decoration mask, span
+    # mask, the children's records in the children's order), leq memoises
+    # that one record per queried face, and _spans reads the same spans in
+    # preorder; each hypergraph is a fresh copy, so the shared fixtures'
+    # memos stay as the other tests leave them
+    cases = list(small_corpus) + [h for h in named.values() if len(h.carrier) <= 5]
+    checked = 0
+    for h in (Hypergraph(g.carrier, g.hyperedges) for g in cases):
+        faces = enumerate_constructs(h)
+        for t in faces:
             assert leq(t, t, h)
-            records = h._mask_cache
-            for n in t.nodes():
-                dec, span, kids = records[n]
+            record = h._mask_cache[t]
+            assert record == _record(h, t)
+            todo = [(t, record)]
+            while todo:
+                n, (dec, span, kids) = todo.pop()
                 assert dec == h.mask(n.decoration) and span == h.mask(n.span)
-                assert kids == tuple(records[c] for c in n.children)
+                assert len(kids) == len(n.children)
+                todo += zip(n.children, kids)
                 checked += 1
-            assert _spans(h, t) == [h.mask(n.span) for n in t.nodes()]
+            assert _spans(record) == [h.mask(n.span) for n in t.nodes()]
+        assert len(h._mask_cache) == len(faces)
     assert checked == 29396
     h = named["2-simplex"]
     (p,) = spanning_partial_constructions(h, ["x"])
-    with pytest.raises(ConstructError, match="Omega"):
-        _spans(h, p)
+    with pytest.raises(ConstructError):
+        _checked(h, p)
     h = named["pentagon"]
     bad = Construct(frozenset("x"), (Construct(frozenset("y"), (Construct(frozenset("w")),)),))
     with pytest.raises(ConstructError, match="'w'"):
-        _spans(h, bad)
+        _checked(h, bad)
 
 
 class _CountingDict(dict):
@@ -579,8 +629,8 @@ def test_rules_memoises_only_the_queried_up_set():
     chain = parse_construct(h, "(".join(atoms) + ")" * (n - 1))
     top = Construct(frozenset(h.carrier))
     assert leq(chain, top, h, "rules")
-    assert list(h._up_cache) == [_masks(h, chain)]
-    assert len(h._up_cache[_masks(h, chain)]) == 2 ** (n - 1)
+    assert list(h._up_cache) == [_record(h, chain)]
+    assert len(h._up_cache[_record(h, chain)]) == 2 ** (n - 1)
 
 
 def _contractions(h, s):
@@ -606,7 +656,7 @@ def test_record_covers_and_up_sets_match_the_construct_closure(small_corpus, nam
         faces = enumerate_constructs(h)
         for t in faces:
             want = _contractions(h, t)
-            assert sorted(_covers(_masks(h, t))) == sorted(_masks(h, c) for c in want)
+            assert sorted(_covers(_record(h, t))) == sorted(_record(h, c) for c in want)
             got = covers(h, t)
             assert len(got) == len(want) and set(got) == set(want)
         for t in faces:
@@ -614,7 +664,7 @@ def test_record_covers_and_up_sets_match_the_construct_closure(small_corpus, nam
             while frontier:
                 frontier = [v for u in frontier for v in covers(h, u) if v not in seen]
                 seen.update(frontier)
-            assert _up(h, _masks(h, t)) == {_masks(h, v) for v in seen}
+            assert _up(h, _record(h, t)) == {_record(h, v) for v in seen}
             checked += 1
     assert checked == 9527
 

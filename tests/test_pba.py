@@ -253,6 +253,22 @@ def test_parse_errors():
         parse_word(".1.1x3; .1={x1,x2}; .1={x1,x2}")
 
 
+def test_letter_and_hole_messages():
+    # one digit scanner reads the holes .N and the letters xN, in the body
+    # and in the hole entries; its three messages, exactly
+    for text, message in [
+        ("x1.", "bad hole at position 2 in 'x1.'"),
+        (".1.1x3; .={x1,x2}", "bad hole at position 0 in '.={x1,x2}'"),
+        ("x(x1)", "bad letter at position 0 in 'x(x1)'"),
+        ("x1 y2", "unexpected 'y' in 'x1 y2'"),
+        (".1.1x3; q={x1,x2}", "unexpected 'q' in 'q={x1,x2}'"),
+        (".1.1x3; .1={x1,y}", "unexpected 'y' in 'y'"),
+    ]:
+        with pytest.raises(HoleWordError) as err:
+            parse_word(text)
+        assert str(err.value) == message
+
+
 def test_validate_word_conditions(pba3):
     letters = pba3.letters
 

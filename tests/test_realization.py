@@ -236,7 +236,7 @@ def test_tight_facets_give_the_vertices_of_each_face(small_corpus, named):
         carrier = bit[h.full_mask]
         points = [vertex_of_construction(h, v).coords for v in vertices]
         at = [_plain_tight(h, p) for p in points]
-        keys = [sum(map(bit.__getitem__, constructs._spans(h, t))) for t in faces]
+        keys = [sum(map(bit.__getitem__, constructs._spans(constructs._checked(h, t)[1]))) for t in faces]
         node = constructs._keyed_node(h, constructs._text(h))
         keyed = {key: text for text, key, _ in enumerate_constructs(h, node=node)}
         assert len(keyed) == len(faces)
@@ -253,7 +253,7 @@ def test_tight_facets_give_the_vertices_of_each_face(small_corpus, named):
 def test_verify_isomorphism_catches_a_missing_vertex(monkeypatch):
     # verify_isomorphism reads the vertices below the top face off its record
     h = corpus.hemiassociahedron()
-    top = constructs._masks(h, min(enumerate_constructs(h), key=lambda t: t.node_count))
+    top = constructs._checked(h, min(enumerate_constructs(h), key=lambda t: t.node_count))[1]
     real = realization._vertices_below
 
     def lossy(h_, t, node=None):
@@ -289,7 +289,7 @@ def test_record_paths_build_no_construct(monkeypatch, named):
 def test_verify_isomorphism_catches_a_missing_cover(monkeypatch):
     # verify_isomorphism contracts the edges of each face's record
     h = corpus.hemiassociahedron()
-    vertex = constructs._masks(h, next(t for t in enumerate_constructs(h) if t.is_construction))
+    vertex = constructs._checked(h, next(t for t in enumerate_constructs(h) if t.is_construction))[1]
     real = constructs._covers
 
     def lossy(s):
@@ -378,8 +378,8 @@ def _kernel(h):
 
 def _solve(h, texts, keys, coords):
     report = _Witnesses()
-    points, tight = realization._solve(h, coords, keys, texts.__getitem__, report)
-    return points, report.strict, tight
+    tight = realization._solve(h, coords, keys, texts.__getitem__, report)
+    return coords, report.strict, tight
 
 
 def _solve_cases(small_corpus, named):
