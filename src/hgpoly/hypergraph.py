@@ -38,6 +38,9 @@ def _ordered_carrier(carrier: Iterable[str]) -> tuple[str, ...]:
     return items
 
 
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte, bits reversed
+
+
 class Hypergraph:
     """Immutable atomic hypergraph.
 
@@ -110,10 +113,12 @@ class Hypergraph:
     def _edge_key(self, m: int) -> int:
         """Size, then the ascending tuple of positions, as one integer. Two
         masks of one size first differ at the lowest bit of their XOR, set
-        in the earlier one; its complement has that bit clear, and reversing
-        the bits makes it the highest bit that differs."""
-        n = len(self.carrier)
-        return m.bit_count() << n | int(bin(self._full ^ m)[2:].zfill(n)[::-1], 2)
+        in the earlier one; reversing the bits, a byte at a time, makes it
+        the highest bit that differs, so the earlier mask has the larger
+        reversal and, subtracted, the smaller key."""
+        width = len(self.carrier) + 7 >> 3
+        flip = m.to_bytes(width, "little").translate(_REVERSED)
+        return (m.bit_count() << 8 * width) - int.from_bytes(flip, "big")
 
     def mask(self, atoms: Iterable[str]) -> int:
         m = 0
@@ -254,28 +259,74 @@ def saturate(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.carrier, [h.sorted_labels(m) for m in connected_subset_masks(h)])
 
 
+_BLOCK = 12  # the connected subsets with one high part (atoms 12 on) are one int of 2^12 bits
+_WORD = (1 << (1 << _BLOCK)) - 1
+# the low parts lacking atom i, as a bitset over the 2^12 low parts
+_LACKS = tuple(_WORD // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(_BLOCK))
+
+
 def connected_subset_masks(h: Hypergraph) -> tuple[int, ...]:
     """All non-empty connected subsets of the carrier, as masks, by size and
     then position; computed once per hypergraph.
 
     Grown from the singletons: a connected set united with an edge that
-    meets it and leaves it is connected, and every connected set is reached
-    so, by adding the edges inside it one by one. The cost is the number of
-    connected subsets times the number of edges, never 2^n."""
+    meets it is connected, and every connected set is reached so, by adding
+    the edges inside it one by one. The sets found are held in blocks: those
+    with one high part (their atoms from k = min(n, 12) up) are one int of
+    2^k bits, bit p set when the set with low part p is found. An edge grows
+    a block at once: it keeps the sets that it meets, adds its low atoms to
+    them, each a shift of the sets lacking that atom, and lands them in the
+    block of the high part united with its own. A pass grows the sets found
+    in the pass before, in every block that gained some, by each edge in
+    turn; the passes stop when one finds nothing new. The cost is at most
+    passes x edge atoms x blocks x 2^12/64 words, no int is wider than 2^12
+    bits, and reading the masks out is one step per connected subset: the
+    cost follows the number of connected subsets, never 2^n."""
     got = h._connected_subsets
     if got is None:
-        edges = [e for e in h.edge_masks if e & (e - 1)]
-        seen = {e for e in h.edge_masks if not e & (e - 1)}
-        todo = list(seen)
-        while todo:
-            s = todo.pop()
-            for e in edges:
-                if e & s and e & ~s:
-                    t = s | e
-                    if t not in seen:
-                        seen.add(t)
-                        todo.append(t)
-        got = tuple(sorted(seen, key=h._edge_key))
+        n = len(h.carrier)
+        k = min(n, _BLOCK)
+        word = (1 << (1 << k)) - 1
+        lacks = [x & word for x in _LACKS[:k]]
+        edges = []  # per edge: its high part, the low parts meeting its low atoms, its folds
+        for e in h.edge_masks:
+            if e & (e - 1):
+                misses, folds = word, []
+                for i in range(k):
+                    if e >> i & 1:
+                        misses &= lacks[i]
+                        folds.append((lacks[i], 1 << i))
+                edges.append((e >> k, word ^ misses, folds))
+        blocks: dict[int, int] = {}  # high part -> the low parts of the sets found
+        for i in range(n):
+            part, bit = (0, 1 << (1 << i)) if i < k else (1 << i - k, 1)
+            blocks[part] = blocks.get(part, 0) | bit
+        fresh = blocks.copy()
+        while fresh:
+            grown, fresh = fresh, {}
+            for part, sets in grown.items():
+                for high, meets, folds in edges:
+                    out = sets if part & high else sets & meets
+                    if not out:
+                        continue
+                    for lack, step in folds:
+                        moved = out & lack
+                        out = out ^ moved | moved << step  # out ^= ... would drop sets already in out
+                    to = part | high
+                    new = out & ~blocks.get(to, 0)
+                    if new:
+                        blocks[to] = blocks.get(to, 0) | new
+                        fresh[to] = fresh.get(to, 0) | new
+                        if to == part:  # the later edges of this pass grow them too
+                            sets |= new
+        found = []
+        for part, sets in blocks.items():
+            base, bits = part << k, bin(sets)[:1:-1]
+            p = bits.find("1")
+            while p >= 0:
+                found.append(base | p)
+                p = bits.find("1", p + 1)
+        got = tuple(sorted(found, key=h._edge_key))
         object.__setattr__(h, "_connected_subsets", got)
     return got
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from itertools import starmap
 
 from . import constructs
 from .constructs import (
@@ -67,17 +69,24 @@ class HalfSpaceSystem:
     masks: tuple[int, ...]
 
     def _rows(self):
+        """(labels, rhs, kind) per mask. A row's labels are those of its low
+        n // 2 atoms followed by those of its high ones, each half spelled
+        once, when first met."""
         h = self.ambient
+        n = len(h.carrier)
+        labels, full = cache(h.sorted_labels), h.full_mask
+        low = (1 << n // 2) - 1
+        high, rhs = full ^ low, [3**k for k in range(n + 1)]
         for m in self.masks:
-            kind = "equality" if m == h.full_mask else "at-least"
-            yield h.sorted_labels(m), 3 ** m.bit_count(), kind
+            kind = "equality" if m == full else "at-least"
+            yield labels(m & low) + labels(m & high), rhs[m.bit_count()], kind
 
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
         return tuple(LinearConstraint(frozenset(s), rhs, kind) for s, rhs, kind in self._rows())
 
     def to_text(self) -> str:
-        return "".join(_row(*row) + "\n" for row in self._rows())
+        return "\n".join(starmap(_row, self._rows())) + "\n" if self.masks else ""
 
     def to_json_dict(self) -> dict:
         rows = [{"support": list(s), "rhs": str(r), "kind": k} for s, r, k in self._rows()]

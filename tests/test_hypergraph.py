@@ -164,14 +164,63 @@ def test_connected_subsets_match_the_brute_force_filter(small_corpus, named):
         assert connected_subset_masks(h) == _brute_connected_subsets(h), h
 
 
+def test_connected_subsets_match_the_brute_force_filter_past_one_block():
+    """Past 12 atoms the subsets are held in several blocks, one per high
+    part (the atoms from 12 on)."""
+    rng = random.Random(30)
+    for n in (11, 12, 13, 13, 14, 14):
+        h = _random_atomic(rng, n)
+        masks = connected_subset_masks(h)
+        assert masks == _brute_connected_subsets(h), h
+        if n > 12:
+            assert len({m >> 12 for m in masks}) > 1, h
+
+
+def _graph(n, pairs):
+    atoms = [f"a{i}" for i in range(n)]
+    return Hypergraph(atoms, [[a] for a in atoms] + [[atoms[i], atoms[j]] for i, j in pairs])
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_complete_graph_has_every_subset_connected(n):
+    masks = connected_subset_masks(_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
+    assert len(masks) == 2**n - 1 and len(set(masks)) == len(masks)
+
+
+@pytest.mark.parametrize("n", [13, 24, 40, 80])
+def test_path_has_its_intervals_connected(n):
+    masks = connected_subset_masks(_graph(n, [(i, i + 1) for i in range(n - 1)]))
+    assert len(masks) == n * (n + 1) // 2
+    assert set(masks) == {(1 << j + 1) - (1 << i) for i in range(n) for j in range(i, n)}
+
+
+def test_path_in_shuffled_order_has_its_runs_connected():
+    """The edges meet the atoms out of carrier order, so a set grows by
+    edges that come before the ones it grew by."""
+    n = 40
+    order = random.Random(30).sample(range(n), n)
+    masks = connected_subset_masks(_graph(n, [(order[i], order[i + 1]) for i in range(n - 1)]))
+    runs = {sum(1 << a for a in order[i : j + 1]) for i in range(n) for j in range(i, n)}
+    assert len(masks) == len(runs) and set(masks) == runs
+
+
+@pytest.mark.parametrize("n", [3, 5, 13, 24, 40])
+def test_cycle_has_its_arcs_connected(n):
+    """n arcs of each length 1 .. n - 1, and the whole cycle."""
+    masks = connected_subset_masks(_graph(n, [(i, (i + 1) % n) for i in range(n)]))
+    assert len(masks) == n * (n - 1) + 1
+
+
 def test_connected_subsets_do_not_walk_every_mask():
-    atoms = [f"a{i}" for i in range(24)]
-    edges = [[a] for a in atoms] + [[atoms[i], atoms[i + 1]] for i in range(23)]
-    h = Hypergraph(atoms, edges)
-    masks = connected_subset_masks(h)
-    assert len(masks) == 300
-    assert masks[-1] == h.full_mask
-    assert len(h._comp_cache) <= 300
+    """A path of n atoms has n(n+1)/2 connected subsets among 2^n masks; a
+    walk over the masks would not end at 80 atoms."""
+    for n in (24, 80):
+        atoms = [f"a{i}" for i in range(n)]
+        edges = [[a] for a in atoms] + [[atoms[i], atoms[i + 1]] for i in range(n - 1)]
+        h = Hypergraph(atoms, edges)
+        masks = connected_subset_masks(h)
+        assert len(masks) == n * (n + 1) // 2
+        assert masks[-1] == h.full_mask
 
 
 def test_edge_order_is_canonical_past_atom_63():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -536,8 +537,26 @@ def test_distinct_points_witness(monkeypatch):
 # -- hrep against constraints built label by label --------------------------
 
 
+def _connected_atomic(rng, atoms):
+    """A random connected atomic hypergraph: a random spanning path and
+    some random edges of 2-4 atoms."""
+    order = rng.sample(atoms, len(atoms))
+    edges = [[a] for a in atoms] + [order[i : i + 2] for i in range(len(atoms) - 1)]
+    edges += [rng.sample(atoms, rng.randint(2, 4)) for _ in range(rng.randint(0, len(atoms)))]
+    return Hypergraph(atoms, edges)
+
+
 def test_hrep_rows_are_the_connected_subsets(small_corpus, named):
-    for h in [*small_corpus, *named.values()]:
+    """Past 8 atoms a row's labels join two halves; labels may be long or
+    hold spaces."""
+    rng = random.Random(30)
+    randoms = [_connected_atomic(rng, [f"a{i}" for i in range(n)]) for n in range(11, 17)]
+    spaced = [_connected_atomic(rng, [f"atom {i}" for i in range(n)]) for n in (9, 13)]
+    odd = [
+        Hypergraph(["x"], [["x"]]),
+        Hypergraph(["a b", "cd", "e"], [["a b"], ["cd"], ["e"], ["a b", "cd"], ["cd", "e"]]),
+    ]
+    for h in [*small_corpus, *named.values(), *randoms, *spaced, *odd]:
         want = tuple(
             LinearConstraint(
                 h.labels(m), 3 ** len(h.labels(m)),
@@ -552,3 +571,5 @@ def test_hrep_rows_are_the_connected_subsets(small_corpus, named):
             {"support": list(h.sorted_labels(c.support)), "rhs": str(c.rhs), "kind": c.kind}
             for c in want
         ], h
+    assert hrep(odd[0]).to_text() == "x == 3\n"
+    assert hrep(odd[1]).to_text().splitlines()[-2:] == ["cd + e >= 9", "a b + cd + e == 27"]
