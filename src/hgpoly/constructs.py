@@ -20,10 +20,10 @@ h and returns its canonical form with its record: children may come in
 any order, and a tree that is not a construct raises ConstructError.
 Three independent implementations of the face order are kept deliberately
 separate so their agreement can be tested: `rules` asks whether t lies in
-the breadth-first closure of the record `_covers` from s, memoised on the
-hypergraph, while `v2` and `v3` recurse over the records of s and t. `leq`
-memoises one checked record per queried face on the hypergraph, and
-`covers` and `vertices_below` convert their results back at return.
+the closure of the record `_covers` from s, while `v2` and `v3` recurse
+over the records of s and t. All three read one face table on the
+hypergraph, one entry per face met, and `covers` and `vertices_below`
+convert their results back at return.
 """
 
 from __future__ import annotations
@@ -453,30 +453,26 @@ def covers(h: Hypergraph, s: Construct) -> list[Construct]:
 
 def _up(h: Hypergraph, s: tuple) -> frozenset[tuple]:
     """The records of the faces reachable from the record s along
-    single-edge contractions, s included: one closure of _covers, memoised
-    on h for the faces s it is asked about. A face whose up-set is memoised
-    adds it whole, unexpanded, since up(v) lies inside up(s). h._face_cache
-    interns each face met as [record, its covers' records], so separate
-    searches share one record per face and contract each face once."""
-    memo, faces = h._up_cache, h._face_cache
-    got = memo.get(s)
-    if got is None:
-        s = faces.setdefault(s, [s, None])[0]
-        seen, todo = {s}, [s]
+    single-edge contractions, s included, stored on s's entry in the face
+    table h._face_cache. Searches share one record per face and contract each
+    face once; a face whose up-set is stored adds it whole, as it lies in up(s)."""
+    faces = h._face_cache
+    top = faces.setdefault(s, [s, None, None])
+    if top[2] is None:
+        seen, todo = {top[0]}, [top]
         while todo:
-            entry = faces[todo.pop()]
+            entry = todo.pop()
             if entry[1] is None:
-                entry[1] = [faces.setdefault(v, [v, None])[0] for v in _covers(entry[0])]
+                entry[1] = [faces.setdefault(v, [v, None, None]) for v in _covers(entry[0])]
             for v in entry[1]:
-                if v not in seen:
-                    known = memo.get(v)
-                    if known is None:
-                        seen.add(v)
+                if v[0] not in seen:
+                    if v[2] is None:
+                        seen.add(v[0])
                         todo.append(v)
                     else:
-                        seen |= known
-        got = memo[s] = frozenset(seen)
-    return got
+                        seen |= v[2]
+        top[2] = frozenset(seen)
+    return top[2]
 
 
 def _leq_v2(s: tuple, x: int, kids) -> bool:
@@ -540,22 +536,28 @@ def _leq_v3(s: tuple, t: tuple) -> bool:
     return True
 
 
+def _entry(h: Hypergraph, t: Construct) -> list:
+    """leq's miss path: check the Construct t once and key its face's entry on h."""
+    r = _checked(h, t)[1]
+    return h._mask_cache.setdefault(t, h._face_cache.setdefault(r, [r, None, None]))
+
+
 def leq(s: Construct, t: Construct, h: Hypergraph, variant: str = "v2") -> bool:
     """Face order: s is a face of t. Variants are independent
     implementations that must agree: `rules` asks whether t's record is in
-    the memoised contraction closure of s's, `v2` and `v3` decide on the
-    mask records of s and t. Both must be constructs of h, their children
-    in any order; a tree that is not one raises ConstructError."""
-    # the only memo lookups, one checked record per queried face: v2 and v3 recurse below
+    the contraction closure of s's, stored on s's entry, `v2` and `v3`
+    decide on the mask records of s and t. Both must be constructs of h,
+    their children in any order; a tree that is not one raises ConstructError."""
+    # the only memo lookups, one face entry per queried face: v2 and v3 recurse below
     masks = h._mask_cache
-    srec = masks.get(s) or masks.setdefault(s, _checked(h, s)[1])
-    trec = masks.get(t) or masks.setdefault(t, _checked(h, t)[1])
+    s = masks.get(s) or _entry(h, s)
+    t = masks.get(t) or _entry(h, t)
     if variant == "rules":
-        return trec in (h._up_cache.get(srec) or _up(h, srec))
+        return t[0] in (s[2] or _up(h, s[0]))
     if variant == "v2":
-        return _leq_v2(srec, trec[0], trec[2])
+        return _leq_v2(s[0], t[0][0], t[0][2])
     if variant == "v3":
-        return _leq_v3(srec, trec)
+        return _leq_v3(s[0], t[0])
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -54,7 +54,7 @@ class Hypergraph:
 
     __slots__ = (
         "carrier", "_index", "_edge_masks", "_full", "_comp_cache", "_mask_cache",
-        "_up_cache", "_face_cache", "_connected_subsets",
+        "_face_cache", "_connected_subsets",
     )
 
     def __init__(
@@ -95,13 +95,10 @@ class Hypergraph:
         object.__setattr__(self, "_full", full)
         object.__setattr__(self, "_edge_masks", tuple(sorted(masks, key=self._edge_key)))
         object.__setattr__(self, "_comp_cache", {})
-        # queried face -> its checked mask record (decoration, span, child records), for leq only
-        object.__setattr__(self, "_mask_cache", {})
-        # the rules order, filled by constructs._up: queried record -> the
-        # frozenset of the records above it, and each face met -> [the one
-        # record held for it, the records of its covers]
-        object.__setattr__(self, "_up_cache", {})
+        # the face order's one table, filled by constructs.leq and _up: face
+        # record -> [record, covers' entries, up-set once asked]; Construct -> entry
         object.__setattr__(self, "_face_cache", {})
+        object.__setattr__(self, "_mask_cache", {})
         # set by connected_subset_masks on first use
         object.__setattr__(self, "_connected_subsets", None)
 

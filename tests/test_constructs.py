@@ -321,11 +321,15 @@ def test_up_memo_is_owned_by_its_hypergraph_and_holds_closures():
     assert h == twin and h is not twin
     faces = enumerate_constructs(h)
     assert leq(faces[-1], faces[0], h, "rules")
-    assert h._up_cache and not twin._up_cache
-    # the memo is keyed by the records of faces and holds records
+    assert h._face_cache and not twin._face_cache
+    # the face table is keyed by the records of faces, each entry holds its
+    # key, and the up-set stored on an entry holds records
     records = {_record(h, t): t for t in faces}
-    assert set(h._up_cache) <= set(records)
-    for s, got in h._up_cache.items():
+    assert set(h._face_cache) <= set(records)
+    assert all(entry[0] is s for s, entry in h._face_cache.items())
+    ups = {s: entry[2] for s, entry in h._face_cache.items() if entry[2] is not None}
+    assert ups
+    for s, got in ups.items():
         # a plain breadth-first closure of the public covers, with no memo
         seen, frontier = {records[s]}, [records[s]]
         while frontier:
@@ -486,18 +490,19 @@ def test_the_order_and_the_vertex_paths_refuse_a_tree_that_is_no_face(named):
 
 def test_mask_records_and_spans_mirror_the_tree(small_corpus, named):
     # the checked walk's record of a construct is (decoration mask, span
-    # mask, the children's records in the children's order), leq memoises
-    # that one record per queried face, and _spans reads the same spans in
-    # preorder; each hypergraph is a fresh copy, so the shared fixtures'
-    # memos stay as the other tests leave them
+    # mask, the children's records in the children's order), leq keys each
+    # queried face to the face table's entry holding that one record, and
+    # _spans reads the same spans in preorder; each hypergraph is a fresh
+    # copy, so the shared fixtures' memos stay as the other tests leave them
     cases = list(small_corpus) + [h for h in named.values() if len(h.carrier) <= 5]
     checked = 0
     for h in (Hypergraph(g.carrier, g.hyperedges) for g in cases):
         faces = enumerate_constructs(h)
         for t in faces:
             assert leq(t, t, h)
-            record = h._mask_cache[t]
+            record = h._mask_cache[t][0]
             assert record == _record(h, t)
+            assert h._face_cache[record] is h._mask_cache[t]
             todo = [(t, record)]
             while todo:
                 n, (dec, span, kids) = todo.pop()
@@ -506,7 +511,7 @@ def test_mask_records_and_spans_mirror_the_tree(small_corpus, named):
                 todo += zip(n.children, kids)
                 checked += 1
             assert _spans(record) == [h.mask(n.span) for n in t.nodes()]
-        assert len(h._mask_cache) == len(faces)
+        assert len(h._mask_cache) == len(h._face_cache) == len(faces)
     assert checked == 29396
     h = named["2-simplex"]
     (p,) = spanning_partial_constructions(h, ["x"])
@@ -519,7 +524,7 @@ def test_mask_records_and_spans_mirror_the_tree(small_corpus, named):
 
 
 class _CountingDict(dict):
-    """A dict that counts the lookups made through get and []."""
+    """A dict that counts the lookups made through get, [], `in` and setdefault."""
 
     lookups = 0
 
@@ -531,23 +536,39 @@ class _CountingDict(dict):
         self.lookups += 1
         return super().__getitem__(key)
 
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def setdefault(self, key, default=None):
+        self.lookups += 1
+        return super().setdefault(key, default)
+
 
 def test_leq_v2_and_v3_look_up_only_s_and_t():
-    # once the records are built, v2 and v3 recurse over them: each call
-    # reads the memo for s and for t and nothing below
+    # once every s has been queried, each call reads the node memo for s
+    # and for t and no other dict on h, the face table included: v2 and v3
+    # recurse over the records on the two entries, and rules reads the
+    # up-set stored on s's entry
     for h in (corpus.hemiassociahedron(), corpus.complete_graph(4)):
-        memo = _CountingDict()
-        object.__setattr__(h, "_mask_cache", memo)
+        memos = {}
+        for name in Hypergraph.__slots__:
+            if type(getattr(h, name)) is dict:
+                memos[name] = _CountingDict(getattr(h, name))
+                object.__setattr__(h, name, memos[name])
+        assert {"_mask_cache", "_face_cache"} <= memos.keys()
         faces = enumerate_constructs(h)
         for s in faces:
             for t in faces:
-                leq(s, t, h, "v2")
-        for variant in ("v2", "v3"):
-            memo.lookups = 0
+                leq(s, t, h, "rules")
+        for variant in VARIANTS:
+            for memo in memos.values():
+                memo.lookups = 0
             for s in faces:
                 for t in faces:
                     leq(s, t, h, variant)
-            assert memo.lookups == 2 * len(faces) ** 2, variant
+            reads = {name: memo.lookups for name, memo in memos.items() if memo.lookups}
+            assert reads == {"_mask_cache": 2 * len(faces) ** 2}, variant
 
 
 def test_up_sets_are_boolean_intervals(small_corpus, named):
@@ -574,9 +595,11 @@ def test_order_memos_are_owned_by_their_hypergraph():
     probe = Construct(decoration, vertex.children)
     for variant in VARIANTS:
         assert leq(probe, top, h, variant)
-    # the rules memo is keyed by the probe's record, held by the node memo
-    assert probe in h._mask_cache and h._mask_cache[probe] in h._up_cache
-    assert not twin._mask_cache and not twin._up_cache and not twin._face_cache
+    # the node memo keys the probe to its face's entry, which holds the
+    # probe's record and, once rules asked, its up-set
+    entry = h._mask_cache[probe]
+    assert h._face_cache[entry[0]] is entry and entry[2] is not None
+    assert not twin._mask_cache and not twin._face_cache
     ref = weakref.ref(decoration)
     del probe, decoration
     gc.collect()
@@ -591,17 +614,17 @@ def test_only_leq_keeps_node_masks_on_the_hypergraph():
     # node masks dies with the call
     h = corpus.complete_graph(5)
     assert verify_isomorphism(h).ok
-    assert not h._mask_cache
+    assert not h._mask_cache and not h._face_cache
     g = build_edge_graph(parse_tree("a(b(c,d),e)"))
     skeleton_dot(g)
-    assert not g.hypergraph._mask_cache
+    assert not g.hypergraph._mask_cache and not g.hypergraph._face_cache
     h = corpus.path_graph(4)
     for s in enumerate_constructs(h):
         covers(h, s)
-    assert not h._mask_cache
+    assert not h._mask_cache and not h._face_cache
     ht = corpus.path_graph(4)
     next_round(simplex_round(ht.carrier, ht))
-    assert not ht._mask_cache
+    assert not ht._mask_cache and not ht._face_cache
 
 
 def test_order_follows_the_carrier_order_of_each_hypergraph():
@@ -629,8 +652,8 @@ def test_rules_memoises_only_the_queried_up_set():
     chain = parse_construct(h, "(".join(atoms) + ")" * (n - 1))
     top = Construct(frozenset(h.carrier))
     assert leq(chain, top, h, "rules")
-    assert list(h._up_cache) == [_record(h, chain)]
-    assert len(h._up_cache[_record(h, chain)]) == 2 ** (n - 1)
+    assert [r for r, entry in h._face_cache.items() if entry[2] is not None] == [_record(h, chain)]
+    assert len(h._face_cache[_record(h, chain)][2]) == 2 ** (n - 1)
 
 
 def _contractions(h, s):
@@ -688,8 +711,8 @@ def test_up_sets_share_one_record_per_face(monkeypatch):
             for t in faces:
                 leq(s, t, h, "rules")
         held = {}
-        for up in h._up_cache.values():
+        for _, _, up in h._face_cache.values():
             for r in up:
-                assert held.setdefault(r, r) is r
+                assert held.setdefault(r, r) is r and h._face_cache[r][0] is r
         assert len(held) == len(h._face_cache) == len(faces) == 75
         assert sorted(r for r in contracted if r[1] == h.full_mask) == sorted(held)
