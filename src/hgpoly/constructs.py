@@ -162,54 +162,56 @@ def parse_construct(h: Hypergraph, text: str) -> Construct:
     but belongs to the label it sits inside, as in `a b`. The result is
     validated against h; nesting deeper than h has atoms is refused."""
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ConstructError(f"unexpected end of input in {text!r}")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ConstructError(f"expected {expected!r}, found {tok!r} in {text!r}")
-        pos += 1
-        return tok
-
-    def parse_set() -> frozenset[str]:
-        if peek() == "{":
-            take("{")
-            atoms = [take()]
-            while peek() == ",":
-                take(",")
-                atoms.append(take())
-            take("}")
-        else:
-            atoms = [take()]
-        for a in atoms:
-            if a in "{}(),":
-                raise ConstructError(f"bad atom {a!r} in {text!r}")
-        return frozenset(atoms)
-
-    def parse_node(depth: int) -> Construct:
-        if depth > len(h.carrier):  # a construct has at most one node per atom
-            raise ConstructError(f"nesting deeper than the {len(h.carrier)} atoms of the carrier in {text!r}")
-        dec = parse_set()
-        kids: list[Construct] = []
-        if peek() == "(":
-            take("(")
-            kids.append(parse_node(depth + 1))
-            while peek() == ",":
-                take(",")
-                kids.append(parse_node(depth + 1))
-            take(")")
-        return Construct(dec, tuple(kids))
-
-    tree = parse_node(1)
+    tree, pos = _parse_node(h, tokens, 0, text, 1)
     if pos != len(tokens):
         raise ConstructError(f"trailing input {tokens[pos:]} in {text!r}")
     return validate_construct(h, tree)
+
+
+def _take(tokens: list[str], pos: int, text: str, expected: str | None = None) -> str:
+    """The token at pos, which must be expected if that is given."""
+    if pos >= len(tokens):
+        raise ConstructError(f"unexpected end of input in {text!r}")
+    tok = tokens[pos]
+    if expected is not None and tok != expected:
+        raise ConstructError(f"expected {expected!r}, found {tok!r} in {text!r}")
+    return tok
+
+
+def _parse_set(tokens: list[str], pos: int, text: str) -> tuple[frozenset[str], int]:
+    """The atom set at pos, braced or a single label, and the position after it."""
+    if pos < len(tokens) and tokens[pos] == "{":
+        atoms = [_take(tokens, pos + 1, text)]
+        pos += 2
+        while pos < len(tokens) and tokens[pos] == ",":
+            atoms.append(_take(tokens, pos + 1, text))
+            pos += 2
+        _take(tokens, pos, text, "}")
+        pos += 1
+    else:
+        atoms = [_take(tokens, pos, text)]
+        pos += 1
+    for a in atoms:
+        if a in "{}(),":
+            raise ConstructError(f"bad atom {a!r} in {text!r}")
+    return frozenset(atoms), pos
+
+
+def _parse_node(h: Hypergraph, tokens: list[str], pos: int, text: str, depth: int) -> tuple[Construct, int]:
+    """The tree at pos, depth nodes below the top, and the position after it."""
+    if depth > len(h.carrier):  # a construct has at most one node per atom
+        raise ConstructError(f"nesting deeper than the {len(h.carrier)} atoms of the carrier in {text!r}")
+    dec, pos = _parse_set(tokens, pos, text)
+    kids: list[Construct] = []
+    if pos < len(tokens) and tokens[pos] == "(":
+        kid, pos = _parse_node(h, tokens, pos + 1, text, depth + 1)
+        kids.append(kid)
+        while pos < len(tokens) and tokens[pos] == ",":
+            kid, pos = _parse_node(h, tokens, pos + 1, text, depth + 1)
+            kids.append(kid)
+        _take(tokens, pos, text, ")")
+        pos += 1
+    return Construct(dec, tuple(kids)), pos
 
 
 # -- validation and enumeration ---------------------------------------
@@ -225,39 +227,40 @@ def _checked(h: Hypergraph, t: Construct) -> tuple[Construct, tuple]:
     """The one walk that turns a Construct into masks: validate_construct's
     check of t against h, returning the canonical form and its mask record
     (decoration mask, span mask, child records in component order)."""
-
-    def rec(node: Construct, ambient: int) -> tuple[Construct, tuple]:
-        if isinstance(node, Omega):
-            raise ConstructError("Omega leaf in a plain construct")
-        labels, children = node.decoration, node.children
-        if not labels:
-            raise ConstructError("empty decoration")
-        try:
-            dec = h.mask(labels)
-            by_span = {h.mask(c.span): c for c in children}
-        except HypergraphError as err:
-            raise ConstructError(str(err)) from None
-        if dec & ~ambient:
-            extra = h.sorted_labels(dec & ~ambient)
-            raise ConstructError(
-                f"decoration {print_atom_set(h, labels)} leaves its component (atoms {extra})"
-            )
-        comps = h.components_mask(ambient & ~dec)
-        if len(children) != len(comps) or by_span.keys() != set(comps):
-            want = [print_atom_set(h, h.labels(c)) for c in comps]
-            got = [print_atom_set(h, c.span) for c in children]
-            raise ConstructError(
-                f"children of {print_atom_set(h, labels)} span {got}, "
-                f"expected the components {want}"
-            )
-        if not comps:
-            return node, (dec, ambient, ())
-        trees, records = zip(*[rec(by_span[c], c) for c in comps])
-        return (node if trees == children else Construct(labels, trees)), (dec, ambient, records)
-
     if not is_connected(h):
         raise ConstructError("ambient hypergraph is disconnected")
-    return rec(t, h.full_mask)
+    return _checked_node(h, t, h.full_mask)
+
+
+def _checked_node(h: Hypergraph, node: Construct, ambient: int) -> tuple[Construct, tuple]:
+    """_checked below one node, whose subtree must span the mask ambient."""
+    if isinstance(node, Omega):
+        raise ConstructError("Omega leaf in a plain construct")
+    labels, children = node.decoration, node.children
+    if not labels:
+        raise ConstructError("empty decoration")
+    try:
+        dec = h.mask(labels)
+        by_span = {h.mask(c.span): c for c in children}
+    except HypergraphError as err:
+        raise ConstructError(str(err)) from None
+    if dec & ~ambient:
+        extra = h.sorted_labels(dec & ~ambient)
+        raise ConstructError(
+            f"decoration {print_atom_set(h, labels)} leaves its component (atoms {extra})"
+        )
+    comps = h.components_mask(ambient & ~dec)
+    if len(children) != len(comps) or by_span.keys() != set(comps):
+        want = [print_atom_set(h, h.labels(c)) for c in comps]
+        got = [print_atom_set(h, c.span) for c in children]
+        raise ConstructError(
+            f"children of {print_atom_set(h, labels)} span {got}, "
+            f"expected the components {want}"
+        )
+    if not comps:
+        return node, (dec, ambient, ())
+    trees, records = zip(*[_checked_node(h, by_span[c], c) for c in comps])
+    return (node if trees == children else Construct(labels, trees)), (dec, ambient, records)
 
 
 def _check_size(
@@ -311,32 +314,33 @@ def _trees(
     Children come in canonical order, by least atom of `spanned` (the
     atoms the trees span; an Omega leaf by least carried atom). node(region,
     y), called once per region and root decoration y, returns the maker of
-    each tree from its subtrees, by default Construct(h.labels(y), kids)."""
+    each tree from its subtrees, by default Construct(h.labels(y), kids).
+    The trees over each region are built once, by _grown on a memo that
+    lives for this call."""
     if node is None:
         node = lambda region, y: partial(Construct, h.labels(y))
-    memo: dict[int, list] = {}
 
     def order(c: int) -> int:
         k = c & spanned or c
         return k & -k
 
-    def rec(region: int) -> list:
-        got = memo.get(region)
-        if got is not None:
-            return got
-        got = []
-        for y in decorations(region & xmask):
-            parts = [
-                rec(c) if c & xmask else fill(c)
-                for c in sorted(h.components_mask(region & ~y), key=order)
-            ]
-            got.extend(map(node(region, y), product(*parts)))
-        memo[region] = got
-        return got
+    return _grown(h, ambient, {}, decorations, xmask, fill, node, order)
 
-    top = rec(ambient)
-    memo.clear()  # rec refers to itself: the memo would wait for a collection
-    return top
+
+def _grown(h: Hypergraph, region: int, memo: dict, decorations, xmask: int, fill, node, order) -> list:
+    """The trees of _trees over region, stored on memo by region."""
+    got = memo.get(region)
+    if got is not None:
+        return got
+    got = []
+    for y in decorations(region & xmask):
+        parts = [
+            _grown(h, c, memo, decorations, xmask, fill, node, order) if c & xmask else fill(c)
+            for c in sorted(h.components_mask(region & ~y), key=order)
+        ]
+        got.extend(map(node(region, y), product(*parts)))
+    memo[region] = got
+    return got
 
 
 def _text(h: Hypergraph):
@@ -571,36 +575,33 @@ def rewrite_step(h: Hypergraph, p: Construct | Omega, x: str, target) -> Constru
     xbit = h.mask([x])
     if not xbit & tmask or xbit & h.mask(p.span):
         raise ConstructError(f"atom {x!r} is not in target minus span")
-
-    def expand(k: frozenset[str]) -> Construct:
-        kmask = h.mask(k)
-        parts = h.components_mask(kmask & ~xbit)
-        return make_node(h, {x}, tuple(Omega(h.labels(m)) for m in parts))
-
     if isinstance(p, Omega):
         if x not in p.carried:
             raise ConstructError(f"atom {x!r} lies in no Omega leaf")
-        return expand(p.carried)
-
-    replaced = False
-
-    def rec(node: Construct) -> Construct:
-        nonlocal replaced
-        kids = []
-        for c in node.children:
-            if isinstance(c, Omega) and x in c.carried:
-                kids.append(expand(c.carried))
-                replaced = True
-            elif isinstance(c, Construct):
-                kids.append(rec(c))
-            else:
-                kids.append(c)
-        return make_node(h, node.decoration, kids)
-
-    out = rec(p)
-    if not replaced:
+        return _expanded(h, p, x)
+    out = _rewritten(h, p, x)
+    if x not in out.span:  # x is in no decoration of p, so no leaf was expanded
         raise ConstructError(f"atom {x!r} lies in no Omega leaf")
     return out
+
+
+def _expanded(h: Hypergraph, leaf: Omega, x: str) -> Construct:
+    """The Omega leaf holding x as x over a fresh leaf per part it separates."""
+    parts = h.components_mask(h.mask(leaf.carried) & ~h.mask([x]))
+    return make_node(h, {x}, tuple(Omega(h.labels(m)) for m in parts))
+
+
+def _rewritten(h: Hypergraph, node: Construct, x: str) -> Construct:
+    """node with the Omega leaf below it that holds x expanded, if any."""
+    kids = []
+    for c in node.children:
+        if isinstance(c, Omega) and x in c.carried:
+            kids.append(_expanded(h, c, x))
+        elif isinstance(c, Construct):
+            kids.append(_rewritten(h, c, x))
+        else:
+            kids.append(c)
+    return make_node(h, node.decoration, kids)
 
 
 def spanning_partial_constructions(h: Hypergraph, x) -> list[Construct]:
@@ -615,15 +616,12 @@ def spanning_partial_constructions(h: Hypergraph, x) -> list[Construct]:
 
 def _vertices_below(h: Hypergraph, t: tuple, node=None) -> list:
     """The constructions below the face with record t, each once, in the
-    kernel's order: every node of t becomes a spanning partial construction,
-    grafted recursively. node goes to _trees."""
-
-    def rec(r: tuple) -> list:
-        y, span, kids = r
-        below = {k[1]: rec(k) for k in kids}
-        return _trees(h, span, _bits, y, span, below.__getitem__, node)
-
-    return rec(t)
+    kernel's order: every node of t becomes a spanning partial construction
+    over its span, one _trees run whose leaves are the constructions below
+    its children, from this function on each child. node goes to _trees."""
+    y, span, kids = t
+    below = {k[1]: _vertices_below(h, k, node) for k in kids}
+    return _trees(h, span, _bits, y, span, below.__getitem__, node)
 
 
 def vertices_below(h: Hypergraph, t: Construct) -> list[Construct]:

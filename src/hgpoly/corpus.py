@@ -196,12 +196,10 @@ def _forests(total: int, bound: tuple | None) -> tuple[tuple, ...]:
 def all_operadic_trees(n_nodes: int) -> list[OperadicTree]:
     """All rooted trees with exactly n nodes, one per shape, labeled
     a, b, c, ... in preorder."""
+    return [_labelled(shape, iter(string.ascii_lowercase)) for shape in _tree_shapes(n_nodes)]
 
-    def label(shape: tuple, names) -> OperadicTree:
-        own = next(names)
-        return OperadicTree(own, tuple(label(c, names) for c in shape))
 
-    return [
-        label(shape, iter(string.ascii_lowercase))
-        for shape in _tree_shapes(n_nodes)
-    ]
+def _labelled(shape: tuple, names) -> OperadicTree:
+    """The tree of shape, its nodes labelled in preorder from the iterator names."""
+    own = next(names)
+    return OperadicTree(own, tuple(_labelled(c, names) for c in shape))

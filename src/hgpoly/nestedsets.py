@@ -32,17 +32,19 @@ class NestedSetError(ValueError):
 
 
 def psi(t: Construct) -> frozenset[frozenset[str]]:
-    """The family of subtree unions, one per node; contains the carrier."""
+    """The family of subtree unions, one per node; contains the carrier.
+    Each union is built once, bottom up, by _unions."""
     out: set[frozenset[str]] = set()
-
-    def rec(node: Construct) -> frozenset[str]:
-        up = frozenset(node.decoration).union(*(rec(c) for c in node.children)) \
-            if node.children else node.decoration
-        out.add(up)
-        return up
-
-    rec(t)
+    _unions(t, out)
     return frozenset(out)
+
+
+def _unions(node: Construct, out: set) -> frozenset[str]:
+    """The union below node, built from its children's; each union below it goes into out."""
+    up = frozenset(node.decoration).union(*(_unions(c, out) for c in node.children)) \
+        if node.children else node.decoration
+    out.add(up)
+    return up
 
 
 def condition_c(h: Hypergraph, members) -> tuple[frozenset[str], ...] | None:
@@ -124,21 +126,7 @@ def check_tree_characterization(h: Hypergraph, t: Construct, variant: str) -> bo
 
     ups: list[frozenset[str]] = []
     decorations: list[frozenset[str]] = []
-    c_prime_ok = True
-
-    def rec(node: Construct) -> frozenset[str]:
-        nonlocal c_prime_ok
-        decorations.append(node.decoration)
-        child_ups = [rec(c) for c in node.children]
-        for size in range(2, len(child_ups) + 1):
-            for group in combinations(child_ups, size):
-                if h.connected_mask(h.mask(frozenset().union(*group))):
-                    c_prime_ok = False
-        up = node.decoration.union(*child_ups) if child_ups else node.decoration
-        ups.append(up)
-        return up
-
-    total = rec(t)
+    total, c_prime_ok = _tree_walk(h, t, decorations, ups)
     # A: pairwise disjoint decorations covering the carrier
     if sum(len(d) for d in decorations) != len(total) or total != frozenset(h.carrier):
         return False
@@ -152,6 +140,23 @@ def check_tree_characterization(h: Hypergraph, t: Construct, variant: str) -> bo
     if variant == "ABC":
         return condition_c(h, set(ups)) is None
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def _tree_walk(h: Hypergraph, node: Construct, decorations: list, ups: list) -> tuple[frozenset[str], bool]:
+    """The union below node, and whether C' holds below it: no two or more
+    sibling unions have a connected union. The decorations below node go
+    into decorations in preorder, and the unions into ups in postorder."""
+    decorations.append(node.decoration)
+    walked = [_tree_walk(h, c, decorations, ups) for c in node.children]
+    child_ups = [up for up, _ in walked]
+    c_prime_ok = all(ok for _, ok in walked)
+    for size in range(2, len(child_ups) + 1):
+        for group in combinations(child_ups, size):
+            if h.connected_mask(h.mask(frozenset().union(*group))):
+                c_prime_ok = False
+    up = node.decoration.union(*child_ups) if child_ups else node.decoration
+    ups.append(up)
+    return up, c_prime_ok
 
 
 def check_tubing_conditions(h: Hypergraph, family) -> bool:

@@ -75,10 +75,11 @@ class OperadicTree:
         return bool(self.children)
 
     def to_json_dict(self) -> dict:
-        def rec(node: OperadicTree) -> dict:
-            return {"label": node.label, "children": [rec(c) for c in node.children]}
+        return {"format": 1, **_json_node(self)}
 
-        return {"format": 1, **rec(self)}
+
+def _json_node(node: OperadicTree) -> dict:
+    return {"label": node.label, "children": [_json_node(c) for c in node.children]}
 
 
 def tree_from_json_dict(data: dict) -> OperadicTree:
@@ -86,51 +87,45 @@ def tree_from_json_dict(data: dict) -> OperadicTree:
         raise OperadicTreeError("tree JSON must be an object")
     if not _is_format_1(data):
         raise OperadicTreeError("unsupported format version")
+    return _tree_of_json(data)
 
-    def rec(node) -> OperadicTree:
-        if not isinstance(node, dict) or "label" not in node:
-            raise OperadicTreeError("tree node must be an object with a label")
-        children = node.get("children", [])
-        if not isinstance(children, list):
-            raise OperadicTreeError("children must be a list")
-        return OperadicTree(node["label"], tuple(rec(c) for c in children))
 
-    return rec(data)
+def _tree_of_json(node) -> OperadicTree:
+    if not isinstance(node, dict) or "label" not in node:
+        raise OperadicTreeError("tree node must be an object with a label")
+    children = node.get("children", [])
+    if not isinstance(children, list):
+        raise OperadicTreeError("children must be a list")
+    return OperadicTree(node["label"], tuple(_tree_of_json(c) for c in children))
 
 
 def parse_tree(text: str) -> OperadicTree:
     """Parse `a(b(c,d),e)` notation."""
-    pos = 0
-
-    def label() -> str:
-        nonlocal pos
-        start = pos
-        while pos < len(text) and text[pos] not in "(),":
-            pos += 1
-        name = text[start:pos].strip()
-        if not name:
-            raise OperadicTreeError(f"expected a label at position {start}")
-        return name
-
-    def node() -> OperadicTree:
-        nonlocal pos
-        name = label()
-        kids: list[OperadicTree] = []
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            kids.append(node())
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                kids.append(node())
-            if pos >= len(text) or text[pos] != ")":
-                raise OperadicTreeError("unbalanced parentheses in tree text")
-            pos += 1
-        return OperadicTree(name, tuple(kids))
-
-    result = node()
+    result, pos = _tree_node(text, 0)
     if pos != len(text):
         raise OperadicTreeError(f"trailing input at position {pos}")
     return result
+
+
+def _tree_node(text: str, pos: int) -> tuple[OperadicTree, int]:
+    """The tree whose label starts at pos, and the position after it."""
+    start = pos
+    while pos < len(text) and text[pos] not in "(),":
+        pos += 1
+    name = text[start:pos].strip()
+    if not name:
+        raise OperadicTreeError(f"expected a label at position {start}")
+    kids: list[OperadicTree] = []
+    if pos < len(text) and text[pos] == "(":
+        kid, pos = _tree_node(text, pos + 1)
+        kids.append(kid)
+        while pos < len(text) and text[pos] == ",":
+            kid, pos = _tree_node(text, pos + 1)
+            kids.append(kid)
+        if pos >= len(text) or text[pos] != ")":
+            raise OperadicTreeError("unbalanced parentheses in tree text")
+        pos += 1
+    return OperadicTree(name, tuple(kids)), pos
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,20 +195,7 @@ def build_edge_graph(
     level: dict[str, int] = {}
     solid: set[frozenset[str]] = set()
     dashed: set[frozenset[str]] = set()
-
-    def walk(node: OperadicTree, depth: int) -> None:
-        kids = [names[c.label] for c in node.children]
-        for a in kids:
-            level[a] = depth + 1
-        for i, a in enumerate(kids):
-            for b in kids[i + 1 :]:
-                dashed.add(frozenset((a, b)))
-        for child in node.children:
-            if node.label in names:  # node's parent edge stacks on its child edges
-                solid.add(frozenset((names[node.label], names[child.label])))
-            walk(child, depth + 1)
-
-    walk(t, 0)
+    _walk_edges(t, 0, names, level, solid, dashed)
     edges = [[a] for a in carrier] + [sorted(p, key=carrier.index) for p in solid | dashed]
     h = Hypergraph(carrier, edges)
     return EdgeGraph(
@@ -224,6 +206,21 @@ def build_edge_graph(
         level=level,
         edge_of={v: c for c, v in names.items()},
     )
+
+
+def _walk_edges(node: OperadicTree, depth: int, names: dict, level: dict, solid: set, dashed: set) -> None:
+    """Record the edges below node, at depth: each child edge's level, and
+    the solid and dashed pairs, in preorder."""
+    kids = [names[c.label] for c in node.children]
+    for a in kids:
+        level[a] = depth + 1
+    for i, a in enumerate(kids):
+        for b in kids[i + 1 :]:
+            dashed.add(frozenset((a, b)))
+    for child in node.children:
+        if node.label in names:  # node's parent edge stacks on its child edges
+            solid.add(frozenset((names[node.label], names[child.label])))
+        _walk_edges(child, depth + 1, names, level, solid, dashed)
 
 
 @dataclass(frozen=True)
@@ -370,11 +367,11 @@ def subtree_component_correspondence(g: EdgeGraph, k) -> OperadicTree:
         children[parent_of[c]].append(c)
         tops.discard(c)
     (root,) = tops
+    return _rebuilt(root, children)
 
-    def rebuild(label: str) -> OperadicTree:
-        return OperadicTree(label, tuple(rebuild(c) for c in children[label]))
 
-    return rebuild(root)
+def _rebuilt(label: str, children: dict[str, list[str]]) -> OperadicTree:
+    return OperadicTree(label, tuple(_rebuilt(c, children) for c in children[label]))
 
 
 @dataclass(frozen=True)
@@ -431,34 +428,29 @@ def edge_removal_census(g: EdgeGraph, removed) -> EdgeRemovalCensus:
 
 def _parse_word(text: str):
     """Letter or (left, right) pairs; accepts the outer pair dropped."""
-    pos = 0
-
-    def item():
-        nonlocal pos
-        if pos >= len(text):
-            raise WordError("unexpected end of word")
-        ch = text[pos]
-        if ch == "(":
-            start = pos
-            pos += 1
-            left = item()
-            right = item()
-            if pos >= len(text) or text[pos] != ")":
-                raise WordError(f"expected ')' for the parenthesis at position {start}")
-            pos += 1
-            return (left, right)
-        if ch.isalnum():
-            pos += 1
-            return ch
-        raise WordError(f"unexpected character {ch!r} at position {pos}")
-
-    first = item()
+    first, pos = _word_item(text, 0)
     if pos == len(text):
         return first
-    second = item()
+    second, pos = _word_item(text, pos)
     if pos != len(text):
         raise WordError(f"trailing input at position {pos}")
     return (first, second)
+
+
+def _word_item(text: str, pos: int):
+    """The letter or pair starting at pos, and the position after it."""
+    if pos >= len(text):
+        raise WordError("unexpected end of word")
+    ch = text[pos]
+    if ch == "(":
+        left, end = _word_item(text, pos + 1)
+        right, end = _word_item(text, end)
+        if end >= len(text) or text[end] != ")":
+            raise WordError(f"expected ')' for the parenthesis at position {pos}")
+        return (left, right), end + 1
+    if ch.isalnum():
+        return ch, pos + 1
+    raise WordError(f"unexpected character {ch!r} at position {pos}")
 
 
 def _word_text(w) -> str:
@@ -473,40 +465,39 @@ def word_to_construction(g: EdgeGraph, word: str) -> Construct:
     edge whose parent endpoint lies in the left block."""
     t, h = g.tree, g.hypergraph
     vertex_of = {c: v for v, c in g.edge_of.items()}
-    tree_edges = t.edges()
-    parsed = _parse_word(word)
-
-    def rec(w):
-        if isinstance(w, str):
-            if w not in t.labels:
-                raise WordError(f"letter {w!r} does not name a tree node")
-            return None, frozenset((w,))
-        left, right = w
-        built_l, set_l = rec(left)
-        built_r, set_r = rec(right)
-        if set_l & set_r:
-            raise WordError(f"blocks overlap in {_word_text(w)}")
-        joining = [
-            (p, c)
-            for (p, c) in tree_edges
-            if (p in set_l and c in set_r) or (p in set_r and c in set_l)
-        ]
-        if not joining:
-            raise WordError(f"no tree edge joins the blocks of {_word_text(w)}")
-        ((p, c),) = joining
-        if p not in set_l:
-            raise WordError(
-                f"{_word_text(w)} puts the parent-side block on the right"
-            )
-        kids = tuple(x for x in (built_l, built_r) if x is not None)
-        node = Construct(frozenset((vertex_of[c],)), kids)
-        return node, set_l | set_r
-
-    built, used = rec(parsed)
+    built, used = _word_block(_parse_word(word), t.labels, t.edges(), vertex_of)
     if used != t.labels:
         missing = "".join(sorted(t.labels - used))
         raise WordError(f"word does not use every tree node: missing {missing}")
     return validate_construct(h, built)
+
+
+def _word_block(w, labels: frozenset[str], tree_edges, vertex_of: dict):
+    """The construction the parsed word w builds (None for one letter) and
+    the tree nodes it merges."""
+    if isinstance(w, str):
+        if w not in labels:
+            raise WordError(f"letter {w!r} does not name a tree node")
+        return None, frozenset((w,))
+    left, right = w
+    built_l, set_l = _word_block(left, labels, tree_edges, vertex_of)
+    built_r, set_r = _word_block(right, labels, tree_edges, vertex_of)
+    if set_l & set_r:
+        raise WordError(f"blocks overlap in {_word_text(w)}")
+    joining = [
+        (p, c)
+        for (p, c) in tree_edges
+        if (p in set_l and c in set_r) or (p in set_r and c in set_l)
+    ]
+    if not joining:
+        raise WordError(f"no tree edge joins the blocks of {_word_text(w)}")
+    ((p, c),) = joining
+    if p not in set_l:
+        raise WordError(
+            f"{_word_text(w)} puts the parent-side block on the right"
+        )
+    kids = tuple(x for x in (built_l, built_r) if x is not None)
+    return Construct(frozenset((vertex_of[c],)), kids), set_l | set_r
 
 
 def _check_letters(g: EdgeGraph) -> None:

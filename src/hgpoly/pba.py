@@ -25,7 +25,7 @@ from .constructs import (
 )
 from .hypergraph import Hypergraph, InvariantError, restrict
 from .nestedsets import _tree_of, psi
-from .realization import _face_polynomials
+from .realization import _face_term
 from .truncation import RoundState, advance, constrs, simplex_round, tamed_constructs
 
 
@@ -649,21 +649,22 @@ def census(setup: PbaSetup) -> PbaCensus:
     counted without building a face. A face's root is the complement of a
     proper chain Y of letter sets (a sub-chain of a vertex decoration), and
     its children are constructs over the runs of Y (its components: sets of
-    consecutive sizes), so the faces number the sum over Y of z * prod F(R)
-    over the runs R, F being f_vector's face polynomial. Facets are the
+    consecutive sizes), so the faces number the sum over Y of
+    _face_term(Y) = z * prod F(R) over the runs R, F being f_vector's face
+    polynomial, on one memo for the census. Facets are the
     2-node faces, one per single-run chain; the block sizes of
     standardize(setup.letters, Y) are the size steps of Y up to n + 1."""
     ht, n = setup.hypergraph, setup.n
-    term = _face_polynomials(ht)[1]
+    memo: dict[int, list[int]] = {}
     size = [len(setup.letters_of(name)) for name in ht.carrier]
-    terms: dict[tuple[int, ...], list[int]] = {}  # runs are paths: their lengths fix term(y)
+    terms: dict[tuple[int, ...], list[int]] = {}  # runs are paths: their lengths fix _face_term(y)
     by_nodes = [0] * (n + 2)
     profiles: dict[tuple[int, ...], int] = {}
     for y in {0}.union(*(_submasks(ht.mask(fam)) for fam in setup.state.vertex_sets)):
         runs = ht.components_mask(y)
         shape = tuple(sorted(map(int.bit_count, runs)))
         if shape not in terms:
-            terms[shape] = term(y)
+            terms[shape] = _face_term(ht, y, memo)
         for k, a in enumerate(terms[shape]):
             by_nodes[k] += a
         if len(runs) == 1:

@@ -205,44 +205,43 @@ def face_vertex_set(h: Hypergraph, t: Construct) -> frozenset[RationalPoint]:
     return frozenset(RationalPoint(h.carrier, tuple(map(Fraction, p))) for p in coords)
 
 
-def _face_polynomials(h: Hypergraph):
-    """The face polynomial (Postnikov 2009) as two functions of a mask on one
-    memo, coefficients lowest first: poly(S) = F(S), whose z^k coefficient
-    counts the constructs over S with k nodes, sums term(S - Y) over the
-    non-empty Y in S; term(R) = z * prod of F(C) over the components of R."""
-    memo: dict[int, list[int]] = {}
+def _face_term(h: Hypergraph, rest: int, memo: dict[int, list[int]]) -> list[int]:
+    """z times the product of the face polynomials of the components of the
+    mask rest, coefficients lowest first; the polynomials are kept on memo."""
+    out = [0, 1]
+    for c in h.components_mask(rest):
+        factor = _face_polynomial(h, c, memo)
+        prod = [0] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            if a:
+                for j, b in enumerate(factor):
+                    prod[i + j] += a * b
+        out = prod
+    return out
 
-    def term(rest: int) -> list[int]:
-        out = [0, 1]
-        for c in h.components_mask(rest):
-            factor = poly(c)
-            prod = [0] * (len(out) + len(factor) - 1)
-            for i, a in enumerate(out):
-                if a:
-                    for j, b in enumerate(factor):
-                        prod[i + j] += a * b
-            out = prod
-        return out
 
-    def poly(region: int) -> list[int]:
-        got = memo.get(region)
-        if got is None:
-            got = [0] * (region.bit_count() + 1)
-            for y in _submasks(region):
-                for k, a in enumerate(term(region & ~y)):
-                    got[k] += a
-            memo[region] = got
-        return got
-
-    return poly, term
+def _face_polynomial(h: Hypergraph, region: int, memo: dict[int, list[int]]) -> list[int]:
+    """The face polynomial F(S) (Postnikov 2009) of the mask region S,
+    coefficients lowest first: its z^k coefficient counts the constructs over
+    S with k nodes. It sums _face_term(S - Y) over the non-empty Y in S, and
+    is stored on memo by region."""
+    got = memo.get(region)
+    if got is None:
+        got = [0] * (region.bit_count() + 1)
+        for y in _submasks(region):
+            for k, a in enumerate(_face_term(h, region & ~y, memo)):
+                got[k] += a
+        memo[region] = got
+    return got
 
 
 def f_vector(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> tuple[int, ...]:
     """Face counts by dimension, vertices first, top last, counted without
-    building a face: a face of dimension d has n - d nodes."""
+    building a face from the face polynomial (_face_polynomial): a face of
+    dimension d has n - d nodes."""
     _check_guard(h, max_carrier, "constructs")
     n = len(h.carrier)
-    top = _face_polynomials(h)[0](h.full_mask)
+    top = _face_polynomial(h, h.full_mask, {})
     return tuple(top[n - d] for d in range(n))
 
 

@@ -314,17 +314,18 @@ def check_coherence_diagrams() -> None:
 
 def _all_simple_paths(g: EdgeGraph, u: str, v: str) -> list[tuple[str, ...]]:
     out: list[tuple[str, ...]] = []
-
-    def walk(path: list[str]) -> None:
-        if path[-1] == v:
-            out.append(tuple(path))
-            return
-        for b in g.neighbors(path[-1]):
-            if b not in path:
-                walk(path + [b])
-
-    walk([u])
+    _walk_paths(g, [u], v, out)
     return out
+
+
+def _walk_paths(g: EdgeGraph, path: list[str], v: str, out: list) -> None:
+    """Each simple path from path's start to v that extends path goes into out."""
+    if path[-1] == v:
+        out.append(tuple(path))
+        return
+    for b in g.neighbors(path[-1]):
+        if b not in path:
+            _walk_paths(g, path + [b], v, out)
 
 
 def _bfs_distance(g: EdgeGraph, u: str, v: str) -> int:

@@ -174,6 +174,37 @@ def test_print_uses_carrier_order(named):
     assert print_construct(h, c) == "{x,y}({z,u})"
 
 
+# malformed construct text on the path x - y - z, with the exact message
+PARSE_CONSTRUCT_ERRORS = [
+    ("{a,}(b)", "expected '}', found '(' in '{a,}(b)'"),
+    ("a(b)(c)", "trailing input ['(', 'c', ')'] in 'a(b)(c)'"),
+    ("a((b))", "bad atom '(' in 'a((b))'"),
+    ("", "unexpected end of input in ''"),
+    ("{a", "unexpected end of input in '{a'"),
+    ("{}", "unexpected end of input in '{}'"),
+    ("a(", "unexpected end of input in 'a('"),
+    ("a(b,", "unexpected end of input in 'a(b,'"),
+    ("b(a,c", "unexpected end of input in 'b(a,c'"),
+    ("a)", "trailing input [')'] in 'a)'"),
+    ("a,b", "trailing input [',', 'b'] in 'a,b'"),
+    ("b(a,c)d", "trailing input ['d'] in 'b(a,c)d'"),
+    (",", "bad atom ',' in ','"),
+    ("a()", "bad atom ')' in 'a()'"),
+    ("(a)", "bad atom '(' in '(a)'"),
+    ("a(b(c(a)))", "nesting deeper than the 3 atoms of the carrier in 'a(b(c(a)))'"),
+    ("{a b}", "atom 'a b' not in carrier"),
+    (" a ( b ) ", "atom 'a' not in carrier"),
+    ("z", "children of z span [], expected the components ['{x,y}']"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_CONSTRUCT_ERRORS)
+def test_parse_construct_messages(text, message):
+    with pytest.raises(ConstructError) as err:
+        parse_construct(corpus.path_graph(3), text)
+    assert str(err.value) == message
+
+
 def test_parse_print_round_trip_everywhere(small_corpus):
     for h in small_corpus:
         for c in enumerate_constructs(h):

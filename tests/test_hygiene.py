@@ -1,10 +1,22 @@
-"""Leftover names in the library: every import is used, every private
-module-level function is referenced, and every public function and class
-is exported or referenced, and no module runs a call at import. Read with
-the standard `ast` only."""
+"""Leftover names and reference cycles in the library: every import is
+used, every private module-level function is referenced, every public
+function and class is exported or referenced, no module runs a call at
+import, and no closure refers to itself, so the library frees its memos
+and trees by reference counting alone. The source is read with the
+standard `ast` only; the last test runs each command family."""
 
 import ast
+import contextlib
+import gc
+import io
+import json
+import types
 from pathlib import Path
+
+from hgpoly import cli, corpus, pba
+from hgpoly.constructs import print_construct
+from hgpoly.operadic import OperadicTree
+from hgpoly.truncation import round_state_to_json_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hgpoly"
 
@@ -133,3 +145,75 @@ def test_no_module_runs_a_call_at_import():
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
     ]
     assert not calls, calls
+
+
+def test_no_nonlocal_and_no_closure_refers_to_itself():
+    # a nested function that calls itself, or calls a sibling that calls it
+    # back, holds a cell that holds the function: a cycle that only the
+    # collector frees, with everything the closure reaches
+    found = set()
+    for name, tree in _modules().items():
+        found |= {f"{name}:{node.lineno}: nonlocal" for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)}
+        for outer in ast.walk(tree):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            reads = {
+                node.name: _read_names(node) for node in ast.walk(outer)
+                if node is not outer and isinstance(node, ast.FunctionDef)
+            }
+            for inner, names in reads.items():
+                if any(inner in reads[other] for other in names & reads.keys()):
+                    found.add(f"{name}: {outer.name}.{inner}")
+    assert not found, sorted(found)
+
+
+def _command_lines(tmp_path, n: int) -> list[list[str]]:
+    """One command line of each family on inputs of n atoms: the complete
+    graph K_n, the star tree with n edges (whose edge graph is K_n), and the
+    words-with-holes polytope on n - 1 letters with its round-2 state."""
+    graph = tmp_path / f"k{n}.json"
+    graph.write_text(json.dumps(corpus.complete_graph(n).to_json_dict()))
+    tree = tmp_path / f"star{n}.json"
+    tree.write_text(json.dumps(OperadicTree("a", tuple(map(OperadicTree, "bcdefgh"[:n]))).to_json_dict()))
+    setup = pba.pba_setup(n - 2)
+    state = tmp_path / f"state{n}.json"
+    state.write_text(json.dumps(round_state_to_json_dict(setup.state)))
+    face = pba.face_constructs(setup)[-1]
+    m = str(n - 2)
+    return [
+        ["hg", "faces", str(graph)], ["hg", "hasse", str(graph)], ["hg", "realize", "--verify", str(graph)],
+        ["op", "classify", "--tree", str(tree)], ["op", "words", "--tree", str(tree)],
+        ["trunc", "round", "--state", str(state)],
+        ["pba", "encode", m, print_construct(setup.hypergraph, face)],
+        ["pba", "decode", m, pba.word_text(pba.encode(setup, face))],
+        ["pba", "census", m],
+    ]
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path):
+    # argparse's HelpFormatter makes cycles of its own when the parser is built
+    cli._build_parser()
+    flags = gc.get_debug()
+    counts = {}
+    try:
+        for n in (4, 6):
+            argvs = _command_lines(tmp_path, n)
+            gc.collect()
+            gc.garbage.clear()
+            gc.set_debug(flags | gc.DEBUG_SAVEALL)
+            for argv in argvs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0, argv
+            gc.collect()
+            gc.set_debug(flags)
+            ours = [
+                f"{o.__module__}.{o.__qualname__}" for o in gc.garbage
+                if isinstance(o, types.FunctionType) and (o.__module__ or "").startswith("hgpoly")
+            ]
+            assert not ours, (n, sorted(set(ours)))
+            counts[n] = len(gc.garbage)
+            gc.garbage.clear()
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert counts[6] <= counts[4], counts

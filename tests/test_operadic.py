@@ -118,6 +118,88 @@ def test_tree_parsing_and_json_round_trip():
     assert tree_from_json_dict(t.to_json_dict()) == t
 
 
+TREE_TEXT_ERRORS = [
+    ("a(b,)", "expected a label at position 4"),
+    ("a(b", "unbalanced parentheses in tree text"),
+    ("", "expected a label at position 0"),
+    (" ", "expected a label at position 0"),
+    ("a(", "expected a label at position 2"),
+    ("(a)", "expected a label at position 0"),
+    ("a(,b)", "expected a label at position 2"),
+    ("a(b(c)", "unbalanced parentheses in tree text"),
+    ("a)", "trailing input at position 1"),
+    ("a(b)c", "trailing input at position 4"),
+    ("a(b)(c)", "trailing input at position 4"),
+    ("a(b,c))", "trailing input at position 6"),
+    ("a(b,b)", "duplicate node label 'b'"),
+]
+
+TREE_JSON_ERRORS = [
+    ([], "tree JSON must be an object"),
+    ({"format": 2}, "unsupported format version"),
+    ({"format": 1}, "tree node must be an object with a label"),
+    ({"format": 1, "label": "a", "children": {}}, "children must be a list"),
+    ({"format": 1, "label": "a", "children": [3]}, "tree node must be an object with a label"),
+    ({"format": 1, "label": "a", "children": [{"label": ""}]}, "node labels must be non-empty strings"),
+    ({"format": 1, "label": "a", "children": [{"label": "a"}]}, "duplicate node label 'a'"),
+]
+
+WORD_TEXT_ERRORS = [
+    ("(ab", "expected ')' for the parenthesis at position 0"),
+    ("(a b)", "unexpected character ' ' at position 2"),
+    ("", "unexpected end of word"),
+    ("(", "unexpected end of word"),
+    ("abc", "trailing input at position 2"),
+    ("((ab)c", "expected ')' for the parenthesis at position 0"),
+    (")", "unexpected character ')' at position 0"),
+    ("a)", "unexpected character ')' at position 1"),
+    ("(ab))", "unexpected character ')' at position 4"),
+    ("a-b", "unexpected character '-' at position 1"),
+    ("()", "unexpected character ')' at position 1"),
+    ("(a)", "unexpected character ')' at position 2"),
+]
+
+# words over the figure tree a(b(c,d),e) that parse but name no construction
+FIGURE_WORD_ERRORS = [
+    ("(ae)(bd)", "word does not use every tree node: missing c"),
+    ("a", "word does not use every tree node: missing bcde"),
+    ("((ab)((ab)c))", "blocks overlap in ((ab)((ab)c))"),
+    ("(ae)((bd)c", "expected ')' for the parenthesis at position 4"),
+    ("(qe)((bd)c)", "letter 'q' does not name a tree node"),
+    ("(ac)(bd)", "no tree edge joins the blocks of (ac)"),
+    ("(ae)(b(dc))", "no tree edge joins the blocks of (dc)"),
+    ("(ea)((bc)d)", "(ea) puts the parent-side block on the right"),
+]
+
+
+@pytest.mark.parametrize("text, message", TREE_TEXT_ERRORS)
+def test_parse_tree_messages(text, message):
+    with pytest.raises(OperadicTreeError) as err:
+        parse_tree(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("data, message", TREE_JSON_ERRORS)
+def test_tree_json_messages(data, message):
+    with pytest.raises(OperadicTreeError) as err:
+        tree_from_json_dict(data)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", WORD_TEXT_ERRORS)
+def test_parse_word_messages(text, message):
+    with pytest.raises(WordError) as err:
+        operadic._parse_word(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("word, message", FIGURE_WORD_ERRORS)
+def test_word_to_construction_messages(word, message):
+    with pytest.raises(WordError) as err:
+        word_to_construction(figure_graph(), word)
+    assert str(err.value) == message
+
+
 def test_tree_rejects_duplicate_labels():
     with pytest.raises(OperadicTreeError):
         parse_tree("a(b,b)")
