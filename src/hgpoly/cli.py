@@ -107,6 +107,8 @@ def _load_edge_graph(args) -> EdgeGraph:
             label, _, name = entry.partition("=")
             if not label or not name:
                 raise CliError(f"bad name mapping {entry!r}, expected label=name")
+            if label in names:
+                raise CliError(f"label {label!r} is named twice in --names")
             names[label] = name
     return build_edge_graph(tree, names=names)
 
@@ -114,18 +116,17 @@ def _load_edge_graph(args) -> EdgeGraph:
 # -- hg -------------------------------------------------------------------
 
 
-def _faces(args) -> tuple[int, dict[int, str], list[tuple[int, str]]]:
-    """The carrier size n, every construct as psi key -> text, and the (key,
-    text) pairs in text order. A face of dimension d has n - d nodes."""
+def _faces(args) -> tuple[int, dict[int, str]]:
+    """The carrier size n and every construct as psi key -> text. A face of
+    dimension d has n - d nodes."""
     h = _load_hypergraph(args)
     trees = enumerate_constructs(h, max_carrier=args.max_carrier, node=_keyed_node(h, _text(h)))
-    faces = {key: text for text, key, _ in trees}
-    return len(h.carrier), faces, sorted(faces.items(), key=lambda kv: kv[1])
+    return len(h.carrier), {key: text for text, key, _ in trees}
 
 
 def _hg_faces(args, out: TextIO) -> int:
-    n, _, by_text = _faces(args)
-    by_dim = sorted(by_text, key=lambda kv: kv[0].bit_count(), reverse=True)  # dimension, then text
+    n, faces = _faces(args)
+    by_dim = sorted(faces.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))  # dimension, then text
     _write_rows(out, (f"{n - key.bit_count()}\t{text}\n" for key, text in by_dim))
     return 0
 

@@ -9,15 +9,15 @@ constructions, spanning partial constructions and the vertices below a
 face draw single atoms; the tamed families of a truncation round fix the
 root decorations at the top region. Its node builder makes each tree a
 Construct, a mask record (`_record`), a text or record with its psi key
-and, for a construction, its vertex coordinates (`_keyed_node`), a
-decomposition word, with its tree edges (`operadic._word_head`), or span
-masks (next_round). Inside the library a face is its mask record, the
-plain tuple (decoration mask, span mask, child records) with children by
-lowest atom. A Construct, the tuple (decoration, children, node_count)
-over labels and unordered, is built only at the boundary, and enters the
-library through one checked walk, `_checked`, which validates it against
-h and returns its canonical form with its record: children may come in
-any order, and a tree that is not a construct raises ConstructError.
+and, for a construction, its vertex coordinates (`_keyed_node`), or a
+decomposition word, with its tree edges (`operadic._word_head`). Inside
+the library a face is its mask record, the plain tuple (decoration mask,
+span mask, child records) with children by lowest atom. A Construct, the
+tuple (decoration, children, node_count) over labels and unordered, is
+built only at the boundary, and enters the library through one checked
+walk, `_checked`, which validates it against h and returns its canonical
+form with its record: children may come in any order, and a tree that is
+not a construct raises ConstructError.
 Three independent implementations of the face order are kept deliberately
 separate so their agreement can be tested: `rules` asks whether t lies in
 the closure of the record `_covers` from s, while `v2` and `v3` recurse
@@ -429,8 +429,9 @@ def _spans(r: tuple) -> list[int]:
 def _covers(s: tuple) -> list[tuple]:
     """The records of the faces obtained from the record s by contracting
     exactly one tree edge: a child's decoration merges into its parent's.
-    Their order is deterministic but unspecified. Distinct edges drop
-    distinct spans from psi(s), so no cover repeats."""
+    They come in preorder of the node below the edge, so the k-th cover
+    drops _spans(s)[k + 1] from psi(s) and keeps the rest; distinct edges
+    drop distinct spans, so no cover repeats."""
     y, span, kids = s
     results = []
     for i, (cy, _, grand) in enumerate(kids):

@@ -16,7 +16,7 @@ import warnings
 from itertools import combinations
 
 from .constructs import Construct, print_atom_set, validate_construct
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, InvariantError
 
 NestedSet = frozenset  # of frozensets of atom labels
 
@@ -178,6 +178,6 @@ def check_tubing_conditions(h: Hypergraph, family) -> bool:
         if not a & b and h.connected_mask(h.mask(a | b)):
             pair = False
     if cg != pair:
-        raise AssertionError("2-antichain form and tubing pair disagree")
+        raise InvariantError("2-antichain form and tubing pair disagree")
     return cg
 

@@ -24,11 +24,11 @@ from .constructs import (
     MAX_CARRIER,
     Construct,
     _bit_indices,
-    _bits,
     _check_guard,
     _checked,
     _construct,
     _keyed_node,
+    _psi_bits,
     _record,
     _submasks,
     _text,
@@ -306,11 +306,12 @@ def verify_isomorphism(
     key but the carrier (Postnikov 2009; Feichtner-Sturmfels 2005). The
     polytope is simple: every subset of a vertex's tight facets, with the
     carrier, must be a key, and these must reach every face. The order
-    compared is the closure of `covers` (the `rules` order): the covers of
-    s must be the faces keyed by key(s) minus one non-carrier member, and
-    vertices_below the top face must give every vertex. Faces are mask
-    records with psi keys from one kernel run; the vertex coordinates come
-    from a run over the constructions, matched to faces by key."""
+    compared is the closure of `covers` (the `rules` order): the k-th cover
+    of s must be the face keyed by key(s) minus the span of the (k+1)-th
+    node in preorder, and these spans the other members of key(s), each
+    once; no key is computed from a cover. Faces are mask records with psi
+    keys from one kernel run. A second, vertices_below the top face, gives
+    the coordinates; it must give every vertex and no more, or the check stops."""
     report = VerificationReport(h)
     n = len(h.carrier)
     trees = enumerate_constructs(h, max_carrier=max_carrier, node=_keyed_node(h, _record))
@@ -319,17 +320,21 @@ def verify_isomorphism(
     def text(i: int) -> str:
         return print_construct(h, _construct(h, faces[i]))
 
+    subsets = connected_subset_masks(h)
+    carrier = 1 << len(subsets) - 1  # the carrier comes last
+    top = keys.index(carrier)
     # a key has a bit per node; n nodes partition n atoms, so every decoration is a singleton
     vs = [i for i, key in enumerate(keys) if key.bit_count() == n]
-    node = _keyed_node(h, _record, True)
-    vertex = {t[1]: t for t in enumerate_constructions(h, max_carrier=max_carrier, node=node)}
-    _, vkeys, coords = _vertices(h, [vertex[keys[i]] for i in vs])
+    vertex = {t[1]: t for t in _vertices_below(h, faces[top], _keyed_node(h, _record, True))}
+    run = [vertex.get(keys[i]) for i in vs]
+    if None in run or len(vertex) > len(vs) or any(t[0] != faces[i] for t, i in zip(run, vs)):
+        report.add("order-isomorphism", f"{text(top)} misses a vertex")
+        return report
+    _, vkeys, coords = _vertices(h, run)
     tight = _solve(h, coords, vkeys, lambda j: text(vs[j]), report)
     if not report.ok:
         return report
 
-    subsets = connected_subset_masks(h)
-    carrier = 1 << len(subsets) - 1  # the carrier comes last
     # the tight facets of each vertex, as a key without the carrier
     named = [keys[i] & ~carrier for i in vs]
     at = named if tight is None else tight
@@ -362,17 +367,16 @@ def verify_isomorphism(
         if not r:
             report.add("order-isomorphism", f"{text(i)} holds no vertex")
 
-    face_at = {s: i for i, s in enumerate(faces)}
+    # the k-th cover contracts the edge above the (k+1)-th node in preorder and
+    # drops that node's span: together they must drop key's other members, each once
+    bit = _psi_bits(h)
     for i, s in enumerate(faces):
         key, ups = keys[i], constructs._covers(s)
-        got = set(map(face_at.get, ups))
-        want = {index.get(key ^ b) for b in _bits(key & ~carrier)}
-        if None in want or got != want or len(ups) != len(want):
+        members, drops = key & ~carrier, [bit[d] for d in constructs._spans(s)[1:]]
+        want = [index.get(key ^ d) for d in drops]
+        exact = sum(drops) == members and len(drops) == members.bit_count()
+        if not exact or None in want or ups != [faces[j] for j in want]:
             report.add("order-isomorphism", f"covers of {text(i)} are not its nested set minus one member")
-
-    top = index[carrier]
-    if set(_vertices_below(h, faces[top], _record)) != set(map(faces.__getitem__, vs)):
-        report.add("order-isomorphism", f"{text(top)} misses a vertex")
 
     dim = affine_dimension(coords)
     if dim != n - 1:

@@ -18,6 +18,7 @@ from .constructs import (
     _bits,
     _check_size,
     _checked,
+    _record,
     _spans,
     _submasks,
     _trees,
@@ -259,13 +260,6 @@ def tamed_constructions(s: RoundState) -> list[Construct]:
     return _tamed(s, lambda c, fam: (c,), _bits)
 
 
-def _span_node(region: int, y: int):
-    """A _trees node builder: each tree as its span masks in preorder, as
-    _spans reads them off a record (a tree with no Omega leaf spans its region)."""
-    own = (region,)
-    return lambda kids: own + sum(kids, ())
-
-
 def constrs(s: RoundState) -> list[Construct]:
     """The maximal tamed constructs below the top: one per non-empty
     proper connected subset Y of the truncation hypergraph that fits
@@ -347,10 +341,10 @@ def next_round(s: RoundState) -> RoundTransition:
     new = [n for n in images if n not in ht._index]
     facets = s.facets + tuple(_sum(s, images[n]) for n in new)
 
-    # tamed_constructions' decorations off span masks; a failure reruns it to print one
+    # tamed_constructions' decorations off their records' spans; a failure reruns it to print one
     families: dict[frozenset[str], None] = {}
-    for i, spans in enumerate(_tamed(s, lambda c, fam: (c,), _bits, _span_node)):
-        fam = _family(ht, flat, spans)
+    for i, r in enumerate(_tamed(s, lambda c, fam: (c,), _bits, _record)):
+        fam = _family(ht, flat, _spans(r))
         if not images.keys() >= fam:
             t = tamed_constructions(s)[i]
             raise TruncationError(

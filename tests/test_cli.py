@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from hgpoly import Hypergraph, InvariantError, RealizationError, cli, corpus, pba
+from hgpoly import Hypergraph, InvariantError, RealizationError, cli, constructs, corpus, pba
 from hgpoly.constructs import covers, enumerate_constructs, print_construct
 from hgpoly.operadic import build_edge_graph, decomposition_words, parse_tree, tree_from_json_dict
 from hgpoly.realization import f_vector
@@ -180,6 +180,28 @@ def test_hasse_dot(capsys, pentagon_file):
     assert first == second  # byte-identical rerun
 
 
+def test_kernel_runs_per_command(monkeypatch, capsys, pentagon_file):
+    # each hg command enumerates with as few runs of the tree kernel as it
+    # needs: --verify reads the vertices and their coordinates off the one
+    # run below the top face, and fvector and --hrep build no face
+    runs, real = [], constructs._trees
+
+    def counting(h, ambient, *rest):
+        runs.append(ambient)
+        return real(h, ambient, *rest)
+
+    monkeypatch.setattr(constructs, "_trees", counting)
+    expected = {
+        ("faces",): 1, ("hasse",): 1, ("constructions",): 1, ("realize", "--vertices"): 1,
+        ("realize", "--verify"): 2, ("fvector",): 0, ("realize", "--hrep"): 0,
+    }
+    for argv, count in expected.items():
+        runs.clear()
+        status, out, _ = run(capsys, "hg", *argv, pentagon_file)
+        assert (status, len(runs)) == (0, count), argv
+        assert out
+
+
 def test_classify_diagram(capsys, t4_file):
     status, out, _ = run(capsys, "op", "classify", "--tree", t4_file)
     assert status == 0
@@ -195,6 +217,16 @@ def test_op_graph_and_words(capsys, t4_file):
     assert '"x" -- "y" [style=dashed];' in out
     status, out, _ = run(capsys, "op", "words", "--tree", t4_file)
     assert status == 0 and len(out.splitlines()) == 5
+
+
+def test_op_names_refuse_a_repeated_label(capsys, tmp_path):
+    # b=x was once dropped for b=z, and the graph printed vertices y and z
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(parse_tree("a(b,c)").to_json_dict()))
+    for names in ("b=x,c=y,b=z", "b=x,c=y,b=x"):
+        assert run(capsys, "op", "graph", "--tree", str(path), "--names", names) == (
+            2, "", "error: label 'b' is named twice in --names\n"
+        )
 
 
 def test_word_commands_refuse_labels_that_are_not_letters(capsys, tmp_path):

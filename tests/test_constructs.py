@@ -747,3 +747,19 @@ def test_up_sets_share_one_record_per_face(monkeypatch):
                 assert held.setdefault(r, r) is r and h._face_cache[r][0] is r
         assert len(held) == len(h._face_cache) == len(faces) == 75
         assert sorted(r for r in contracted if r[1] == h.full_mask) == sorted(held)
+
+
+def test_covers_come_in_preorder_of_the_node_they_drop(small_corpus, named):
+    # the k-th record cover contracts the edge above the (k+1)-th node in
+    # preorder: its psi is psi(s) minus _spans(s)[k + 1], read off the
+    # Construct rather than the record
+    checked = 0
+    for h in [*small_corpus, *named.values()]:
+        for t in enumerate_constructs(h):
+            s = _record(h, t)
+            spans, ups = _spans(s), _covers(s)
+            assert len(ups) == len(spans) - 1
+            for up, d in zip(ups, spans[1:]):
+                assert psi(constructs._construct(h, up)) == psi(t) - {h.labels(d)}
+                checked += 1
+    assert checked == 19869

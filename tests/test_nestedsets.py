@@ -13,8 +13,9 @@ from hgpoly import (
     psi,
     unpsi,
 )
+from hgpoly import cli, nestedsets
 from hgpoly.constructs import Construct
-from hgpoly.hypergraph import saturate
+from hgpoly.hypergraph import InvariantError, saturate
 from hgpoly.nestedsets import condition_c, condition_c_graph
 
 
@@ -135,3 +136,14 @@ def test_tubing_pair_examples(named):
     pent = named["pentagon"]
     assert check_tubing_conditions(pent, fam("z", "yz", "xyz"))
     assert not check_tubing_conditions(pent, fam("xy", "yz", "xyz"))
+
+
+def test_tubing_forms_that_disagree_break_an_invariant(monkeypatch, named, capsys):
+    # corpus verify's nested-set check calls check_tubing_conditions, so a
+    # disagreement is one `invariant broken` line and exit status 1
+    real = nestedsets.condition_c_graph
+    monkeypatch.setattr(nestedsets, "condition_c_graph", lambda h, members: not real(h, members))
+    with pytest.raises(InvariantError, match="2-antichain form and tubing pair disagree"):
+        check_tubing_conditions(named["pentagon"], fam("z", "yz", "xyz"))
+    assert cli.main(["corpus", "verify"]) == 1
+    assert capsys.readouterr() == ("", "error: invariant broken: 2-antichain form and tubing pair disagree\n")

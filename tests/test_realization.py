@@ -303,6 +303,53 @@ def test_verify_isomorphism_catches_a_missing_cover(monkeypatch):
     assert "order-isomorphism" in report.failures
 
 
+
+def _face_with_two_covers(h):
+    """The record of the first face of h with three or more nodes, and its text."""
+    t = next(t for t in enumerate_constructs(h) if t.node_count >= 3)
+    return constructs._checked(h, t)[1], print_construct(h, t)
+
+
+def test_verify_isomorphism_catches_two_covers_swapped(monkeypatch):
+    # each cover is paired with the member it drops, so a swap is caught
+    # though the set of covers is right
+    h = corpus.hemiassociahedron()
+    face, text = _face_with_two_covers(h)
+    real = constructs._covers
+
+    def swapped(s):
+        got = real(s)
+        return [got[1], got[0], *got[2:]] if s == face else got
+
+    monkeypatch.setattr(constructs, "_covers", swapped)
+    report = verify_isomorphism(h)
+    assert report.failures == {
+        "order-isomorphism": [f"covers of {text} are not its nested set minus one member"]
+    }
+
+
+@pytest.mark.parametrize("cover_too", [False, True])
+def test_verify_isomorphism_catches_a_repeated_span(monkeypatch, cover_too):
+    # the dropped members must be those of the face's key, each once: with
+    # the cover repeated along with its span, every pair still matches
+    h = corpus.hemiassociahedron()
+    face, text = _face_with_two_covers(h)
+
+    def repeating(real, skip):
+        def faulty(r):
+            got = real(r)
+            return [*got[:skip], got[skip], got[skip], *got[skip + 2 :]] if r == face else got
+
+        return faulty
+
+    monkeypatch.setattr(constructs, "_spans", repeating(constructs._spans, 1))
+    if cover_too:
+        monkeypatch.setattr(constructs, "_covers", repeating(constructs._covers, 0))
+    report = verify_isomorphism(h)
+    assert report.failures == {
+        "order-isomorphism": [f"covers of {text} are not its nested set minus one member"]
+    }
+
 # -- the vertex solve against plain sums ------------------------------------
 
 
