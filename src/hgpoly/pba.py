@@ -8,6 +8,7 @@ standing for an unordered bag of letters.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from math import factorial
 from operator import or_
@@ -393,15 +394,20 @@ def x_sigma(setup: PbaSetup, order: Sequence[str]) -> frozenset[str]:
 
 
 def pba_setup(n: int, *, max_n: int = MAX_N) -> PbaSetup:
-    """Build both rounds and verify the permutohedron facts: round-one
-    constrs are the proper non-empty subsets, the round-two vertex
-    decorations (one per round-one tamed construction) count the letter
-    orderings and are the prefix chains. A failed fact raises
-    InvariantError; n outside 1..max_n raises PbaError."""
+    """Both rounds, built once per n per process and shared, with the
+    permutohedron facts checked: round-one constrs are the proper non-empty
+    subsets, the round-two vertex decorations (one per round-one tamed
+    construction) count the orderings and are the prefix chains. A failed
+    fact raises InvariantError on every call; n outside 1..max_n, PbaError."""
     if n < 1:
         raise PbaError("need at least two letters")
     if n > max_n:
         raise PbaError(f"n={n} exceeds the guard ({max_n}); raise max_n to override")
+    return _build_setup(n)
+
+
+@lru_cache(maxsize=MAX_N)
+def _build_setup(n: int) -> PbaSetup:
     letters = tuple(f"x{i}" for i in range(1, n + 2))
     complete = [[a] for a in letters] + [list(p) for p in combinations(letters, 2)]
     round1 = simplex_round(letters, complete)
@@ -538,8 +544,8 @@ def face_words(setup: PbaSetup) -> list[HoleWord]:
 
 
 def _decoded(setup: PbaSetup, w: HoleWord) -> tuple[Construct, frozenset]:
-    """decode(setup, w) and its nested set, memoised on the setup itself,
-    so the memo is freed with the setup."""
+    """decode(setup, w) and its nested set, memoised on the setup: the memo
+    lives as long as the process's shared setup, one entry per face at most."""
     got = setup._memo.get(w)
     if got is None:
         t = decode(setup, w)

@@ -512,7 +512,7 @@ def test_malformed_round_json_exits_2(capsys, tmp_path, patch, message):
     assert err.startswith("error: ") and message in err
 
 
-def test_pba_setup_self_check_failure_is_an_invariant_break(capsys, monkeypatch):
+def test_pba_setup_self_check_failure_is_an_invariant_break(capsys, monkeypatch, fresh_pba_setups):
     real = pba.constrs
     monkeypatch.setattr(pba, "constrs", lambda s: real(s)[1:])
     status, out, err = run(capsys, "pba", "setup", "2")
@@ -522,7 +522,7 @@ def test_pba_setup_self_check_failure_is_an_invariant_break(capsys, monkeypatch)
     )
 
 
-def test_pba_setup_dropped_decoration_is_an_invariant_break(capsys, monkeypatch):
+def test_pba_setup_dropped_decoration_is_an_invariant_break(capsys, monkeypatch, fresh_pba_setups):
     # an advance that loses one vertex decoration no longer counts the
     # (n+1)! letter orderings
     real = pba.advance

@@ -9,9 +9,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from hgpoly import constructs, pba, truncation
-from hgpoly.constructs import leq, parse_construct
-from hgpoly.hypergraph import Hypergraph, restrict
+from hgpoly import cli, constructs, pba, truncation
+from hgpoly.constructs import leq, parse_construct, print_construct
+from hgpoly.hypergraph import Hypergraph, InvariantError, restrict
 from hgpoly.nestedsets import psi
 from hgpoly.pba import (
     HoleWord,
@@ -70,7 +70,7 @@ def test_setup_counts(pba2, pba3):
     assert pba3.state.facet_names[:4] == ("x1", "x2", "x3", "x4")
 
 
-def test_setup_enumerates_round_one_once(monkeypatch):
+def test_setup_enumerates_round_one_once(monkeypatch, fresh_pba_setups):
     # the (n+1)! count is read off the advanced state's decorations, one
     # per round-one tamed construction, so only next_round enumerates them,
     # in one kernel run over round one's whole carrier
@@ -88,7 +88,7 @@ def test_setup_enumerates_round_one_once(monkeypatch):
     assert len(setup.state.vertex_sets) == 24
 
 
-def test_setup_finds_round_one_constrs_once(monkeypatch):
+def test_setup_finds_round_one_constrs_once(monkeypatch, fresh_pba_setups):
     # the self-check reads constrs(round1) and advance's next_round reads
     # the same masks, which the round finds once: each vertex decoration of
     # round one is walked once
@@ -114,13 +114,67 @@ def test_decode_lays_out_each_word_once(monkeypatch, pba3):
     assert len(words) == 363 and calls == {"_block_list": 363, "_zones": 363}
 
 
-def test_setup_guard():
+def test_setup_guard(capsys):
     with pytest.raises(PbaError, match="guard"):
         pba_setup(5)
     with pytest.raises(PbaError, match="guard"):
         pba_setup(3, max_n=2)
     with pytest.raises(PbaError):
         pba_setup(0)
+    # the guard comes before the shared setup, even once that is built
+    pba_setup(4)
+    message = "n=4 exceeds the guard (3); raise max_n to override"
+    with pytest.raises(PbaError) as info:
+        pba_setup(4, max_n=3)
+    assert str(info.value) == message
+    assert cli.main(["pba", "census", "4", "--max-n", "3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_setup_is_built_once_per_n(fresh_pba_setups, monkeypatch, capsys):
+    # a setup is built and checked once per n for the process, whatever the
+    # guard, and every pba command reads that one
+    builds, real = [], pba.simplex_round
+    monkeypatch.setattr(pba, "simplex_round", lambda *args: builds.append(args) or real(*args))
+    assert pba_setup(3) is pba_setup(3) is pba_setup(3, max_n=5)
+    assert len(builds) == 1
+    setup = pba_setup(4)
+    face = print_construct(setup.hypergraph, face_constructs(setup)[-1])
+    pba._build_setup.cache_clear()
+    builds.clear()
+    outs = []
+    for _ in range(2):
+        assert cli.main(["pba", "encode", "4", face]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(builds) == 1 and outs[0] == outs[1] != ""
+    assert pba_setup(4) is pba_setup(4, max_n=5) and len(builds) == 1
+
+
+def test_a_failed_self_check_keeps_no_setup(fresh_pba_setups, monkeypatch, capsys):
+    # lru_cache stores no raised exception: each call builds and fails again,
+    # and the first build after the fault is gone passes the checks
+    real = pba.constrs
+    monkeypatch.setattr(pba, "constrs", lambda s: real(s)[1:])
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="round-one constrs are not"):
+            pba_setup(2)
+        assert cli.main(["pba", "census", "2"]) == 1
+        assert capsys.readouterr().out == ""
+    assert pba._build_setup.cache_info().currsize == 0
+    monkeypatch.undo()
+    setup = pba_setup(2)
+    assert setup is pba_setup(2) and len(setup.state.vertex_sets) == 6
+
+
+def test_shared_setups_number_at_most_max_n(fresh_pba_setups):
+    top = pba.MAX_N + 1
+    setups = [pba_setup(n, max_n=top) for n in range(1, top + 1)]
+    info = pba._build_setup.cache_info()
+    assert info.maxsize == info.currsize == pba.MAX_N
+    # n=1, used least recently, made room for the last one
+    assert pba_setup(top, max_n=top) is setups[-1]
+    assert pba_setup(1) is not setups[0]
+    assert pba._build_setup.cache_info().currsize == pba.MAX_N
 
 
 def test_x_sigma_restrictions_are_paths(pba3):
@@ -572,12 +626,17 @@ def test_fully_determined_words_are_permuted_letters(pba3):
     assert {w.tokens for w in words} == set(permutations(pba3.letters))
 
 
-def test_word_order_memo_is_freed_with_its_setup():
+def test_word_order_memo_is_freed_with_its_setup(fresh_pba_setups):
+    # the memo lives on the shared setup, which the process keeps until
+    # its cache lets go of it, and then frees both
     setup = pba_setup(2)
     words = face_words(setup)
     assert word_leq(setup, words[0], words[0])
     ref = weakref.ref(setup)
     del setup
+    gc.collect()
+    assert ref() is not None and ref()._memo
+    pba._build_setup.cache_clear()
     gc.collect()
     assert ref() is None
 
