@@ -423,11 +423,7 @@ def _construct(h: Hypergraph, r: tuple) -> Construct:
 
 def _spans(r: tuple) -> list[int]:
     """psi of the face with record r as masks: the span of each node, in preorder."""
-    out, stack = [], [r]
-    while stack:
-        out.append((r := stack.pop())[1])
-        stack += reversed(r[2])
-    return out
+    return [r[1]] + [m for k in r[2] for m in _spans(k)]
 
 
 def _covers(s: tuple) -> list[tuple]:

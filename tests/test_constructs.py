@@ -554,22 +554,6 @@ def test_mask_records_and_spans_mirror_the_tree(small_corpus, named):
         _checked(h, bad)
 
 
-def _recursive_spans(r):
-    """The recursive definition of _spans, kept as the oracle of its walk."""
-    return [r[1]] + [m for k in r[2] for m in _recursive_spans(k)]
-
-
-def test_spans_walk_keeps_the_recursive_preorder(small_corpus):
-    # verify_isomorphism pairs the k-th cover with _spans(s)[k + 1] and
-    # pba.encode reads the spans below the root, so the order is the contract
-    checked = 0
-    for h in [*small_corpus, corpus.complete_graph(5)]:
-        for record in enumerate_constructs(h, node=constructs._record):
-            assert _spans(record) == _recursive_spans(record)
-            checked += 1
-    assert checked == 8993 + 541  # the small corpus, then K5
-
-
 class _CountingDict(dict):
     """A dict that counts the lookups made through get, [], `in` and setdefault."""
 

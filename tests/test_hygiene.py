@@ -190,7 +190,7 @@ def _command_lines(tmp_path, n: int) -> list[list[str]]:
     ]
 
 
-def test_commands_leave_no_cyclic_garbage(tmp_path):
+def test_commands_leave_no_cyclic_garbage(tmp_path, fresh_pba_setups):
     # argparse's HelpFormatter makes cycles of its own when the parser is built
     cli._build_parser()
     flags = gc.get_debug()
@@ -198,6 +198,9 @@ def test_commands_leave_no_cyclic_garbage(tmp_path):
     try:
         for n in (4, 6):
             argvs = _command_lines(tmp_path, n)
+            # the pba commands below must build their setup, not reuse the
+            # one the command lines were made from
+            pba._build_setup.cache_clear()
             gc.collect()
             gc.garbage.clear()
             gc.set_debug(flags | gc.DEBUG_SAVEALL)
