@@ -116,18 +116,27 @@ def _load_edge_graph(args) -> EdgeGraph:
 # -- hg -------------------------------------------------------------------
 
 
-def _faces(args) -> tuple[int, dict[int, str]]:
-    """The carrier size n and every construct as psi key -> text. A face of
-    dimension d has n - d nodes."""
+def _faces(args) -> tuple[int, list]:
+    """The carrier size n and every construct as a (text, psi key, _)
+    triple. A face of dimension d has n - d nodes, its key n - d members."""
     h = _load_hypergraph(args)
     trees = enumerate_constructs(h, max_carrier=args.max_carrier, node=_keyed_node(h, _text(h)))
-    return len(h.carrier), {key: text for text, key, _ in trees}
+    return len(h.carrier), trees
+
+
+def _by_nodes(n: int, rows) -> list[list[str]]:
+    """The texts of rows (text, psi key, ...) in row order, by node count from
+    n (dimension 0) down; a polytope has faces of every dimension, so none is empty."""
+    buckets = [[] for _ in range(n + 1)]
+    for row in rows:
+        buckets[row[1].bit_count()].append(row[0])
+    return buckets[:0:-1]
 
 
 def _hg_faces(args, out: TextIO) -> int:
-    n, faces = _faces(args)
-    by_dim = sorted(faces.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))  # dimension, then text
-    _write_rows(out, (f"{n - key.bit_count()}\t{text}\n" for key, text in by_dim))
+    n, trees = _faces(args)
+    for dim, texts in enumerate(_by_nodes(n, trees)):  # dimension, then text
+        out.write(f"{dim}\t" + f"\n{dim}\t".join(sorted(texts)) + "\n")
     return 0
 
 
@@ -140,22 +149,24 @@ def _hg_fvector(args, out: TextIO) -> int:
 def _hg_constructions(args, out: TextIO) -> int:
     h = _load_hypergraph(args)
     texts = enumerate_constructions(h, max_carrier=args.max_carrier, node=_text(h))
-    _write_rows(out, (t + "\n" for t in sorted(texts)))
+    out.write("\n".join(sorted(texts)) + "\n")
     return 0
 
 
 def _hg_hasse(args, out: TextIO) -> int:
-    faces = {key: _dot(text) for key, text in _faces(args)[1].items()}  # as DOT IDs
-    by_text = sorted(faces.items(), key=lambda kv: kv[1])
+    n, trees = _faces(args)
+    faces = {key: _dot(text) for text, key, _ in trees}  # as DOT IDs
+    del trees  # so the sorts below do not raise the peak RSS
+    by_text = sorted(zip(faces.values(), faces))  # the IDs are distinct: no key is compared
     carrier = min(faces)  # the key of the one-node face: the carrier bit alone
     out.write("digraph hasse {\n")
-    by_dim = sorted(by_text, key=lambda kv: kv[0].bit_count(), reverse=True)  # as hg faces
-    _write_rows(out, (f"  {t};\n" for _, t in by_dim))
+    for texts in _by_nodes(n, by_text):  # as hg faces
+        out.write("  " + ";\n  ".join(texts) + ";\n")
     # a cover drops one non-carrier key member. Rows of s share `  "s" -> ` and no
     # text prefixes another (labels hold none of `{}(),`, and escaping `\` and `"`
     # keeps that): face by face is one sort.
     _write_rows(out, ("".join(sorted(f"  {text} -> {faces[s ^ b]};\n" for b in _bits(s ^ carrier)))
-                      for s, text in by_text))
+                      for text, s in by_text))
     out.write("}\n")
     return 0
 

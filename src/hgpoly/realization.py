@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import starmap
+from itertools import groupby
 
 from . import constructs
 from .constructs import (
@@ -86,7 +86,21 @@ class HalfSpaceSystem:
         return tuple(LinearConstraint(frozenset(s), rhs, kind) for s, rhs, kind in self._rows())
 
     def to_text(self) -> str:
-        return "\n".join(starmap(_row, self._rows())) + "\n" if self.masks else ""
+        """The rows of _rows. Each half is spelled once: a low half as its joined
+        labels, a high half led by ` + `, which a row without low atoms drops.
+        The masks come size-first, so the rows of one size join on their tail."""
+        h, masks = self.ambient, self.masks
+        n = len(h.carrier)
+        low = (1 << n // 2) - 1
+        high = h.full_mask ^ low
+        lows = {x: " + ".join(h.sorted_labels(x)) for x in {m & low for m in masks}}
+        highs = {y: "".join([" + " + a for a in h.sorted_labels(y)]) for y in {m & high for m in masks}}
+        out = []
+        for k, group in groupby(masks, int.bit_count):
+            tail = f" == {3**k}\n" if k == n else f" >= {3**k}\n"  # only the carrier has n atoms
+            rows = [lows[m & low] + highs[m & high] if m & low else highs[m][3:] for m in group]
+            out.append(tail.join(rows) + tail)
+        return "".join(out)
 
     def to_json_dict(self) -> dict:
         rows = [{"support": list(s), "rhs": str(r), "kind": k} for s, r, k in self._rows()]

@@ -6,6 +6,7 @@ order, text or numbers fails here."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -276,6 +277,53 @@ def test_hrep_on_twelve_atoms_matches_golden(capsys, tmp_path):
     assert cli.main(["hg", "realize", "--hrep", str(path)]) == 0
     out = capsys.readouterr().out
     assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == (253, TWELVE_ATOMS_HREP)
+
+
+def _labelled_complete_graph(n: int) -> Hypergraph:
+    atoms = [f"a{i}" for i in range(n)]
+    return Hypergraph(atoms, [[a] for a in atoms] + [[a, b] for i, a in enumerate(atoms) for b in atoms[:i]])
+
+
+def _seeded_thirteen_atoms(seed: int) -> Hypergraph:
+    """A connected 13-atom hypergraph: a random spanning tree of pairs and
+    four edges of three to five atoms. Its connected subsets fall in two
+    blocks, those without and those with the 13th atom."""
+    rng = random.Random(seed)
+    atoms = [f"v{i}" for i in range(13)]
+    rng.shuffle(atoms)
+    edges = [[a] for a in atoms] + [[atoms[i], atoms[rng.randrange(i)]] for i in range(1, 13)]
+    edges += [rng.sample(atoms, rng.randint(3, 5)) for _ in range(4)]
+    return Hypergraph(atoms, edges)
+
+
+# Past the named corpus: many faces of one dimension, and hrep rows over
+# both halves of the carrier in more than one block. Labels a0, a1, ...
+# sort a10 before a2, so K16 rows printed in text order, not carrier order,
+# fail. Taken while every listing built, sorted and formatted its rows one
+# at a time
+LARGE = {
+    "K6": lambda: _labelled_complete_graph(6),
+    "K7": lambda: _labelled_complete_graph(7),
+    "K16": lambda: _labelled_complete_graph(16),
+    "seeded13": lambda: _seeded_thirteen_atoms(0),
+}
+LARGE_GOLDEN = {
+    ("K7", "faces"): (0, "e19f4dff1ed5dbde56c18310e0398ddc4ad2e244e2bf6bc30a2dce511bcc297b"),
+    ("K7", "constructions"): (0, "51a77c283ac5119a33109970e3d1ece63786db211c10f712a2b916d2544a8a29"),
+    ("K6", "hasse"): (0, "f3a0c70822b9d6089a301983c38081da6bb1e35b513e66d9c5e52be9d7fd4cc3"),
+    ("K7", "hasse"): (0, "38dc0fcf66f0aaf1b3a68f1ac30b6daf6ec5d46a6ad89ec93a2be6c87c68b45c"),
+    ("K16", "hrep"): (0, "db1d8ab15f4a0714faa85199ba9ec5901e77131b6f83fd099d35528c62daaef2"),
+    ("seeded13", "hrep"): (0, "1f358b3c0497813aeff3cf28ba3f625d1613a3f90dfc6f872f1255c1aaccea35"),
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(LARGE_GOLDEN))
+def test_large_listings_match_golden(capsys, tmp_path, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(LARGE[name]().to_json_dict()))
+    status = cli.main(COMMANDS[command] + [str(path)])
+    out = capsys.readouterr().out
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == LARGE_GOLDEN[name, command]
 
 
 def _argv(template, inputs):

@@ -41,6 +41,15 @@ QUOTED = Hypergraph(
      ['a"', 'b"c'], ["a", "a!", 'b"c']],
 )
 
+# labels whose code-point order differs from their case or accent order
+# (`B` < `Z` < `a` < `a b` < `a\b` < `é`), in a carrier order that is
+# neither: every listing sorts its rows as Python `str`s
+CODE_POINTS = Hypergraph(
+    ["é", "a\\b", "Z", "a b", "B", "a"],
+    [["é"], ["a\\b"], ["Z"], ["a b"], ["B"], ["a"], ["é", "a\\b"], ["a\\b", "Z"], ["Z", "a b"],
+     ["a b", "B"], ["B", "a"], ["é", "Z", "a"], ["a\\b", "a b", "B", "a"]],
+)
+
 
 def _oracle(h: Hypergraph, command: str) -> str:
     """The listing rebuilt from Construct trees: faces by dimension and
@@ -70,7 +79,7 @@ def _run(capsys, tmp_path, h: Hypergraph, command: str) -> tuple[int, str, str]:
 
 @pytest.mark.parametrize("command", LISTINGS)
 def test_listings_equal_their_construct_oracle(capsys, tmp_path, small_corpus, named, command):
-    for h in [*small_corpus, *named.values(), *map(_seeded_six_atoms, range(4)), QUOTED]:
+    for h in [*small_corpus, *named.values(), *map(_seeded_six_atoms, range(4)), QUOTED, CODE_POINTS]:
         assert _run(capsys, tmp_path, h, command) == (0, _oracle(h, command), ""), h
 
 
