@@ -22,6 +22,7 @@ from typing import TextIO
 from .constructs import (
     MAX_CARRIER,
     _bits,
+    _counted_text,
     _keyed_node,
     _text,
     enumerate_constructions,
@@ -116,25 +117,23 @@ def _load_edge_graph(args) -> EdgeGraph:
 # -- hg -------------------------------------------------------------------
 
 
-def _faces(args) -> tuple[int, list]:
-    """The carrier size n and every construct as a (text, psi key, _)
-    triple. A face of dimension d has n - d nodes, its key n - d members."""
+def _faces(args, node) -> tuple[int, list]:
+    """The carrier size n and every construct as the builder node(h) makes it."""
     h = _load_hypergraph(args)
-    trees = enumerate_constructs(h, max_carrier=args.max_carrier, node=_keyed_node(h, _text(h)))
-    return len(h.carrier), trees
+    return len(h.carrier), enumerate_constructs(h, max_carrier=args.max_carrier, node=node(h))
 
 
 def _by_nodes(n: int, rows) -> list[list[str]]:
-    """The texts of rows (text, psi key, ...) in row order, by node count from
+    """The texts of rows (text, node count) in row order, by node count from
     n (dimension 0) down; a polytope has faces of every dimension, so none is empty."""
     buckets = [[] for _ in range(n + 1)]
-    for row in rows:
-        buckets[row[1].bit_count()].append(row[0])
+    for text, count in rows:
+        buckets[count].append(text)
     return buckets[:0:-1]
 
 
 def _hg_faces(args, out: TextIO) -> int:
-    n, trees = _faces(args)
+    n, trees = _faces(args, _counted_text)
     for dim, texts in enumerate(_by_nodes(n, trees)):  # dimension, then text
         out.write(f"{dim}\t" + f"\n{dim}\t".join(sorted(texts)) + "\n")
     return 0
@@ -154,13 +153,14 @@ def _hg_constructions(args, out: TextIO) -> int:
 
 
 def _hg_hasse(args, out: TextIO) -> int:
-    n, trees = _faces(args)
+    n, trees = _faces(args, lambda h: _keyed_node(h, _text(h)))
     faces = {key: _dot(text) for text, key, _ in trees}  # as DOT IDs
     del trees  # so the sorts below do not raise the peak RSS
     by_text = sorted(zip(faces.values(), faces))  # the IDs are distinct: no key is compared
     carrier = min(faces)  # the key of the one-node face: the carrier bit alone
     out.write("digraph hasse {\n")
-    for texts in _by_nodes(n, by_text):  # as hg faces
+    counted = ((text, key.bit_count()) for text, key in by_text)  # a key member per node
+    for texts in _by_nodes(n, counted):  # as hg faces
         out.write("  " + ";\n  ".join(texts) + ";\n")
     # a cover drops one non-carrier key member. Rows of s share `  "s" -> ` and no
     # text prefixes another (labels hold none of `{}(),`, and escaping `\` and `"`

@@ -8,9 +8,10 @@ constructs draw Y from every non-empty subset of the region, while
 constructions, spanning partial constructions and the vertices below a
 face draw single atoms; the tamed families of a truncation round fix the
 root decorations at the top region. Its node builder makes each tree a
-Construct, a mask record (`_record`), a text or record with its psi key
-and, for a construction, its vertex coordinates (`_keyed_node`), or a
-decomposition word, with its tree edges (`operadic._word_head`). Inside
+Construct, a mask record (`_record`), a text with its node count
+(`_counted_text`), a text or record with its psi key and, for a
+construction, its vertex coordinates (`_keyed_node`), or a decomposition
+word, with its tree edges (`operadic._word_head`). Inside
 the library a face is its mask record, the plain tuple (decoration mask,
 span mask, child records) with children by lowest atom. A Construct, the
 tuple (decoration, children, node_count) over labels and unordered, is
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from operator import itemgetter
 
@@ -312,31 +313,33 @@ def _trees(
     xmask is a leaf chosen from fill(component). A family with fixed root
     decorations (the tamed ones) returns them from decorations(ambient).
     Children come in canonical order, by least atom of `spanned` (the
-    atoms the trees span; an Omega leaf by least carried atom). node(region,
-    y), called once per region and root decoration y, returns the maker of
-    each tree from its subtrees, by default Construct(h.labels(y), kids).
-    The trees over each region are built once, by _grown on a memo that
-    lives for this call."""
+    atoms the trees span; an Omega leaf by least carried atom).
+    components_mask gives them by least atom, so they are sorted again only
+    where spanned does not cover ambient. node(region, y), called once per
+    region and root decoration y, returns the maker of each tree from its
+    subtrees, by default Construct(h.labels(y), kids). The trees over each
+    region are built once, by _grown on a memo that lives for this call."""
     if node is None:
         node = lambda region, y: partial(Construct, h.labels(y))
-
-    def order(c: int) -> int:
-        k = c & spanned or c
-        return k & -k
+    order = None
+    if ambient & ~spanned:
+        def order(c: int) -> int:
+            k = c & spanned or c
+            return k & -k
 
     return _grown(h, ambient, {}, decorations, xmask, fill, node, order)
 
 
 def _grown(h: Hypergraph, region: int, memo: dict, decorations, xmask: int, fill, node, order) -> list:
-    """The trees of _trees over region, stored on memo by region."""
-    got = memo.get(region)
-    if got is not None:
-        return got
+    """The trees of _trees over region, stored on memo by region, where
+    the caller looks a component up before it recurses."""
     got = []
     for y in decorations(region & xmask):
+        comps = h.components_mask(region & ~y)
         parts = [
-            _grown(h, c, memo, decorations, xmask, fill, node, order) if c & xmask else fill(c)
-            for c in sorted(h.components_mask(region & ~y), key=order)
+            (memo.get(c) or _grown(h, c, memo, decorations, xmask, fill, node, order))
+            if c & xmask else fill(c)
+            for c in (sorted(comps, key=order) if order else comps)
         ]
         got.extend(map(node(region, y), product(*parts)))
     memo[region] = got
@@ -344,13 +347,39 @@ def _grown(h: Hypergraph, region: int, memo: dict, decorations, xmask: int, fill
 
 
 def _text(h: Hypergraph):
-    """Each tree as its text: a head for _keyed_node, or a _trees node builder."""
+    """Each tree as its text: a head for _keyed_node, or a _trees node
+    builder. Each decoration is spelled once per builder."""
+    spell = cache(partial(print_atom_set, h))
 
     def head(region: int, y: int):
-        dec = print_atom_set(h, y)
-        return lambda kids: dec + "(" + ",".join(kids) + ")" if kids else dec
+        dec = spell(y)
+        opened = dec + "("
+        return lambda kids: opened + ",".join(kids) + ")" if kids else dec
 
     return head
+
+
+def _counted_text(h: Hypergraph):
+    """A _trees node builder for a listing that reads no psi key: each tree
+    as (text, node count). Each decoration is spelled once per builder."""
+    spell = cache(partial(print_atom_set, h))
+
+    def node(region: int, y: int):
+        dec = spell(y)
+        opened = dec + "("
+
+        def tree(kids: tuple) -> tuple:
+            if len(kids) == 1:  # the commonest shape, as in _keyed_node
+                ((text, count),) = kids
+                return opened + text + ")", count + 1
+            if not kids:
+                return dec, 1
+            texts, counts = zip(*kids)
+            return opened + ",".join(texts) + ")", sum(counts) + 1
+
+        return tree
+
+    return node
 
 
 def _psi_bits(h: Hypergraph) -> dict[int, int]:

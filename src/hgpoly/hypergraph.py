@@ -316,14 +316,25 @@ def connected_subset_masks(h: Hypergraph) -> tuple[int, ...]:
                         fresh[to] = fresh.get(to, 0) | new
                         if to == part:  # the later edges of this pass grow them too
                             sets |= new
+        # each set m is read out as the int (_edge_key(m) + 2^w - 1) << w | m, so
+        # plain ints sort as _edge_key does, with no key call per set. _edge_key
+        # adds over disjoint atoms: a block's high part gives one term, a table
+        # of the 2^k low parts the other
+        w = 8 * (n + 7 >> 3)
+        ones, low = (1 << w) - 1, [0]
+        for i in range(k):  # _edge_key(1 << i) is 2^w - 2^(w - 1 - i)
+            step = ((1 << w) - (1 << w - 1 - i) << w) + (1 << i)
+            low += [v + step for v in low]
         found = []
         for part, sets in blocks.items():
-            base, bits = part << k, bin(sets)[:1:-1]
+            high = part << k
+            base, bits = (h._edge_key(high) + ones << w) + high, bin(sets)[:1:-1]
             p = bits.find("1")
             while p >= 0:
-                found.append(base | p)
+                found.append(base + low[p])
                 p = bits.find("1", p + 1)
-        got = tuple(sorted(found, key=h._edge_key))
+        found.sort()
+        got = tuple(map(ones.__and__, found))
         object.__setattr__(h, "_connected_subsets", got)
     return got
 

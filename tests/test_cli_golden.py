@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from hgpoly import Hypergraph, cli, corpus
+from hgpoly import Hypergraph, cli, constructs, corpus
 from hgpoly.operadic import parse_tree
 
 COMMANDS = {
@@ -117,13 +117,27 @@ def test_golden_table_covers_the_named_corpus():
     assert len(GOLDEN) == len(names) * len(COMMANDS)
 
 
-@pytest.mark.parametrize("name,command", sorted(GOLDEN))
-def test_stdout_matches_golden(capsys, tmp_path, name, command):
+def _named_run(capsys, tmp_path, name, command):
+    """The exit status and stdout digest of command on the named hypergraph."""
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(corpus.named_corpus()[name].to_json_dict()))
     status = cli.main(COMMANDS[command] + [str(path)])
-    out = capsys.readouterr().out
-    assert (status, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[name, command]
+    return status, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,command", sorted(GOLDEN))
+def test_stdout_matches_golden(capsys, tmp_path, name, command):
+    assert _named_run(capsys, tmp_path, name, command) == GOLDEN[name, command]
+
+
+@pytest.mark.parametrize("name", sorted(corpus.named_corpus()))
+def test_faces_read_no_psi_key(monkeypatch, capsys, tmp_path, name):
+    # hg faces buckets its rows by node count, so no psi key is built
+    def refuse(h):
+        raise AssertionError("hg faces built a psi key")
+
+    monkeypatch.setattr(constructs, "_psi_bits", refuse)
+    assert _named_run(capsys, tmp_path, name, "faces") == GOLDEN[name, "faces"]
 
 
 # The square example of the truncation-rounds acceptance check: round 1

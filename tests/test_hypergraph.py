@@ -211,6 +211,30 @@ def test_cycle_has_its_arcs_connected(n):
     assert len(masks) == n * (n - 1) + 1
 
 
+def test_connected_subsets_sort_as_the_edge_key_past_fourteen_atoms():
+    """The read-out adds each block's high part to a table of low parts;
+    past 14 atoms a high part is wider than 2 bits, and the order must
+    still be _edge_key's."""
+    rng = random.Random(37)
+    inputs = [_random_atomic(rng, n) for n in (15, 15, 16, 16)]
+    inputs += [_graph(n, [(i, i + 1) for i in range(n - 1)]) for n in (24, 40, 80)]
+    inputs.append(_graph(40, [(i, (i + 1) % 40) for i in range(40)]))
+    for h in inputs:
+        masks = connected_subset_masks(h)
+        assert len({m >> 12 for m in masks}) > 4, h
+        assert masks == tuple(sorted(masks, key=h._edge_key)), h
+
+
+def test_components_come_by_lowest_atom(small_corpus, named):
+    """The tree kernel keeps this order for children wherever the atoms
+    its trees span cover the region, and sorts them only elsewhere."""
+    for h in [*small_corpus, *named.values()]:
+        for sub in range(h.full_mask + 1):
+            comps = h.components_mask(sub)
+            lows = [c & -c for c in comps]
+            assert lows == sorted(lows) and sum(comps) == sub, (h, sub)
+
+
 def test_connected_subsets_do_not_walk_every_mask():
     """A path of n atoms has n(n+1)/2 connected subsets among 2^n masks; a
     walk over the masks would not end at 80 atoms."""
