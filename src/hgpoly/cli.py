@@ -48,14 +48,13 @@ from .realization import (
     vertices_to_json_dict,
 )
 from .truncation import (
+    _tamed_counts,
     advance,
     constrs,
     next_round,
     round_state_from_json_dict,
     round_state_to_json_dict,
     simplex_round,
-    tamed_constructions,
-    tamed_constructs,
 )
 from .verification import CHECKS, VerificationFailure
 
@@ -243,14 +242,11 @@ def _trunc_round(args, out: TextIO) -> int:
         })
         return 0
     new = advance(state, Hypergraph.from_json_dict(_load_json(args.truncations)))
+    constructs, constructions = _tamed_counts(new)
     _dump_json(out, {
         "format": 1,
         "state": round_state_to_json_dict(new),
-        "tamed": {
-            "constructs": len(tamed_constructs(new)),
-            "constructions": len(tamed_constructions(new)),
-            "constrs": len(constrs(new)),
-        },
+        "tamed": {"constructs": constructs, "constructions": constructions, "constrs": len(constrs(new))},
     })
     return 0
 

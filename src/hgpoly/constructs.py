@@ -11,7 +11,10 @@ root decorations at the top region. Its node builder makes each tree a
 Construct, a mask record (`_record`), a text with its node count
 (`_counted_text`), a text or record with its psi key and, for a
 construction, its vertex coordinates (`_keyed_node`), or a decomposition
-word, with its tree edges (`operadic._word_head`). Inside
+word, with its tree edges (`operadic._word_head`). Beside it, the face
+polynomial (`_face_polynomial`, Postnikov 2009) counts the trees over a
+region by node count without building one, for `realization.f_vector`,
+`pba.census` and a truncation round's tamed counts. Inside
 the library a face is its mask record, the plain tuple (decoration mask,
 span mask, child records) with children by lowest atom. A Construct, the
 tuple (decoration, children, node_count) over labels and unordered, is
@@ -435,6 +438,36 @@ def enumerate_constructions(
     _check_guard(h, max_carrier, "constructions")
     full = h.full_mask
     return _trees(h, full, _bits, full, full, None, node)
+
+
+def _face_term(h: Hypergraph, rest: int, memo: dict[int, list[int]]) -> list[int]:
+    """z times the product of the face polynomials of the components of the
+    mask rest, coefficients lowest first; the polynomials are kept on memo."""
+    out = [0, 1]
+    for c in h.components_mask(rest):
+        factor = _face_polynomial(h, c, memo)
+        prod = [0] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            if a:
+                for j, b in enumerate(factor):
+                    prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _face_polynomial(h: Hypergraph, region: int, memo: dict[int, list[int]]) -> list[int]:
+    """The face polynomial F(S) (Postnikov 2009) of the mask region S,
+    coefficients lowest first: its z^k coefficient counts the constructs over
+    S with k nodes. It sums _face_term(S - Y) over the non-empty Y in S, and
+    is stored on memo by region."""
+    got = memo.get(region)
+    if got is None:
+        got = [0] * (region.bit_count() + 1)
+        for y in _submasks(region):
+            for k, a in enumerate(_face_term(h, region & ~y, memo)):
+                got[k] += a
+        memo[region] = got
+    return got
 
 
 # -- the face order, three ways ----------------------------------------

@@ -8,7 +8,8 @@ coordinate once per region and decoration, and each tree its psi key, so
 no tree is walked twice. verify_isomorphism checks the face-order
 isomorphism, simplicity, dimension, and the facet census on these
 coordinates, over mask records; `RationalPoint` holds them as `Fraction`s
-at the public boundary.
+at the public boundary. f_vector reads the face counts off the face
+polynomial in `constructs` and builds no face.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import groupby
 
 from . import constructs
@@ -27,6 +27,7 @@ from .constructs import (
     _check_guard,
     _checked,
     _construct,
+    _face_polynomial,
     _keyed_node,
     _psi_bits,
     _record,
@@ -69,17 +70,10 @@ class HalfSpaceSystem:
     masks: tuple[int, ...]
 
     def _rows(self):
-        """(labels, rhs, kind) per mask. A row's labels are those of its low
-        n // 2 atoms followed by those of its high ones, each half spelled
-        once, when first met."""
+        """(labels in carrier order, rhs, kind) per mask."""
         h = self.ambient
-        n = len(h.carrier)
-        labels, full = cache(h.sorted_labels), h.full_mask
-        low = (1 << n // 2) - 1
-        high, rhs = full ^ low, [3**k for k in range(n + 1)]
         for m in self.masks:
-            kind = "equality" if m == full else "at-least"
-            yield labels(m & low) + labels(m & high), rhs[m.bit_count()], kind
+            yield h.sorted_labels(m), 3 ** m.bit_count(), "equality" if m == h.full_mask else "at-least"
 
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
@@ -219,40 +213,10 @@ def face_vertex_set(h: Hypergraph, t: Construct) -> frozenset[RationalPoint]:
     return frozenset(RationalPoint(h.carrier, tuple(map(Fraction, p))) for p in coords)
 
 
-def _face_term(h: Hypergraph, rest: int, memo: dict[int, list[int]]) -> list[int]:
-    """z times the product of the face polynomials of the components of the
-    mask rest, coefficients lowest first; the polynomials are kept on memo."""
-    out = [0, 1]
-    for c in h.components_mask(rest):
-        factor = _face_polynomial(h, c, memo)
-        prod = [0] * (len(out) + len(factor) - 1)
-        for i, a in enumerate(out):
-            if a:
-                for j, b in enumerate(factor):
-                    prod[i + j] += a * b
-        out = prod
-    return out
-
-
-def _face_polynomial(h: Hypergraph, region: int, memo: dict[int, list[int]]) -> list[int]:
-    """The face polynomial F(S) (Postnikov 2009) of the mask region S,
-    coefficients lowest first: its z^k coefficient counts the constructs over
-    S with k nodes. It sums _face_term(S - Y) over the non-empty Y in S, and
-    is stored on memo by region."""
-    got = memo.get(region)
-    if got is None:
-        got = [0] * (region.bit_count() + 1)
-        for y in _submasks(region):
-            for k, a in enumerate(_face_term(h, region & ~y, memo)):
-                got[k] += a
-        memo[region] = got
-    return got
-
-
 def f_vector(h: Hypergraph, *, max_carrier: int | None = MAX_CARRIER) -> tuple[int, ...]:
     """Face counts by dimension, vertices first, top last, counted without
-    building a face from the face polynomial (_face_polynomial): a face of
-    dimension d has n - d nodes."""
+    building a face from the face polynomial (constructs._face_polynomial):
+    a face of dimension d has n - d nodes."""
     _check_guard(h, max_carrier, "constructs")
     n = len(h.carrier)
     top = _face_polynomial(h, h.full_mask, {})

@@ -18,6 +18,8 @@ from .constructs import (
     _bits,
     _check_size,
     _checked,
+    _construct,
+    _face_term,
     _record,
     _spans,
     _submasks,
@@ -223,19 +225,14 @@ def simplex_round(base: Iterable[str], truncations: Hypergraph | Iterable) -> Ro
 # -- taming -------------------------------------------------------------
 
 
-def _check_decorations(s: RoundState) -> None:
-    """The tamed enumerations grow each vertex decoration into trees: one
-    over MAX_CARRIER facets raises GuardExceeded."""
-    for fam in s.vertex_sets:
-        _check_size(len(fam), MAX_CARRIER, "vertex decoration", "facets", fixed=True)
-
-
 def _tamed(s: RoundState, grow, decorations, node=None) -> list:
     """One `_trees` run: the top region takes the roots grow(c, fam) gives
     for each vertex decoration fam and its complement c, once each in that
-    order; every region below, which lies inside a vertex decoration and so
-    under _check_decorations, draws from decorations; node goes to _trees."""
-    _check_decorations(s)
+    order; every region below lies inside a vertex decoration and draws from
+    decorations; node goes to _trees. A decoration over MAX_CARRIER facets
+    raises GuardExceeded."""
+    for fam in s.vertex_sets:
+        _check_size(len(fam), MAX_CARRIER, "vertex decoration", "facets", fixed=True)
     ht = s.truncations
     full = ht.full_mask
     roots = dict.fromkeys(
@@ -258,6 +255,17 @@ def tamed_constructions(s: RoundState) -> list[Construct]:
     other nodes are singletons, each once, in the kernel's order, the same
     on every call, under the same guard as tamed_constructs."""
     return _tamed(s, lambda c, fam: (c,), _bits)
+
+
+def _tamed_counts(s: RoundState) -> tuple[int, int]:
+    """len(tamed_constructs(s)) and len(tamed_constructions(s)), built from no
+    tree and under no guard. A tamed root leaves some Y inside a decoration, Y
+    not all facets, to _face_term(Y) constructs over Y's components; a tamed
+    construction leaves a whole decoration to singletons, its top term."""
+    ht, memo = s.truncations, {}
+    fams = {ht.mask(fam) for fam in s.vertex_sets} - {ht.full_mask}
+    ys = {y for fam in map(ht.mask, s.vertex_sets) for y in (*_submasks(fam), 0)} - {ht.full_mask}
+    return sum(sum(_face_term(ht, y, memo)) for y in ys), sum(_face_term(ht, f, memo)[-1] for f in fams)
 
 
 def constrs(s: RoundState) -> list[Construct]:
@@ -341,14 +349,13 @@ def next_round(s: RoundState) -> RoundTransition:
     new = [n for n in images if n not in ht._index]
     facets = s.facets + tuple(_sum(s, images[n]) for n in new)
 
-    # tamed_constructions' decorations off their records' spans; a failure reruns it to print one
+    # tamed_constructions' decorations off their records' spans
     families: dict[frozenset[str], None] = {}
-    for i, r in enumerate(_tamed(s, lambda c, fam: (c,), _bits, _record)):
+    for r in _tamed(s, lambda c, fam: (c,), _bits, _record):
         fam = _family(ht, flat, _spans(r))
         if not images.keys() >= fam:
-            t = tamed_constructions(s)[i]
             raise TruncationError(
-                f"decoration of {print_construct(ht, t)} leaves the new facet set"
+                f"decoration of {print_construct(ht, _construct(ht, r))} leaves the new facet set"
             )
         families[fam] = None
 

@@ -14,6 +14,7 @@ from hgpoly import Hypergraph, InvariantError, RealizationError, cli, constructs
 from hgpoly.constructs import covers, enumerate_constructs, print_construct
 from hgpoly.operadic import build_edge_graph, decomposition_words, parse_tree, tree_from_json_dict
 from hgpoly.realization import f_vector
+from hgpoly.truncation import round_state_from_json_dict, tamed_constructions, tamed_constructs
 
 PENTAGON_HREP = """\
 x >= 3
@@ -316,10 +317,10 @@ def test_dot_outputs_read_back(capsys, tmp_path):
 TRACED = ("enumerate_constructs", "enumerate_constructions", "tamed_constructs")
 
 
-def _count_calls(monkeypatch) -> dict[str, int]:
-    """Wrap each traced enumerator wherever an hgpoly module binds it, the
-    way the benchmark's tracer installs its layers, and count its calls."""
-    calls = dict.fromkeys(TRACED, 0)
+def _count_calls(monkeypatch, names=TRACED) -> dict[str, int]:
+    """Wrap each named function wherever an hgpoly module binds it, the way
+    the benchmark's tracer installs its layers, and count its calls."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -329,7 +330,7 @@ def _count_calls(monkeypatch) -> dict[str, int]:
 
     for key, module in list(sys.modules.items()):
         if key == "hgpoly" or key.startswith("hgpoly."):
-            for name in TRACED:
+            for name in names:
                 if name in vars(module):
                     monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
     return calls
@@ -339,7 +340,8 @@ def test_commands_reach_the_traced_enumerators(capsys, monkeypatch, tmp_path,
                                                pentagon_file, t4_file):
     # the benchmark traces the public enumerators by name: a command that
     # reaches its faces another way would read zero calls on that layer;
-    # pba census counts its faces and builds none, so it reaches no layer
+    # pba census and trunc round --truncations count their faces from the
+    # face polynomial and build none, so they reach no layer
     ht1, ht2, state1 = (tmp_path / name for name in ("ht1.json", "ht2.json", "s1.json"))
     ht1.write_text(json.dumps(SQUARE_HT1))
     ht2.write_text(json.dumps(SQUARE_HT2))
@@ -353,8 +355,7 @@ def test_commands_reach_the_traced_enumerators(capsys, monkeypatch, tmp_path,
         (["op", "classify", "--tree", t4_file], "enumerate_constructions"),
         (["hg", "realize", "--vertices", pentagon_file], "enumerate_constructions"),
         (["hg", "realize", "--verify", pentagon_file], "enumerate_constructs"),
-        (["trunc", "round", "--state", str(state1), "--truncations", str(ht2)],
-         "tamed_constructs"),
+        (["trunc", "round", "--state", str(state1), "--truncations", str(ht2)], None),
         (["pba", "census", "3"], None),
     ]:
         calls.update(dict.fromkeys(TRACED, 0))
@@ -387,6 +388,41 @@ def test_trunc_rounds(capsys, tmp_path):
     assert status == 0
     assert blob["state"]["round"] == 2
     assert blob["tamed"] == {"constructs": 27, "constructions": 8, "constrs": 6}
+
+
+def test_trunc_round_runs_the_kernel_once(capsys, monkeypatch, tmp_path):
+    # advancing grows the old round's tamed constructions once, in
+    # next_round; the new round's tamed faces are counted, not built
+    ht1, ht2, state1 = (tmp_path / name for name in ("ht1.json", "ht2.json", "s1.json"))
+    ht1.write_text(json.dumps(SQUARE_HT1))
+    ht2.write_text(json.dumps(SQUARE_HT2))
+    state1.write_text(run(capsys, "trunc", "init", "--truncations", str(ht1))[1])
+    calls = _count_calls(monkeypatch, ("_trees", "next_round"))
+    status, out, _ = run(capsys, "trunc", "round", "--state", str(state1), "--truncations", str(ht2))
+    assert status == 0
+    assert calls == {"_trees": 1, "next_round": 1}
+
+
+def test_trunc_round_counts_the_tamed_faces_of_an_advanced_pba_state(capsys, tmp_path):
+    # pba setup 3 previews 62 facets; advance along a path through them
+    status, out, _ = run(capsys, "pba", "setup", "3")
+    assert status == 0
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(json.loads(out)["state"]))
+    names = json.loads(run(capsys, "trunc", "round", "--state", str(state))[1])["facet_names"]
+    assert len(names) == 62
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({
+        "format": 1, "carrier": names,
+        "hyperedges": [[n] for n in names] + [list(p) for p in zip(names, names[1:])],
+    }))
+    status, out, err = run(capsys, "trunc", "round", "--state", str(state), "--truncations", str(path))
+    assert (status, err) == (0, "")
+    blob = json.loads(out)
+    assert blob["tamed"] == {"constructs": 363, "constructions": 120, "constrs": 62}
+    new = round_state_from_json_dict(blob["state"])
+    assert (blob["tamed"]["constructs"], blob["tamed"]["constructions"]) == (
+        len(tamed_constructs(new)), len(tamed_constructions(new)))
 
 
 def test_trunc_round_refuses_state_format_2(capsys, tmp_path):

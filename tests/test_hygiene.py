@@ -10,6 +10,7 @@ import contextlib
 import gc
 import io
 import json
+import sys
 import types
 from pathlib import Path
 
@@ -89,6 +90,40 @@ def _unreferenced(modules: dict[str, ast.Module], wanted) -> list[str]:
         for name, tree in modules.items() for node in tree.body
         if wanted(node) and not any(node.name in names for other, names in reads if other is not node)
     ]
+
+
+# the README's pipeline order: a module may import only the ones before it
+PIPELINE = ("hypergraph", "constructs", "nestedsets", "realization", "operadic",
+            "truncation", "pba", "corpus", "verification", "cli")
+
+
+def _imported_modules(tree: ast.Module):
+    """(level, top-level module name) of each import in tree, nested ones
+    included; `from . import corpus` gives (1, "corpus")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((0, alias.name.partition(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.level, node.module.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.level, alias.name) for alias in node.names)
+
+
+def test_modules_import_the_standard_library_and_earlier_stages_only():
+    # the library has no third-party dependency, and no stage reaches a
+    # later one
+    modules = _modules()
+    assert set(modules) == {f"{m}.py" for m in PIPELINE} | {"__init__.py"}
+    wrong = []
+    for name, tree in modules.items():
+        if name == "__init__.py":
+            continue  # the package gathers every stage
+        earlier = PIPELINE[:PIPELINE.index(name[:-3])]
+        wrong += [
+            f"{name}: {'.' * level}{module}" for level, module in _imported_modules(tree)
+            if not (level == 0 and module in sys.stdlib_module_names or level == 1 and module in earlier)
+        ]
+    assert not wrong, wrong
 
 
 def test_every_private_function_is_referenced():

@@ -361,6 +361,51 @@ def test_tamed_constructs_guard_each_vertex_decoration():
         tamed_constructs(simplex_round(atoms, path))
 
 
+# -- counting the tamed faces -------------------------------------------
+
+
+def _built_rounds():
+    """Every round this file builds, the bare and complete-graph rounds
+    advanced once more, a seeded sample of advanced corpus rounds, and two
+    rounds with a vertex decoration equal to the whole facet set."""
+    bare = [["x"], ["y"], ["z"], ["u"], ["x", "y", "z", "u"]]
+    complete = [[a] for a in BASE] + [[a, b] for i, a in enumerate(BASE) for b in BASE[i + 1:]]
+    round_one = [simplex_round(h.carrier, h) for k in (2, 3, 4) for h in all_connected_atomic(k)]
+    hemi = hemiassociahedron()
+    round_one.append(simplex_round(hemi.carrier, hemi))
+    states = [*round_one, square_round_1(), square_round_2(), square_round_3()]
+    for s in (simplex_round(BASE, bare), simplex_round(BASE, complete)):
+        states += [s, _random_advance(s, random.Random(3))]
+    for n in (1, 2, 3):
+        setup = pba_setup(n)
+        states += [setup.round1, setup.state]
+    rng = random.Random(12)
+    states += [_random_advance(s, rng) for s in rng.sample(round_one, 60)]
+    facets = [Multiset(("x",), (k,)) for k in (1, 2, 3)]
+    states.append(make_round(("x",), facets, [["x", "2x", "3x"]],
+                             [["x"], ["2x"], ["3x"], ["x", "2x"], ["x", "2x", "3x"]]))
+    three = [Multiset.unit(("x", "y", "z"), a) for a in "xyz"]
+    states.append(make_round(("x", "y", "z"), three, [["y", "z"], ["x", "z"], ["x", "y"], ["x", "y", "z"]],
+                             [["x"], ["y"], ["z"], ["x", "y"], ["y", "z"]]))
+    return states
+
+
+def test_tamed_counts_match_the_enumerated_lengths():
+    # the new round's counts come from the face polynomial; the enumerated
+    # lists are their oracle, whole-facet-set decorations included
+    states = _built_rounds()
+    for s in states:
+        assert truncation._tamed_counts(s) == (len(tamed_constructs(s)), len(tamed_constructions(s)))
+    assert truncation._tamed_counts(states[-1]) == (11, 5)
+
+
+def test_tamed_counts_of_the_pba_states():
+    want = {1: (3, 2), 2: (25, 12), 3: (363, 120), 4: (7401, 1680)}
+    for n, counts in want.items():
+        s = pba_setup(n).state
+        assert truncation._tamed_counts(s) == counts == (len(tamed_constructs(s)), len(tamed_constructions(s)))
+
+
 def _reference_transition(s):
     """The transition computed on labels: psi families, mu_sigma over facet
     names and list scans. Returns next_round's two fields, the families
