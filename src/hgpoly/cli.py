@@ -50,13 +50,11 @@ from .realization import (
 from .truncation import (
     _tamed_counts,
     advance,
-    constrs,
     next_round,
     round_state_from_json_dict,
     round_state_to_json_dict,
     simplex_round,
 )
-from .verification import CHECKS, VerificationFailure
 
 
 class CliError(ValueError):
@@ -246,7 +244,7 @@ def _trunc_round(args, out: TextIO) -> int:
     _dump_json(out, {
         "format": 1,
         "state": round_state_to_json_dict(new),
-        "tamed": {"constructs": constructs, "constructions": constructions, "constrs": len(constrs(new))},
+        "tamed": {"constructs": constructs, "constructions": constructions, "constrs": len(new._constr_masks)},
     })
     return 0
 
@@ -293,6 +291,8 @@ def _pba_census(args, out: TextIO) -> int:
 
 
 def _corpus_verify(args, out: TextIO) -> int:
+    from .verification import CHECKS, VerificationFailure  # loaded only by this command
+
     lines, failed = [], 0
     for name, fn in CHECKS:
         try:

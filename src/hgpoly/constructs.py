@@ -33,10 +33,10 @@ convert their results back at return.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
 from operator import itemgetter
+from typing import NamedTuple
 
 from .hypergraph import (
     GuardExceeded, Hypergraph, HypergraphError, connected_subset_masks, is_connected,
@@ -103,8 +103,7 @@ class Construct(tuple):
                 yield from c.nodes()
 
 
-@dataclass(frozen=True)
-class Omega:
+class Omega(NamedTuple):
     """Undefined leaf standing for a yet-unbuilt subtree over `carried`."""
 
     carried: frozenset[str]
@@ -320,10 +319,12 @@ def _trees(
     components_mask gives them by least atom, so they are sorted again only
     where spanned does not cover ambient. node(region, y), called once per
     region and root decoration y, returns the maker of each tree from its
-    subtrees, by default Construct(h.labels(y), kids). The trees over each
-    region are built once, by _grown on a memo that lives for this call."""
+    subtrees, by default Construct(h.labels(y), kids) with one label set
+    per decoration y. The trees over each region are built once, by _grown
+    on a memo that lives for this call."""
     if node is None:
-        node = lambda region, y: partial(Construct, h.labels(y))
+        labels = cache(h.labels)
+        node = lambda region, y: partial(Construct, labels(y))
     order = None
     if ambient & ~spanned:
         def order(c: int) -> int:

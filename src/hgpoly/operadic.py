@@ -15,9 +15,9 @@ tree's node labels, with the parent-side block printed on the left.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 from .constructs import (
     MAX_CARRIER, Construct, _check_size, _checked, _keyed_node, _psi_bits, _vertices_below,
@@ -34,24 +34,20 @@ class WordError(ValueError):
     """A parenthesised word is not admissible for the tree at hand."""
 
 
-@dataclass(frozen=True)
-class OperadicTree:
+class OperadicTree(namedtuple("OperadicTree", "label children", defaults=((),))):
     """Rooted tree with pairwise distinct node labels; children unordered
-    (stored sorted by label)."""
+    (stored sorted by label). The tuple (label, children)."""
 
-    label: str
-    children: tuple[OperadicTree, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, str) or not self.label:
+    def __new__(cls, label: str, children: tuple[OperadicTree, ...] = ()) -> OperadicTree:
+        if not isinstance(label, str) or not label:
             raise OperadicTreeError("node labels must be non-empty strings")
-        kids = tuple(sorted(self.children, key=lambda c: c.label))
-        object.__setattr__(self, "children", kids)
+        self = super().__new__(cls, label, tuple(sorted(children, key=lambda c: c.label)))
         seen: set[str] = set()
         for node in self.nodes():
             if node.label in seen:
                 raise OperadicTreeError(f"duplicate node label {node.label!r}")
             seen.add(node.label)
+        return self
 
     def nodes(self):
         yield self
@@ -128,7 +124,6 @@ def _tree_node(text: str, pos: int) -> tuple[OperadicTree, int]:
     return OperadicTree(name, tuple(kids)), pos
 
 
-@dataclass(frozen=True, eq=False)
 class EdgeGraph:
     """The derived graph of an operadic tree, vertices named per edge.
 
@@ -136,12 +131,13 @@ class EdgeGraph:
     pairs); solid/dashed tags and levels are sidecar data.
     """
 
-    tree: OperadicTree
-    hypergraph: Hypergraph
-    solid: frozenset[frozenset[str]]
-    dashed: frozenset[frozenset[str]]
-    level: dict[str, int]
-    edge_of: dict[str, str]  # vertex name -> child endpoint label in the tree
+    def __init__(
+        self, tree: OperadicTree, hypergraph: Hypergraph, solid: frozenset[frozenset[str]],
+        dashed: frozenset[frozenset[str]], level: dict[str, int], edge_of: dict[str, str],
+    ) -> None:
+        self.tree, self.hypergraph = tree, hypergraph
+        self.solid, self.dashed, self.level = solid, dashed, level
+        self.edge_of = edge_of  # vertex name -> child endpoint label in the tree
 
     @property
     def vertex_names(self) -> tuple[str, ...]:
@@ -223,8 +219,7 @@ def _walk_edges(node: OperadicTree, depth: int, names: dict, level: dict, solid:
         _walk_edges(child, depth + 1, names, level, solid, dashed)
 
 
-@dataclass(frozen=True)
-class MinPath:
+class MinPath(NamedTuple):
     vertices: tuple[str, ...]
     path_type: str  # "I" | "II"
 
@@ -314,13 +309,14 @@ def min_path(g: EdgeGraph, u: str, v: str) -> MinPath:
     return normal
 
 
-@dataclass(frozen=True, eq=False)
 class EdgeClassification:
-    kind: str  # "beta" | "theta"
-    endpoints: tuple[Construct, Construct]
-    min_path: MinPath
-    source: Construct | None = None  # beta only
-    target: Construct | None = None
+    def __init__(
+        self, kind: str, endpoints: tuple[Construct, Construct], min_path: MinPath,
+        source: Construct | None = None, target: Construct | None = None,
+    ) -> None:
+        self.kind = kind  # "beta" | "theta"
+        self.endpoints, self.min_path = endpoints, min_path
+        self.source, self.target = source, target  # beta only
 
 
 def classify_edge(g: EdgeGraph, e: Construct) -> EdgeClassification:
@@ -374,8 +370,7 @@ def _rebuilt(label: str, children: dict[str, list[str]]) -> OperadicTree:
     return OperadicTree(label, tuple(_rebuilt(c, children) for c in children[label]))
 
 
-@dataclass(frozen=True)
-class EdgeRemovalCensus:
+class EdgeRemovalCensus(NamedTuple):
     """Removing n tree edges leaves n+1 subtrees; the ones that keep an
     edge match the components of the graph minus the removed vertices."""
 

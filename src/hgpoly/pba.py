@@ -7,12 +7,11 @@ words that mix determined letters with numbered holes, each hole
 standing for an unordered bag of letters.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from math import factorial
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .constructs import (
     Construct,
@@ -64,8 +63,7 @@ def _name(letters: Iterable[str]) -> str:
 # -- words --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HoleWord:
+class HoleWord(NamedTuple):
     """A parenthesised word: letter names and 1-based hole numbers as
     tokens, all parenthesis pairs as inclusive token ranges (standard
     brackets included), and the hole map as one letter set per hole."""
@@ -358,17 +356,14 @@ def validate_word(universe: Iterable[str], w: HoleWord) -> tuple[list, list, dic
 # -- setup ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class PbaSetup:
     """Both truncation rounds for n+1 letters, with the round-two state
     carrying the subset-sum facets."""
 
-    n: int
-    letters: tuple[str, ...]
-    round1: RoundState
-    state: RoundState
-    # word -> (its construct, the construct's nested set), filled by word_leq
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, n: int, letters: tuple[str, ...], round1: RoundState, state: RoundState) -> None:
+        self.n, self.letters, self.round1, self.state = n, letters, round1, state
+        # word -> (its construct, the construct's nested set), filled by word_leq
+        self._memo: dict = {}
 
     @property
     def hypergraph(self) -> Hypergraph:
@@ -639,8 +634,7 @@ def rule_closure_leq(setup: PbaSetup, a: HoleWord, b: HoleWord) -> bool:
 # -- census ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PbaCensus:
+class PbaCensus(NamedTuple):
     vertices: int
     edges: int
     facets: int

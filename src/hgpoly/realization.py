@@ -15,9 +15,9 @@ polynomial in `constructs` and builds no face.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
+from typing import NamedTuple
 
 from . import constructs
 from .constructs import (
@@ -51,8 +51,7 @@ def _row(labels: tuple[str, ...], rhs: int, kind: str) -> str:
     return f"{' + '.join(labels)} {'==' if kind == 'equality' else '>='} {rhs}"
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     support: frozenset[str]
     rhs: int
     kind: str  # "equality" | "at-least"
@@ -61,8 +60,7 @@ class LinearConstraint:
         return _row(h.sorted_labels(self.support), self.rhs, self.kind)
 
 
-@dataclass(frozen=True)
-class HalfSpaceSystem:
+class HalfSpaceSystem(NamedTuple):
     """One half-space per connected subset mask, in the order of masks; text
     and JSON are printed straight from the masks."""
 
@@ -101,10 +99,24 @@ class HalfSpaceSystem:
         return {"format": 1, "carrier": list(self.ambient.carrier), "constraints": rows}
 
 
-@dataclass(frozen=True)
 class RationalPoint:
-    atoms: tuple[str, ...]
-    coords: tuple[Fraction, ...]
+    """A point by its coordinates on atoms, equal and hashed by value."""
+
+    __slots__ = ("atoms", "coords")
+
+    def __init__(self, atoms: tuple[str, ...], coords: tuple[Fraction, ...]) -> None:
+        self.atoms, self.coords = atoms, coords
+
+    def __repr__(self) -> str:
+        return f"RationalPoint(atoms={self.atoms!r}, coords={self.coords!r})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not RationalPoint:
+            return NotImplemented
+        return (self.atoms, self.coords) == (other.atoms, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self.coords))
 
     def __getitem__(self, atom: str) -> Fraction:
         return self.coords[self.atoms.index(atom)]
@@ -251,12 +263,11 @@ def affine_dimension(points) -> int:
     return rank
 
 
-@dataclass
 class VerificationReport:
-    hypergraph: Hypergraph
-    ok: bool = True
-    failures: dict[str, list[str]] = field(default_factory=dict)
-    stats: dict[str, int] = field(default_factory=dict)
+    def __init__(self, hypergraph: Hypergraph) -> None:
+        self.hypergraph, self.ok = hypergraph, True
+        self.failures: dict[str, list[str]] = {}
+        self.stats: dict[str, int] = {}
 
     def add(self, kind: str, witness: str) -> None:
         self.ok = False

@@ -7,9 +7,9 @@ the decorations of the maximal proper tamed constructs into new facets
 and reads the next vertex hypergraph off the tamed constructions.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .constructs import (
     MAX_CARRIER,
@@ -41,18 +41,18 @@ def _is_count(value) -> bool:
     return type(value) is int and value > 0
 
 
-@dataclass(frozen=True)
-class Multiset:
-    """A non-empty formal sum over a fixed atom base, e.g. 2x+y."""
+class Multiset(namedtuple("Multiset", "base counts")):
+    """A non-empty formal sum over a fixed atom base, e.g. 2x+y: the tuple
+    (base, counts)."""
 
-    base: tuple[str, ...]
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.base) != len(self.counts):
+    def __new__(cls, base: tuple[str, ...], counts: tuple[int, ...]) -> "Multiset":
+        if len(base) != len(counts):
             raise TruncationError("counts must run parallel to the base")
-        if any(c < 0 for c in self.counts) or not any(self.counts):
+        if any(c < 0 for c in counts) or not any(counts):
             raise TruncationError("a formal sum needs positive counts")
+        return super().__new__(cls, base, counts)
 
     @classmethod
     def unit(cls, base: Iterable[str], atom: str) -> "Multiset":
@@ -105,14 +105,12 @@ def mu_sigma(parts: Iterable[Multiset]) -> Multiset:
 # -- round state --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     round_index: int
     vertex_sets: tuple[tuple[str, ...], ...]
     truncation_edges: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
 class RoundState:
     """One truncation round: facets, vertex decorations, truncations.
 
@@ -120,20 +118,19 @@ class RoundState:
     hypergraphs; ``facets`` runs in the order of the truncation carrier.
     """
 
-    base: tuple[str, ...]
-    facets: tuple[Multiset, ...]
-    vertex_sets: tuple[frozenset[str], ...]
-    truncations: Hypergraph
-    round_index: int = 1
-    trace: tuple[TraceEntry, ...] = ()
+    def __init__(
+        self, base: tuple[str, ...], facets: tuple[Multiset, ...],
+        vertex_sets: tuple[frozenset[str], ...], truncations: Hypergraph,
+        round_index: int = 1, trace: tuple[TraceEntry, ...] = (),
+    ) -> None:
+        if tuple(m.text() for m in facets) != truncations.carrier:
+            raise TruncationError("facets must run in the order of the truncation carrier")
+        self.base, self.facets, self.vertex_sets, self.truncations = base, facets, vertex_sets, truncations
+        self.round_index, self.trace = round_index, trace
 
     @property
     def facet_names(self) -> tuple[str, ...]:
         return self.truncations.carrier
-
-    def __post_init__(self) -> None:
-        if tuple(m.text() for m in self.facets) != self.truncations.carrier:
-            raise TruncationError("facets must run in the order of the truncation carrier")
 
     def facet(self, name: str) -> Multiset:
         i = self.truncations._index.get(name)
@@ -319,8 +316,7 @@ def vertex_family(s: RoundState, construction: Construct) -> frozenset[str]:
 # -- advancing ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundTransition:
+class RoundTransition(NamedTuple):
     """The facets and vertex decorations of the next round."""
 
     facets: tuple[Multiset, ...]

@@ -2,7 +2,6 @@
 statuses with their distinct messages, and byte-identical reruns."""
 
 import argparse
-import dataclasses
 import io
 import json
 import re
@@ -10,11 +9,11 @@ import sys
 
 import pytest
 
-from hgpoly import Hypergraph, InvariantError, RealizationError, cli, constructs, corpus, pba
+from hgpoly import Hypergraph, InvariantError, RealizationError, cli, constructs, corpus, pba, verification
 from hgpoly.constructs import covers, enumerate_constructs, print_construct
 from hgpoly.operadic import build_edge_graph, decomposition_words, parse_tree, tree_from_json_dict
 from hgpoly.realization import f_vector
-from hgpoly.truncation import round_state_from_json_dict, tamed_constructions, tamed_constructs
+from hgpoly.truncation import RoundState, round_state_from_json_dict, tamed_constructions, tamed_constructs
 
 PENTAGON_HREP = """\
 x >= 3
@@ -565,7 +564,8 @@ def test_pba_setup_dropped_decoration_is_an_invariant_break(capsys, monkeypatch,
 
     def lossy(s, edges):
         state = real(s, edges)
-        return dataclasses.replace(state, vertex_sets=state.vertex_sets[1:])
+        return RoundState(state.base, state.facets, state.vertex_sets[1:], state.truncations,
+                          state.round_index, state.trace)
 
     monkeypatch.setattr(pba, "advance", lossy)
     with pytest.raises(InvariantError, match="do not count the orderings"):
@@ -621,9 +621,9 @@ def test_verify_wiring(capsys, monkeypatch):
         pass
 
     def broken():
-        raise cli.VerificationFailure("frozen value drifted")
+        raise verification.VerificationFailure("frozen value drifted")
 
-    monkeypatch.setattr(cli, "CHECKS", (("fine", fine), ("broken", broken)))
+    monkeypatch.setattr(verification, "CHECKS", (("fine", fine), ("broken", broken)))
     status, out, _ = run(capsys, "corpus", "verify")
     assert status == 1
     assert out.splitlines() == [
@@ -640,7 +640,7 @@ def test_verify_prints_nothing_when_a_check_breaks_an_invariant(capsys, monkeypa
     def broken():
         raise InvariantError("normal form is neither type I nor type II")
 
-    monkeypatch.setattr(cli, "CHECKS", (("fine", fine), ("broken", broken)))
+    monkeypatch.setattr(verification, "CHECKS", (("fine", fine), ("broken", broken)))
     assert run(capsys, "corpus", "verify") == (
         1, "", "error: invariant broken: normal form is neither type I nor type II\n"
     )

@@ -3,13 +3,16 @@ used, every private module-level function is referenced, every public
 function and class is exported or referenced, no module runs a call at
 import, and no closure refers to itself, so the library frees its memos
 and trees by reference counting alone. The source is read with the
-standard `ast` only; the last test runs each command family."""
+standard `ast` only; the start-up test imports the package in a fresh
+interpreter, and the last test runs each command family."""
 
 import ast
 import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -124,6 +127,29 @@ def test_modules_import_the_standard_library_and_earlier_stages_only():
             if not (level == 0 and module in sys.stdlib_module_names or level == 1 and module in earlier)
         ]
     assert not wrong, wrong
+
+
+def test_no_module_imports_dataclasses():
+    # the records are tuples or plain classes: building dataclasses at import
+    # time, and the modules dataclasses loads, would cost every command
+    found = [
+        name for name, tree in _modules().items()
+        if any(module == "dataclasses" for _, module in _imported_modules(tree))
+    ]
+    assert not found, found
+
+
+def test_import_loads_neither_dataclasses_nor_the_checklist():
+    # corpus verify imports the acceptance checks itself; no other command
+    # pays for them
+    code = (
+        "import sys, hgpoly, hgpoly.cli, hgpoly.corpus; "
+        "print(sorted({'dataclasses', 'inspect', 'hgpoly.verification'} & sys.modules.keys()))"
+    )
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout == "[]\n"
 
 
 def test_every_private_function_is_referenced():

@@ -443,6 +443,15 @@ def test_encode_decode_bijection_exhaustive(pba2, pba3):
             assert decode(setup, w) == t
 
 
+def test_faces_share_one_label_set_per_decoration():
+    # one kernel run makes each decoration's label set once, and every node
+    # decorated alike holds that one object
+    faces = face_constructs(pba_setup(4))
+    decorations = [node.decoration for t in faces for node in t.nodes()]
+    assert len(faces) == 7401
+    assert len({id(d) for d in decorations}) == len(set(decorations)) == 1081
+
+
 def test_decode_inverts_encode_on_every_legal_parenthesis_set(pba2, pba3):
     # every subset of the legal parentheses over every face skeleton that
     # holds the standard brackets: an accepted word comes back from encode,
