@@ -12,11 +12,13 @@ last check that can raise; identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections.abc import Iterable
 from functools import cache
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import TextIO
 
 from .constructs import (
@@ -85,8 +87,40 @@ def _load_hypergraph(args) -> Hypergraph:
 
 
 def _dump_json(out: TextIO, data) -> None:
-    _write_rows(out, json.JSONEncoder(indent=2, sort_keys=True).iterencode(data))
+    _write_rows(out, _json_rows(data, "\n"))
     out.write("\n")
+
+
+def _spell(x) -> str:
+    """A scalar's JSON text; no handler writes a float, so one is refused."""
+    if x.__class__ not in (str, int, bool, type(None)):
+        raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+    return json.dumps(x)
+
+
+def _json_rows(x, newline: str, lead: str = ""):
+    """x as json.dumps(x, indent=2, sort_keys=True) spells it, which with an
+    indent encodes in Python: lead first, newline being "\n" and x's indent.
+    A scalar or a container of scalars is one chunk, others one per member."""
+    if x.__class__ is dict:
+        keys = sorted(x)  # _quoted refuses a key that is not a str
+        heads, values, ends = [_quoted(k) + ": " for k in keys], [x[k] for k in keys], "{}"
+    elif x.__class__ is list:
+        heads, values, ends = None, x, "[]"
+    else:
+        yield lead + _spell(x)
+        return
+    inner, kinds = newline + "  ", set(map(type, values))
+    if not values or not kinds & {dict, list}:
+        body = map(_quoted if kinds == {str} else _spell, values)
+        body = map(str.__add__, heads, body) if heads else body
+        yield lead + (ends[0] + inner + ("," + inner).join(body) + newline + ends[1] if values else ends)
+        return
+    sep = lead + ends[0] + inner
+    for i, v in enumerate(values):
+        yield from _json_rows(v, inner, sep + heads[i] if heads else sep)
+        sep = "," + inner
+    yield newline + ends[1]
 
 
 def _write_rows(out: TextIO, rows: Iterable[str]) -> None:
@@ -403,6 +437,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # the library makes no reference cycles: a handler runs with the collector paused
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         status = args.handler(args, sys.stdout)  # read per call: capsys and redirect_stdout swap it
     except GuardExceeded as exc:
@@ -414,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: invariant broken: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
     sys.stdout.flush()
     return status
 

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .constructs import (
-    MAX_CARRIER, Construct, _check_size, _checked, _keyed_node, _psi_bits, _vertices_below,
+    MAX_CARRIER, Construct, _check_size, _checked, _psi_bits, _vertices_below,
     enumerate_constructions, validate_construct,
 )
 from .hypergraph import Hypergraph, InvariantError, _is_format_1, components
@@ -36,27 +36,25 @@ class WordError(ValueError):
 
 class OperadicTree(namedtuple("OperadicTree", "label children", defaults=((),))):
     """Rooted tree with pairwise distinct node labels; children unordered
-    (stored sorted by label). The tuple (label, children)."""
+    (stored sorted by label). The tuple (label, children), and `labels`,
+    the frozenset of its node labels."""
 
     def __new__(cls, label: str, children: tuple[OperadicTree, ...] = ()) -> OperadicTree:
         if not isinstance(label, str) or not label:
             raise OperadicTreeError("node labels must be non-empty strings")
         self = super().__new__(cls, label, tuple(sorted(children, key=lambda c: c.label)))
-        seen: set[str] = set()
-        for node in self.nodes():
-            if node.label in seen:
-                raise OperadicTreeError(f"duplicate node label {node.label!r}")
-            seen.add(node.label)
+        self.labels = frozenset((label,)).union(*(c.labels for c in self.children))
+        if len(self.labels) <= sum(len(c.labels) for c in self.children):
+            # a label repeats: name the first one a preorder walk meets again
+            seen: set[str] = set()
+            repeated = next(n.label for n in self.nodes() if n.label in seen or seen.add(n.label))
+            raise OperadicTreeError(f"duplicate node label {repeated!r}")
         return self
 
     def nodes(self):
         yield self
         for child in self.children:
             yield from child.nodes()
-
-    @cached_property
-    def labels(self) -> frozenset[str]:
-        return frozenset(n.label for n in self.nodes())
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """(parent label, child label) pairs, preorder."""
@@ -145,11 +143,7 @@ class EdgeGraph:
 
     def kind_of(self, u: str, v: str) -> str | None:
         pair = frozenset((u, v))
-        if pair in self.solid:
-            return "solid"
-        if pair in self.dashed:
-            return "dashed"
-        return None
+        return "solid" if pair in self.solid else "dashed" if pair in self.dashed else None
 
     def neighbors(self, u: str) -> tuple[str, ...]:
         return self._adjacency[u]
@@ -193,15 +187,8 @@ def build_edge_graph(
     dashed: set[frozenset[str]] = set()
     _walk_edges(t, 0, names, level, solid, dashed)
     edges = [[a] for a in carrier] + [sorted(p, key=carrier.index) for p in solid | dashed]
-    h = Hypergraph(carrier, edges)
-    return EdgeGraph(
-        tree=t,
-        hypergraph=h,
-        solid=frozenset(solid),
-        dashed=frozenset(dashed),
-        level=level,
-        edge_of={v: c for c, v in names.items()},
-    )
+    return EdgeGraph(tree=t, hypergraph=Hypergraph(carrier, edges), solid=frozenset(solid),
+                     dashed=frozenset(dashed), level=level, edge_of={v: c for c, v in names.items()})
 
 
 def _walk_edges(node: OperadicTree, depth: int, names: dict, level: dict, solid: set, dashed: set) -> None:
@@ -264,7 +251,6 @@ def normalize_path(g: EdgeGraph, p) -> MinPath:
         raise OperadicTreeError("empty path")
     if len(set(seq)) != len(seq):
         raise OperadicTreeError("path revisits a vertex")
-    _step_kinds(g, tuple(seq))  # validates adjacency
     while True:
         steps = _step_kinds(g, tuple(seq))
         for i in range(len(steps) - 1):
@@ -412,13 +398,8 @@ def edge_removal_census(g: EdgeGraph, removed) -> EdgeRemovalCensus:
     if found != {vs for _, vs in pairs}:
         raise InvariantError("graph components do not match the non-Empty subtrees")
 
-    def part_key(s: frozenset[str]) -> tuple[str, ...]:
-        return tuple(sorted(s))
-
-    return EdgeRemovalCensus(
-        tuple(sorted(subtrees, key=part_key)),
-        tuple(sorted(pairs, key=lambda pc: part_key(pc[0]))),
-    )
+    return EdgeRemovalCensus(  # parts by their sorted labels
+        tuple(sorted(subtrees, key=sorted)), tuple(sorted(pairs, key=lambda pc: sorted(pc[0]))))
 
 
 def _parse_word(text: str):
@@ -503,37 +484,65 @@ def _check_letters(g: EdgeGraph) -> None:
         raise WordError(f"tree label {bad[0]!r} is not a word letter (one letter or digit)")
 
 
-def _word_head(g: EdgeGraph, edges: bool = False):
-    """Each construction as its word, outer parentheses kept: a _trees node
-    builder, or with edges a _keyed_node head making (word, root atom, one
-    (child region, atom, child's atom) per tree edge). Node y merges the
-    blocks at the ends p, c of its tree edge, p's first: the component that
-    holds an edge down from c is c's, and p or c stands in for a missing one."""
+def _merges(g: EdgeGraph):
+    """merge(region, y): y's atom, the ends p, c of its tree edge, the components
+    y leaves, and the indices among them of p's block and c's (None if missing):
+    node y merges the two, p's first, and c's holds an edge down from c."""
     h, parent_of = g.hypergraph, g._parent_of
     ends = {  # atom bit -> (atom, p, c, the atoms of the edges down from c)
         h.mask((a,)): (a, parent_of[c], c, h.mask(b for b, d in g.edge_of.items() if parent_of[d] == c))
         for a, c in g.edge_of.items()
     }
 
-    def head(region: int, y: int):
+    def merge(region: int, y: int):
         atom, p, c, below = ends[y]
         comps = h.components_mask(region & ~y)
         left = right = None
         for i, m in enumerate(comps):
             left, right = (left, i) if m & below else (i, right)
+        return atom, p, c, comps, left, right
 
-        def word(kids) -> str:
-            return "(" + (p if left is None else kids[left]) + (c if right is None else kids[right]) + ")"
+    return merge
 
-        def tree(kids) -> tuple:
-            incidences = ()
-            for m, (_, lower, inner) in zip(comps, kids):
-                incidences += ((m, atom, lower),) + inner
-            return word([k[0] for k in kids]), atom, incidences
 
-        return tree if edges else word
+def _word_head(g: EdgeGraph):
+    """A _trees node builder: each construction as its word, outer parentheses
+    kept, p or c standing in for a missing block."""
+    merge = _merges(g)
+
+    def head(region: int, y: int):
+        _, p, c, _, left, right = merge(region, y)
+        return lambda kids: "(" + (p if left is None else kids[left]) + (
+            c if right is None else kids[right]) + ")"
 
     return head
+
+
+def _skeleton_node(g: EdgeGraph):
+    """A _trees node builder: each construction as (word, root atom, psi key,
+    one (child span's psi bit, atom, child's root atom) per tree edge), made in
+    one call per tree by a maker fitted to (region, y)'s 0, 1 or 2 blocks."""
+    merge, bit = _merges(g), _psi_bits(g.hypergraph)
+
+    def node(region: int, y: int):
+        atom, p, c, comps, left, right = merge(region, y)
+        own, bits = bit[region], [bit[m] for m in comps]
+        if len(comps) == 2:
+            def tree(kids: tuple) -> tuple:
+                (w0, a0, k0, i0), (w1, a1, k1, i1) = kids
+                word = "(" + w0 + w1 + ")" if left == 0 else "(" + w1 + w0 + ")"
+                return word, atom, own + k0 + k1, ((bits[0], atom, a0),) + i0 + ((bits[1], atom, a1),) + i1
+        elif comps:
+            pre, post = ("(" + p, ")") if right == 0 else ("(", c + ")")
+            def tree(kids: tuple) -> tuple:
+                ((w, a, k, i),) = kids
+                return pre + w + post, atom, own + k, ((bits[0], atom, a),) + i
+        else:
+            leaf = "(" + p + c + ")", atom, own, ()
+            tree = lambda kids: leaf
+        return tree
+
+    return node
 
 
 def construction_to_word(g: EdgeGraph, v: Construct) -> str:
@@ -565,31 +574,30 @@ def skeleton_dot(g: EdgeGraph) -> str:
     solid, theta edges undirected and dashed, vertices labeled by words."""
     _check_letters(g)
     _check_size(len(g.hypergraph.carrier), MAX_CARRIER, fixed=True)  # as decomposition_words
-    h, bit = g.hypergraph, _psi_bits(g.hypergraph)
+    h = g.hypergraph
     # an edge is the nested set of either vertex less the span of one node, so
     # its key is the vertex's less that span's bit: record (word, atom of the
     # node's parent, atom of the node) under it. A word is quoted once; a closing
     # quote sorts below every letter, digit and parenthesis, so quoted words sort as words do
     words, rows, edges = [], [], {}
-    node = _keyed_node(h, _word_head(g, edges=True))
-    for (word, _, incidences), key, _ in enumerate_constructions(h, max_carrier=None, node=node):
+    for word, _, key, incidences in enumerate_constructions(h, max_carrier=None, node=_skeleton_node(g)):
         word = _dot(word[1:-1])
         words.append(word)
-        for region, upper, lower in incidences:
-            edges.setdefault(key - bit[region], []).append((word, upper, lower))
-    # (u, v) -> None for theta, else whether u above v is the beta source, as in classify_edge
-    kinds = {(u, v): None if min_path(g, u, v).path_type == "II" else g.level[u] > g.level[v]
-             for u in h.carrier for v in h.carrier if u != v}
+        for b, upper, lower in incidences:
+            edges.setdefault(key - b, []).append((word, upper, lower))
+    # a min-path read backwards keeps its type: one per unordered pair, carrier order
+    types = {(u, v): min_path(g, u, v).path_type for i, u in enumerate(h.carrier) for v in h.carrier[i + 1:]}
+    types.update({(v, u): kind for (u, v), kind in types.items()})
     for ends in edges.values():
         if len(ends) != 2:
             raise InvariantError(f"a skeleton edge should have 2 vertices, found {len(ends)}")
         (a, upper, lower), (b, _, _) = ends  # b has lower above upper
-        kind = kinds[upper, lower]
-        if kind is None:
+        if types[upper, lower] == "II":
             a, b = (a, b) if a < b else (b, a)
             rows.append(f'  {a} -> {b} [label="theta", dir=none, style=dashed];')
-        else:
-            a, b = (a, b) if kind else (b, a)
+        else:  # u above v is the beta source iff u sits deeper, as in classify_edge
+            a, b = (a, b) if g.level[upper] > g.level[lower] else (b, a)
             rows.append(f'  {a} -> {b} [label="beta"];')
+    del edges  # so the joined output does not add to its peak
     vertices = (f"  {w};" for w in sorted(words))
-    return "\n".join(["digraph skeleton {", *vertices, *sorted(rows), "}"]) + "\n"
+    return "\n".join(["digraph skeleton {", *vertices, *sorted(rows), "}", ""])

@@ -2,12 +2,14 @@
 statuses with their distinct messages, and byte-identical reruns."""
 
 import argparse
+import gc
 import io
 import json
 import re
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hgpoly import Hypergraph, InvariantError, RealizationError, cli, constructs, corpus, pba, verification
 from hgpoly.constructs import covers, enumerate_constructs, print_construct
@@ -672,6 +674,55 @@ def test_rows_are_written_past_empty_ones():
     out = io.StringIO()
     cli._write_rows(out, ["a\n", *[""] * 3000, "b\n"])
     assert out.getvalue() == "a\nb\n"
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("raised, status", [(None, 0), (InvariantError, 1), (ValueError, 2), (RuntimeError, None)])
+def test_handlers_run_with_the_collector_paused(capsys, monkeypatch, pentagon_file, collecting, raised, status):
+    # the collector is off inside a handler, and main hands the caller back
+    # its own collector state on every exit status and on a raise
+    inside = []
+
+    def f_vector(h, **_):
+        inside.append(gc.isenabled())
+        if raised:
+            raise raised("planted")
+        return [5, 5, 1]
+
+    monkeypatch.setattr(cli, "f_vector", f_vector)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if status is None:
+            with pytest.raises(RuntimeError, match="planted"):
+                cli.main(["hg", "fvector", pentagon_file])
+        else:
+            assert cli.main(["hg", "fvector", pentagon_file]) == status
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (inside, after) == ([False], collecting)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-10**60, max_value=10**60)
+    | st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", "\u2028", "\U0001f600", ""]),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+def test_json_writer_spells_what_the_json_module_does(data):
+    out = io.StringIO()
+    cli._dump_json(out, data)
+    assert out.getvalue() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("data", [1.5, [1, 2.0], {"a": float("nan")}, ("a", 1), {"a": {1, 2}}, {1: "a"}, {"a": b"x"}])
+def test_json_writer_refuses_what_no_handler_writes(data):
+    with pytest.raises(TypeError):
+        cli._dump_json(io.StringIO(), data)
 
 
 def test_other_runtime_errors_are_not_swallowed(capsys, monkeypatch, pentagon_file):

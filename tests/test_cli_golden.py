@@ -5,6 +5,7 @@ digests pin the byte-identical output contract, so any change to face
 order, text or numbers fails here."""
 
 import hashlib
+import io
 import json
 import random
 
@@ -378,6 +379,48 @@ def test_syntax_stdout_matches_golden(capsys, inputs, case):
     status = cli.main(_argv(SYNTAX_COMMANDS[case], inputs))
     out = capsys.readouterr().out
     assert (status, hashlib.sha256(out.encode()).hexdigest()) == SYNTAX_GOLDEN[case]
+
+
+# `op classify` at its guard: the star with eight edges, whose 40,320
+# vertices are joined by theta edges only; pinned before op classify built
+# its skeleton in one node-builder call per tree
+STAR9 = "a(b,c,d,e,f,g,h,i)"
+STAR9_CLASSIFY = (0, "329d3f75346557cbd20478649bdd9dcb170bdaab98447b3e3728e1755f8ce797")
+
+
+def test_classify_at_its_guard_matches_golden(capsys, tmp_path):
+    path = tmp_path / "star9.json"
+    path.write_text(json.dumps(parse_tree(STAR9).to_json_dict()))
+    status = cli.main(["op", "classify", "--tree", str(path)])
+    out = capsys.readouterr().out
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == STAR9_CLASSIFY
+
+
+@pytest.fixture()
+def json_dumps_checked(monkeypatch):
+    """Every JSON document a command writes, each checked against the json
+    module's spelling of the same data."""
+    real, dumped = cli._dump_json, []
+
+    def checked(out, data):
+        text = io.StringIO()
+        real(text, data)
+        assert text.getvalue() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        dumped.append(data)
+        out.write(text.getvalue())
+
+    monkeypatch.setattr(cli, "_dump_json", checked)
+    return dumped
+
+
+def test_json_commands_spell_what_the_json_module_does(capsys, tmp_path, inputs, json_dumps_checked):
+    cases = [case for case in sorted(SYNTAX_COMMANDS) if case.startswith(("pba setup", "trunc"))]
+    for case in cases:
+        status = cli.main(_argv(SYNTAX_COMMANDS[case], inputs))
+        assert (status, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == SYNTAX_GOLDEN[case]
+    for name in sorted(corpus.named_corpus()):
+        assert _named_run(capsys, tmp_path, name, "vertices") == GOLDEN[name, "vertices"]
+    assert len(json_dumps_checked) == len(cases) + len(corpus.named_corpus())
 
 
 # sha256 of `hgpoly <group> <command> --help` at 80 columns

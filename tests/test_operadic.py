@@ -1,7 +1,7 @@
 """Edge graphs of operadic trees: min-paths, beta/theta, decomposition words."""
 
 import json
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -651,6 +651,36 @@ def test_skeleton_dot_matches_classify_edge_on_every_small_tree():
             for names in (None, dict(zip(labels, reversed(labels)))):
                 g = build_edge_graph(t, names)
                 assert skeleton_dot(g) == _reference_dot(g) == want
+
+
+def test_skeleton_dot_reads_one_min_path_per_pair(monkeypatch):
+    # a min-path reversed keeps its type, so each unordered pair is asked
+    # once, the earlier atom of the carrier first; the reversed names put
+    # the carrier order against the text order
+    t = parse_tree("a(b(c,d),e(f))")
+    labels = [c for _, c in t.edges()]
+    g = build_edge_graph(t, dict(zip(labels, reversed(labels))))
+    want = skeleton_dot(g)
+    asked = []
+    real = operadic.min_path
+
+    def spy(g, u, v):
+        asked.append((u, v))
+        return real(g, u, v)
+
+    monkeypatch.setattr(operadic, "min_path", spy)
+    assert skeleton_dot(g) == want
+    assert asked == list(combinations(g.hypergraph.carrier, 2))
+
+
+def test_skeleton_breaks_an_invariant_when_search_and_rewriting_disagree(monkeypatch, capsys, tmp_path):
+    # the rewriting hands back the breadth-first path reversed
+    real = operadic.normalize_path
+    monkeypatch.setattr(operadic, "normalize_path", lambda g, p: real(g, p[::-1]))
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(parse_tree("a(b(c,d),e(f))").to_json_dict()))
+    assert cli.main(["op", "classify", "--tree", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: invariant broken: shortest path is not in normal form\n")
 
 
 def test_skeleton_edge_without_two_vertices_breaks_an_invariant(monkeypatch, capsys, tmp_path):

@@ -120,6 +120,28 @@ def test_validated_records_refuse_bad_input(make, message):
         make()
 
 
+def test_building_a_chain_walks_no_subtree(monkeypatch):
+    # the duplicate-label check reads the children's label sets: building a
+    # tree bottom-up walks no subtree, and only a duplicate found is named
+    # by a preorder walk
+    walks = []
+    real = OperadicTree.nodes
+
+    def spy(self):
+        walks.append(self.label)
+        return real(self)
+
+    monkeypatch.setattr(OperadicTree, "nodes", spy)
+    t = OperadicTree("n0")
+    for i in range(1, 400):
+        t = OperadicTree(f"n{i}", (t,))
+    assert walks == []
+    assert t.labels == frozenset(f"n{i}" for i in range(400))
+    with pytest.raises(OperadicTreeError, match="^duplicate node label 'n7'$"):
+        OperadicTree("a", (OperadicTree("b", (OperadicTree("n7"),)), t))
+    assert walks
+
+
 def test_round_state_checks_its_carrier():
     h = _path3()
     s = simplex_round(h.carrier, h)
